@@ -20,12 +20,14 @@ empirical spot-checker for the bounds themselves.
 Modules
 
     profiles    growth-estimate data (d, m, l, C, c, T) per L-function family
-    constants   the (a, b) constant chain with named hypothesis checks
+    constants   the (a, b) constant chain and the table of named hypotheses
+    defaults    published parameter sets, display values and shared defaults
     optimizer   deterministic grid search minimizing a1 or a2
     zeta        Euler-Maclaurin zeta and zeta' with rigorous error bounds
     quadrature  Romberg panels, reciprocal-zeta and envelope integrals
     mertens     epsilon0, explicit Mertens bounds, Mobius sieve verification
     verifier    low-discrepancy empirical checks against actual zeta values
+    parallel    order-preserving map over spawned worker processes
     cli         `nearone` command-line entry point (JSON reports)
     errors      shared exception taxonomy
 """

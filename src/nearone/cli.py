@@ -16,8 +16,11 @@ repr and therefore carry 17 significant digits; where a published constant
 is reproduced the report adds its rounded-up display form.  CSV is used
 only for per-panel and per-sample traces (--trace / --csv).
 
-Bare invocations reproduce the published numbers: `constants a1` prints
-the 5.44 bound, `integrate inv-zeta` the reciprocal-zeta integral ceiling,
+Bare invocations reproduce the published numbers from the parameter sets
+in nearone.defaults: `constants a1` prints the 5.44 bound and `constants
+a2` the 33.281 bound, for the zeta family and, with `--family dirichlet`,
+for characters mod 3 alike; `optimize a1|a2` recovers the published
+(C1, C2); `integrate inv-zeta` gives the reciprocal-zeta integral ceiling,
 `integrate envelope` the tail envelope below 5.946e14, `mertens bound` the
 555.71 / 1.94e14 pair.
 
@@ -25,13 +28,14 @@ Exit codes: 0 success (including structured null results such as a missing
 crossover), 1 violated hypothesis or domain error, 2 numerical
 non-convergence, 64 usage errors.  Worker counts come from --threads, else
 the NEARONE_WORKERS environment variable, else 1; "auto" means the CPU
-count.
+count.  Workers are spawned processes, so each starts from a fresh import.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -46,6 +50,7 @@ from .constants import (
     constants_report,
     dedekind_split,
 )
+from . import defaults
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -54,13 +59,6 @@ from .errors import (
     NoCrossoverError,
 )
 from .mertens import (
-    DEFAULT_C1,
-    DEFAULT_C2,
-    DEFAULT_C3,
-    DEFAULT_INTEGRAL_BOUND,
-    DEFAULT_LAMBDA,
-    DEFAULT_SIGMA0,
-    DEFAULT_T1,
     compute_epsilon0,
     crossover_trivial,
     default_T2,
@@ -87,31 +85,7 @@ EXIT_VALIDATION = 1
 EXIT_CONVERGENCE = 2
 EXIT_USAGE = 64
 
-# the parameter sets behind the published constants, per family and target
-_CONSTANT_DEFAULTS = {
-    ("zeta", TARGET_LOG): dict(
-        C1=0.25, C2=0.5, C3=1000.0, T1=1e4, T2=7778.0, t0=1e4, C4=None),
-    ("zeta", TARGET_LOGDER): dict(
-        C1=0.34, C2=0.67, C3=1000.0, T1=1e4, T2=7778.0, t0=1e4,
-        C4=0.67 / 2.0001),
-    ("dirichlet", TARGET_LOG): dict(
-        C1=0.25, C2=0.5, C3=1000.0, T1=1e4, T2=7778.0, t0=1e4, C4=None),
-    ("dirichlet", TARGET_LOGDER): dict(
-        C1=0.34, C2=0.67, C3=1000.0, T1=1e4, T2=7778.0, t0=1e4,
-        C4=0.67 / 2.0001),
-    ("dedekind", TARGET_LOG): dict(
-        C1=0.25, C2=0.5, C3=1000.0, T1=10188.0, T2=7794.0, t0=12128.0,
-        C4=None),
-    ("dedekind", TARGET_LOGDER): dict(
-        C1=0.32, C2=0.64, C3=1000.0, T1=10188.0, T2=7794.0, t0=12128.0,
-        C4=0.64 / 2.0001),
-}
-
 _TARGETS = {"a1": TARGET_LOG, "a2": TARGET_LOGDER}
-
-# headline sieve-verification constants (display forms of the Mertens bound)
-_M_A, _M_A_EXP = 555.71, 0.99
-_M_B, _M_B_EXP = 1.94e14, 0.98
 
 
 class _UsageError(Exception):
@@ -155,23 +129,12 @@ def _build_profile(args) -> tuple[object, dict]:
                   "profile_t0": args.profile_t0}
 
 
-def _profile_dict(prof) -> dict:
-    return {
-        "degree": prof.degree,
-        "euler_order": prof.euler_order,
-        "log_power": prof.log_power,
-        "amplitude": prof.amplitude,
-        "conductor_scale": prof.conductor_scale,
-        "min_height": prof.min_height,
-    }
-
-
 def _cmd_profiles(args) -> tuple[dict, int]:
     prof, family_params = _build_profile(args)
     report = {
         "subcommand": "profiles",
         "parameters": family_params,
-        "profile": _profile_dict(prof),
+        "profile": dataclasses.asdict(prof),
     }
     if args.family == "dirichlet":
         report["prefactor"] = rademacher_prefactor_dirichlet(
@@ -185,14 +148,13 @@ def _cmd_profiles(args) -> tuple[dict, int]:
 
 
 def _resolved_bound_params(args, target: str) -> BoundParams:
-    defaults = _CONSTANT_DEFAULTS[(args.family, target)]
-    values = {}
-    for key in ("C1", "C2", "C3", "T1", "T2", "t0", "C4"):
-        given = getattr(args, key)
-        values[key] = defaults[key] if given is None else given
+    given = {key: getattr(args, key)
+             for key in ("C1", "C2", "C3", "T1", "T2", "t0", "C4")
+             if getattr(args, key) is not None}
     if target == TARGET_LOG:
-        values["C4"] = None  # only the derivative bound uses C4
-    return BoundParams(**values)
+        given.pop("C4", None)  # only the derivative bound uses C4
+    published = defaults.CONSTANT_PARAMS[(args.family, target)]
+    return dataclasses.replace(published, **given)
 
 
 def _cmd_constants(args) -> tuple[dict, int]:
@@ -216,13 +178,12 @@ def _cmd_constants(args) -> tuple[dict, int]:
 def _cmd_optimize(args) -> tuple[dict, int]:
     target = _TARGETS[args.which]
     prof, family_params = _build_profile(args)
-    defaults = _CONSTANT_DEFAULTS[(args.family, target)]
-    fixed = {k: getattr(args, k) if getattr(args, k) is not None else defaults[k]
-             for k in ("C3", "T1", "T2", "t0")}
+    published = defaults.CONSTANT_PARAMS[(args.family, target)]
+    fixed = {k: getattr(args, k) if getattr(args, k) is not None
+             else getattr(published, k) for k in ("C3", "T1", "T2", "t0")}
     spec = SearchSpec(profile=prof, target=target, grid_step=args.grid_step,
                       refine_rounds=args.refine_rounds, **fixed)
     params, bc = minimize(spec, trace_path=args.trace)
-    places = 2 if target == TARGET_LOG else 3
     report = {
         "subcommand": "optimize",
         "target": target,
@@ -232,8 +193,7 @@ def _cmd_optimize(args) -> tuple[dict, int]:
         "optimum": {
             "parameters": params.as_dict(),
             "constants": bc.as_dict(),
-            "a_display": ceil_decimals(bc.a, places),
-            "b_display": ceil_decimals(bc.b, 3),
+            **bc.display(),
         },
     }
     return report, EXIT_OK
@@ -431,15 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="Romberg panel integration")
     p.add_argument("which", choices=("inv-zeta", "envelope"))
-    p.add_argument("--sigma0", type=float, default=0.98)
+    p.add_argument("--sigma0", type=float, default=defaults.SIGMA0)
     p.add_argument("--from", dest="lo", type=float, default=None)
     p.add_argument("--to", dest="hi", type=float, default=None)
-    p.add_argument("--a1", type=float, default=5.44,
+    p.add_argument("--a1", type=float, default=defaults.DISPLAY_A1,
                    help="envelope growth constant (integrand envelope)")
-    p.add_argument("--panel-width", type=float, default=10.0)
-    p.add_argument("--panel-width-v", type=float, default=0.5)
+    p.add_argument("--panel-width", type=float, default=defaults.PANEL_WIDTH)
+    p.add_argument("--panel-width-v", type=float,
+                   default=defaults.V_PANEL_WIDTH)
     p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--max-levels", type=int, default=16)
+    p.add_argument("--max-levels", type=int, default=defaults.MAX_LEVELS)
     p.add_argument("--threads", default=None)
     p.add_argument("--trace", default=None,
                    help="CSV trace of per-panel results")
@@ -448,27 +409,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mertens", help="explicit Mertens-function bounds")
     p.add_argument("action",
                    choices=("bound", "derive-m", "crossover", "sieve-verify"))
-    p.add_argument("--sigma0", type=float, default=DEFAULT_SIGMA0)
-    p.add_argument("--C1", type=float, default=DEFAULT_C1)
-    p.add_argument("--C2", type=float, default=DEFAULT_C2)
-    p.add_argument("--C3", type=float, default=DEFAULT_C3)
-    p.add_argument("--T1", type=float, default=DEFAULT_T1)
+    p.add_argument("--sigma0", type=float, default=defaults.SIGMA0)
+    p.add_argument("--C1", type=float, default=defaults.MERTENS_C1)
+    p.add_argument("--C2", type=float, default=defaults.MERTENS_C2)
+    p.add_argument("--C3", type=float, default=defaults.C3)
+    p.add_argument("--T1", type=float, default=defaults.MERTENS_T1)
     p.add_argument("--T2", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--integral", type=float, default=DEFAULT_INTEGRAL_BOUND)
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.LAMBDA)
+    p.add_argument("--integral", type=float, default=defaults.INTEGRAL_BOUND)
     p.add_argument("--epsilon0", type=float, default=None,
                    help="skip the chain and use this exponent directly")
-    p.add_argument("--A", type=float, default=_M_A)
-    p.add_argument("--a", type=float, default=_M_A_EXP)
-    p.add_argument("--B", type=float, default=_M_B)
-    p.add_argument("--b", type=float, default=_M_B_EXP)
+    p.add_argument("--A", type=float, default=defaults.DISPLAY_COEF_KAPPA)
+    p.add_argument("--a", type=float, default=defaults.DISPLAY_KAPPA)
+    p.add_argument("--B", type=float, default=defaults.DISPLAY_COEF_SIGMA0)
+    p.add_argument("--b", type=float, default=defaults.SIGMA0)
     p.add_argument("--limit", type=int, default=1_000_000,
                    help="sieve range for sieve-verify")
     p.set_defaults(handler=_cmd_mertens)
 
     p = sub.add_parser("verify", help="empirical bound spot checks")
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--abs-tol", type=float, default=1e-6)
+    p.add_argument("--samples", type=int, default=defaults.VERIFY_SAMPLES)
+    p.add_argument("--abs-tol", type=float, default=defaults.VERIFY_ABS_TOL)
     p.add_argument("--threads", default=None)
     p.add_argument("--csv", default=None,
                    help="write per-sample records here as CSV")
@@ -479,20 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fill_integrate_defaults(args) -> None:
     """Range defaults differ per integrand, so argparse can't own them."""
-    if args.which == "inv-zeta":
-        if args.lo is None:
-            args.lo = 0.0
-        if args.hi is None:
-            args.hi = 11520.0
-        if args.rel_tol is None:
-            args.rel_tol = 1e-6
-    else:
-        if args.lo is None:
-            args.lo = 11520.0
-        if args.hi is None:
-            args.hi = 2.6e7
-        if args.rel_tol is None:
-            args.rel_tol = 1e-9
+    for key, value in zip(("lo", "hi", "rel_tol"), defaults.INTEGRALS[args.which]):
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _emit(report: dict, path: Optional[str]) -> None:

@@ -35,7 +35,7 @@ stay valid bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, ROUND_CEILING
 
 from .errors import DomainError, HypothesisError
@@ -49,9 +49,6 @@ A2_INFLATION = 1.0002
 REGION_STRETCH = 1.00006
 # C4 must stay strictly below C2/2; this divisor enforces the gap.
 C4_GAP = 2.0001
-# Phase-shift inflation arising mid-derivation; already absorbed into
-# A2_INFLATION, kept as a named constant for traceability.
-PHASE_SLACK = 1.00009
 
 # Floor under which the iterated logarithms in K are all positive and
 # monotone: exp(e^2) ~ 1618.18.
@@ -59,6 +56,13 @@ ITERLOG_FLOOR = math.exp(math.e ** 2)
 
 TARGET_LOG = "log"
 TARGET_LOGDER = "logder"
+
+# The derivative bound is assembled from log-bounds on a unit strip below
+# T1, so it needs one more unit of room than the log bound: its T1-floor
+# shifts by 1, its T1-gap must leave 1 and its T2-window margin grows from
+# 1/2 to 3/2.
+ROOM = {TARGET_LOG: {"shift": 0, "gap": 0.0, "margin": 0.5},
+        TARGET_LOGDER: {"shift": 1, "gap": 1.0, "margin": 1.5}}
 
 
 def loglog(x: float) -> float:
@@ -138,6 +142,13 @@ class BoundConstants:
         return {"a": self.a, "b": self.b,
                 "sigma_region": list(self.sigma_region), "target": self.target}
 
+    def display(self) -> dict:
+        """Published display forms, rounded upward so they remain valid
+        bounds: a1 at 2 decimals, a2 at 3, b at 3."""
+        places = 2 if self.target == TARGET_LOG else 3
+        return {"a_display": ceil_decimals(self.a, places),
+                "b_display": ceil_decimals(self.b, 3)}
+
 
 @dataclass(frozen=True)
 class HypothesisCheck:
@@ -145,18 +156,105 @@ class HypothesisCheck:
     ok: bool
     detail: str
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
-
-def _check(name: str, ok: bool, detail: str) -> HypothesisCheck:
-    return HypothesisCheck(name, bool(ok), detail)
-
-
-def _exp_exp(x: float) -> float:
-    """exp(exp(x)), saturating to +inf instead of raising OverflowError."""
+def edge_floor(edge: float, shift: float) -> float:
+    """exp(e^(2 edge)) + shift, the edge term of the T1-floor, saturating to
+    +inf; the optimizer runs it per grid candidate, so it calls only math.exp."""
+    x = 2 * edge
     y = math.exp(x) if x < 710 else math.inf
-    return math.exp(y) if y < 710 else math.inf
+    return (math.exp(y) if y < 710 else math.inf) + shift
+
+
+def window_edge(t0: float, C3: float, c: float, margin: float) -> float:
+    """t0 - C3 loglog(c t0) - margin, the largest T2 the T2-window admits."""
+    return t0 - C3 * loglog(c * t0) - margin
+
+
+# The named hypotheses, one predicate each.  A caller passes every quantity
+# of its statement as a keyword; a predicate reads those it constrains and
+# returns (ok, detail) without raising.  Besides the parameters these are
+# edge, the left edge A of the sigma-region (the T1-floor needs
+# T1 >= exp(e^(2A))); m_over_d, c and T, the profile's Euler order over its
+# degree, conductor scale and height floor; and the statement's ROOM.
+
+def _sigma0_floor(sigma0, C2, T1, **_):
+    if T1 <= math.e:
+        return False, f"T1={T1} too small for loglog"
+    floor = 0.5 + C2 / loglog(T1)
+    return sigma0 >= floor, (f"need sigma0 >= 1/2 + C2/loglog(T1) = {floor!r}, "
+                             f"got sigma0={sigma0!r}")
+
+
+def _t1_floor(T1, C3, edge=0.0, m_over_d=0.0, shift=0, **_):
+    floor = max(edge_floor(edge, shift),
+                max(math.exp(4 * m_over_d), C3, ITERLOG_FLOOR) + shift)
+    return T1 >= floor, f"need T1 >= {floor}, got T1={T1}"
+
+
+def _t1_gap(T1, C3, gap=0.0, **_):
+    if T1 <= math.e:
+        return False, f"T1={T1} too small for loglog"
+    slack = T1 - 2 * C3 * loglog(T1)
+    return slack >= gap, f"need T1 - 2*C3*loglog(T1) >= {gap}, got {slack}"
+
+
+def _t2_window(t0, T2, C3, c, margin, **_):
+    if c * t0 <= math.e:
+        return False, f"c*t0={c * t0} too small for loglog"
+    win = window_edge(t0, C3, c, margin)
+    return win >= T2, f"need t0 - C3*loglog(c*t0) - {margin} = {win} >= T2={T2}"
+
+
+def _t2_floor(T2, T, **_):
+    floor = max(T + 1, ITERLOG_FLOOR)
+    return T2 >= floor, f"need T2 >= {floor}, got T2={T2}"
+
+
+HYPOTHESES = (
+    ("sigma0-range", lambda sigma0, **_: (
+        0.5 < sigma0 < 1.0, f"need 1/2 < sigma0 < 1, got sigma0={sigma0!r}")),
+    ("sigma0-floor", _sigma0_floor),
+    ("C1-range", lambda C1, **_: (
+        0 < C1 <= 1, f"need 0 < C1 <= 1, got C1={C1}")),
+    ("C2-range", lambda C1, C2, **_: (
+        0 < C2 <= 2 * C1, f"need 0 < C2 <= 2*C1={2 * C1}, got C2={C2}")),
+    ("C3-floor", lambda C3, **_: (C3 >= 1, f"need C3 >= 1, got C3={C3}")),
+    ("C4-range", lambda C2, C4, **_: (
+        C4 is not None and 0 < C4 <= C2 / C4_GAP,
+        f"need 0 < C4 <= C2/{C4_GAP}={C2 / C4_GAP}, got C4={C4}")),
+    ("T1-floor", _t1_floor),
+    ("T1-gap", _t1_gap),
+    ("t0-floor", lambda t0, T1, **_: (
+        t0 >= T1, f"need t0 >= T1={T1}, got t0={t0}")),
+    ("T2-window", _t2_window),
+    ("T2-floor", _t2_floor),
+    ("epsilon0-applicability", lambda epsilon0, **_: (
+        0.0 < epsilon0 < 1.0,
+        f"need 0 < epsilon0 < 1, got epsilon0={epsilon0!r}")),
+    ("lambda-range", lambda lam, T1, **_: (
+        0.0 < lam <= T1, f"need 0 < lambda <= T1={T1!r}, got lambda={lam!r}")),
+)
+
+# the hypotheses of the a2 statement; a1 has all but C4-range
+STATEMENT_HYPOTHESES = ("C1-range", "C2-range", "C3-floor", "C4-range",
+                        "T1-floor", "T1-gap", "t0-floor", "T2-window",
+                        "T2-floor")
+
+
+def check_hypotheses(names, **quantities) -> list[HypothesisCheck]:
+    """Evaluate the named entries of HYPOTHESES, in table order."""
+    return [HypothesisCheck(name, bool(ok), detail)
+            for name, predicate in HYPOTHESES if name in names
+            for ok, detail in [predicate(**quantities)]]
+
+
+def statement_hypotheses(names, profile: LFunctionProfile, target: str,
+                         **quantities) -> list[HypothesisCheck]:
+    """The named hypotheses of the a1 or a2 statement on a profile."""
+    return check_hypotheses(
+        names, m_over_d=profile.euler_order / profile.degree,
+        c=profile.conductor_scale, T=profile.min_height, **ROOM[target],
+        **quantities)
 
 
 def hypothesis_report(profile: LFunctionProfile, params: BoundParams,
@@ -167,58 +265,17 @@ def hypothesis_report(profile: LFunctionProfile, params: BoundParams,
     argument that is too small) are reported as failed rather than raising,
     so the report is always complete.
     """
-    if target not in (TARGET_LOG, TARGET_LOGDER):
+    if target not in ROOM:
         raise DomainError(f"unknown target {target!r}")
     p = params
-    d, m = profile.degree, profile.euler_order
-    c, T = profile.conductor_scale, profile.min_height
-    deriv = target == TARGET_LOGDER
-
-    checks = [
-        _check("C1-range", 0 < p.C1 <= 1, f"need 0 < C1 <= 1, got C1={p.C1}"),
-        _check("C2-range", 0 < p.C2 <= 2 * p.C1,
-               f"need 0 < C2 <= 2*C1={2 * p.C1}, got C2={p.C2}"),
-        _check("C3-floor", p.C3 >= 1, f"need C3 >= 1, got C3={p.C3}"),
-    ]
-    if deriv:
-        c4_ok = p.C4 is not None and 0 < p.C4 <= p.C2 / C4_GAP
-        checks.append(_check(
-            "C4-range", c4_ok,
-            f"need 0 < C4 <= C2/{C4_GAP}={p.C2 / C4_GAP}, got C4={p.C4}"))
+    if target == TARGET_LOGDER:
+        names = STATEMENT_HYPOTHESES
         edge = REGION_STRETCH * p.C2 + (p.C4 if p.C4 is not None else 0.0)
     else:
+        names = [name for name in STATEMENT_HYPOTHESES if name != "C4-range"]
         edge = p.C2
-
-    t1_floor = max(_exp_exp(2 * edge), math.exp(4 * m / d),
-                   p.C3, ITERLOG_FLOOR) + (1 if deriv else 0)
-    checks.append(_check("T1-floor", p.T1 >= t1_floor,
-                         f"need T1 >= {t1_floor}, got T1={p.T1}"))
-
-    gap_need = 1.0 if deriv else 0.0
-    if p.T1 > math.e:
-        gap = p.T1 - 2 * p.C3 * loglog(p.T1)
-        checks.append(_check("T1-gap", gap >= gap_need,
-                             f"need T1 - 2*C3*loglog(T1) >= {gap_need}, got {gap}"))
-    else:
-        checks.append(_check("T1-gap", False, f"T1={p.T1} too small for loglog"))
-
-    checks.append(_check("t0-floor", p.t0 >= p.T1,
-                         f"need t0 >= T1={p.T1}, got t0={p.t0}"))
-
-    margin = 1.5 if deriv else 0.5
-    if c * p.t0 > math.e:
-        win = p.t0 - p.C3 * loglog(c * p.t0) - margin
-        checks.append(_check(
-            "T2-window", win >= p.T2,
-            f"need t0 - C3*loglog(c*t0) - {margin} = {win} >= T2={p.T2}"))
-    else:
-        checks.append(_check("T2-window", False,
-                             f"c*t0={c * p.t0} too small for loglog"))
-
-    t2_floor = max(T + 1, ITERLOG_FLOOR)
-    checks.append(_check("T2-floor", p.T2 >= t2_floor,
-                         f"need T2 >= {t2_floor}, got T2={p.T2}"))
-    return checks
+    return statement_hypotheses(names, profile, target, edge=edge,
+                                **asdict(p))
 
 
 def _require(checks: list[HypothesisCheck]) -> None:
@@ -230,15 +287,12 @@ def _require(checks: list[HypothesisCheck]) -> None:
 def compute_K(profile: LFunctionProfile, C1: float, t0_prime: float) -> float:
     """The kernel K(d, m, l, C, C1, t0') of the b-constant.
 
-    Requires 0 < C1 <= 1 and t0' >= max(T+1, exp(e^2)); under these the
-    result is guaranteed >= d/4 since every addend is nonnegative.
+    Requires 0 < C1 <= 1 and t0' >= max(T+1, exp(e^2)), the C1-range and
+    T2-floor hypotheses at T2 = t0'; under these the result is guaranteed
+    >= d/4 since every addend is nonnegative.
     """
-    if not 0 < C1 <= 1:
-        raise HypothesisError("C1-range", f"need 0 < C1 <= 1, got {C1}")
-    floor = max(profile.min_height + 1, ITERLOG_FLOOR)
-    if t0_prime < floor:
-        raise HypothesisError("t0-prime-floor",
-                              f"need t0' >= {floor}, got {t0_prime}")
+    _require(statement_hypotheses(("C1-range", "T2-floor"), profile,
+                                  TARGET_LOG, C1=C1, T2=t0_prime))
     d, m = profile.degree, profile.euler_order
     L = math.log(t0_prime)
     ll = loglog(t0_prime)
@@ -258,45 +312,27 @@ def _window_factors(C3: float, T1: float) -> tuple[float, float]:
     return f1, f2
 
 
-def _b1_checks(profile: LFunctionProfile, C1: float, C3: float,
-               T1: float, T2: float) -> list[HypothesisCheck]:
-    d, m = profile.degree, profile.euler_order
-    checks = [
-        _check("C1-range", 0 < C1 <= 1, f"need 0 < C1 <= 1, got C1={C1}"),
-        _check("C3-floor", C3 >= 1, f"need C3 >= 1, got C3={C3}"),
-    ]
-    floor = max(math.exp(4 * m / d), C3, ITERLOG_FLOOR)
-    checks.append(_check("T1-floor", T1 >= floor,
-                         f"need T1 >= {floor}, got T1={T1}"))
-    if T1 > math.e:
-        gap = T1 - 2 * C3 * loglog(T1)
-        checks.append(_check("T1-gap", gap >= 0,
-                             f"need T1 - 2*C3*loglog(T1) >= 0, got {gap}"))
-    else:
-        checks.append(_check("T1-gap", False, f"T1={T1} too small for loglog"))
-    t2_floor = max(profile.min_height + 1, ITERLOG_FLOOR)
-    checks.append(_check("T2-floor", T2 >= t2_floor,
-                         f"need T2 >= {t2_floor}, got T2={T2}"))
-    return checks
-
-
 def compute_b1(profile: LFunctionProfile, C1: float, C3: float,
                T1: float, T2: float) -> float:
-    """The b-constant (K(..., T2)/m) * F1(C3, T1) * F2(C3, T1), always >= d/(4m)."""
-    _require(_b1_checks(profile, C1, C3, T1, T2))
+    """The b-constant (K(..., T2)/m) * F1(C3, T1) * F2(C3, T1), always >= d/(4m).
+
+    T1 is the height b runs at (compute_a2 passes T1 - 1), so its
+    hypotheses take the room of the log statement there.
+    """
+    _require(statement_hypotheses(
+        ("C1-range", "C3-floor", "T1-floor", "T1-gap", "T2-floor"), profile,
+        TARGET_LOG, C1=C1, C3=C3, T1=T1, T2=T2))
     f1, f2 = _window_factors(C3, T1)
     return (compute_K(profile, C1, T2) / profile.euler_order) * f1 * f2
 
 
 def compute_R(C2: float, C3: float, T1: float) -> float:
-    """Exponential rate (2 C2 + 1/(2 C3)) / (1 - 1/(4 C3 loglog T1))."""
-    if C2 <= 0:
-        raise HypothesisError("C2-range", f"need C2 > 0, got {C2}")
-    if C3 < 1:
-        raise HypothesisError("C3-floor", f"need C3 >= 1, got {C3}")
-    if T1 < ITERLOG_FLOOR:
-        raise HypothesisError("T1-floor",
-                              f"need T1 >= {ITERLOG_FLOOR}, got {T1}")
+    """Exponential rate (2 C2 + 1/(2 C3)) / (1 - 1/(4 C3 loglog T1)).
+
+    The rate needs only C2 > 0, so C2-range is checked with C1 unbounded.
+    """
+    _require(check_hypotheses(("C2-range", "C3-floor", "T1-floor"),
+                              C1=math.inf, C2=C2, C3=C3, T1=T1))
     den = 1 - 1 / (4 * C3 * loglog(T1))
     return (2 * C2 + 1 / (2 * C3)) / den
 
@@ -347,32 +383,18 @@ def dedekind_split(C1: float, C3: float, T1: float, T2: float) -> tuple[float, f
 
     For the degree-n_K Dedekind profile, b1 = K1 + K2/n_K: the kernel keeps
     the shape of the degree-1 case except for the amplitude term
-    log(1.9)/log T2, whose weight decays like 1/n_K.  Validated against the
-    default Dedekind height floor (min_height 7778).
+    log(1.9)/log T2, whose weight decays like 1/n_K.  K1 is b1 of the
+    degree-1 profile with amplitude 1, and K2 what amplitude 1.9 adds to
+    it; both profiles carry the default height floor (min_height 7778).
     """
-    if not 0 < C1 <= 1:
-        raise HypothesisError("C1-range", f"need 0 < C1 <= 1, got {C1}")
-    if C3 < 1:
-        raise HypothesisError("C3-floor", f"need C3 >= 1, got {C3}")
-    floor = max(math.exp(4.0), C3, ITERLOG_FLOOR)
-    if T1 < floor:
-        raise HypothesisError("T1-floor", f"need T1 >= {floor}, got {T1}")
-    if T1 - 2 * C3 * loglog(T1) < 0:
-        raise HypothesisError("T1-gap",
-                              f"need T1 - 2*C3*loglog(T1) >= 0 at T1={T1}")
-    t2_floor = max(T0_DEFAULT + 1, ITERLOG_FLOOR)
-    if T2 < t2_floor:
-        raise HypothesisError("T2-floor", f"need T2 >= {t2_floor}, got {T2}")
-    L2 = math.log(T2)
-    ll2 = loglog(T2)
-    weight = 1 + 2 * C1 / ll2
-    base = (0.25 + C1 / (2 * ll2)
-            + weight * (ll2 / L2
-                        + (logloglog(T2) + math.log(1 / C1)
-                           + GAMMA_EULER * C1 / ll2) / L2))
-    extra = weight * math.log(DEDEKIND_AMPLITUDE) / L2
-    f1, f2 = _window_factors(C3, T1)
-    return base * f1 * f2, extra * f1 * f2
+    def b1(amplitude: float) -> float:
+        profile = LFunctionProfile(degree=1, euler_order=1, log_power=1,
+                                   amplitude=amplitude, conductor_scale=1.0,
+                                   min_height=T0_DEFAULT)
+        return compute_b1(profile, C1, C3, T1, T2)
+
+    k1 = b1(1.0)
+    return k1, b1(DEDEKIND_AMPLITUDE) - k1
 
 
 def elementary_bounds(euler_order: int, B: float, conductor_scale: float,
@@ -414,23 +436,13 @@ def constants_report(profile: LFunctionProfile, params: BoundParams,
     checks = hypothesis_report(profile, params, target)
     report = {
         "target": target,
-        "profile": {
-            "degree": profile.degree,
-            "euler_order": profile.euler_order,
-            "log_power": profile.log_power,
-            "amplitude": profile.amplitude,
-            "conductor_scale": profile.conductor_scale,
-            "min_height": profile.min_height,
-        },
+        "profile": asdict(profile),
         "parameters": params.as_dict(),
-        "hypotheses": [ch.as_dict() for ch in checks],
+        "hypotheses": [asdict(ch) for ch in checks],
         "hypotheses_ok": all(ch.ok for ch in checks),
     }
     if report["hypotheses_ok"]:
         fn = compute_a1 if target == TARGET_LOG else compute_a2
         bc = fn(profile, params)
-        places = 2 if target == TARGET_LOG else 3
-        report["constants"] = bc.as_dict()
-        report["constants"]["a_display"] = ceil_decimals(bc.a, places)
-        report["constants"]["b_display"] = ceil_decimals(bc.b, 3)
+        report["constants"] = {**bc.as_dict(), **bc.display()}
     return report

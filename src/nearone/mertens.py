@@ -52,15 +52,20 @@ from typing import Optional
 import numpy as np
 
 from .constants import (
-    ITERLOG_FLOOR,
+    ROOM,
+    TARGET_LOG,
     HypothesisCheck,
-    _check,
+    _require,
+    check_hypotheses,
     compute_b1,
     compute_R,
     loglog,
     logplus,
+    statement_hypotheses,
+    window_edge,
 )
-from .errors import DomainError, HypothesisError, NoCrossoverError
+from . import defaults
+from .errors import DomainError, NoCrossoverError
 from .profiles import profile_zeta
 
 __all__ = [
@@ -76,14 +81,6 @@ __all__ = [
     "sieve_mobius",
     "verify_bound_on_range",
 ]
-
-DEFAULT_SIGMA0 = 0.98
-DEFAULT_C1 = 0.5
-DEFAULT_C2 = 0.5
-DEFAULT_C3 = 1.0e3
-DEFAULT_T1 = 2.6e7
-DEFAULT_LAMBDA = 2.0
-DEFAULT_INTEGRAL_BOUND = 5.95e14
 
 SIEVE_LIMIT = 200_000_000
 _SEGMENT = 1 << 20
@@ -156,33 +153,17 @@ class MobiusTable:
 
 def epsilon0_hypotheses(sigma0: float, C2: float, C3: float,
                         T1: float, T2: float) -> list[HypothesisCheck]:
-    """Hypothesis block for the reciprocal-zeta Mertens bound, every condition named."""
-    checks = []
-    ll = loglog(T1) if T1 > math.e else math.nan
-    checks.append(_check(
-        "sigma0-range", 0.5 < sigma0 < 1.0,
-        f"need 1/2 < sigma0 < 1; sigma0={sigma0!r}"))
-    if 0.5 < sigma0 < 1.0 and T1 > math.e:
-        checks.append(_check(
-            "sigma0-floor", sigma0 >= 0.5 + C2 / ll,
-            f"need sigma0 >= 1/2 + C2/loglog T1 = {0.5 + C2 / ll!r}"))
-        inner = 1.0 / (2.0 * sigma0 - 1.0)
-        floor = max(math.exp(math.exp(min(2.0 * C2, 700.0))), ITERLOG_FLOOR,
-                    C3, math.exp(math.exp(min(inner, 700.0))))
-        checks.append(_check(
-            "T1-floor", T1 >= floor,
-            f"need T1 >= max(exp(e^(2 C2)), exp(e^2), C3, "
-            f"exp(exp(1/(2 sigma0 - 1)))) = {floor!r}"))
-        checks.append(_check(
-            "T1-gap", T1 - 2.0 * C3 * ll >= 0.0,
-            f"need T1 - 2 C3 loglog T1 >= 0; slack={T1 - 2 * C3 * ll!r}"))
-        checks.append(_check(
-            "T2-window", T1 - C3 * ll - 0.5 >= T2,
-            f"need T2 <= T1 - C3 loglog T1 - 1/2 = {T1 - C3 * ll - 0.5!r}"))
-        checks.append(_check(
-            "T2-floor", T2 >= ITERLOG_FLOOR,
-            f"need T2 >= exp(e^2) = {ITERLOG_FLOOR!r}"))
-    return checks
+    """Hypothesis block for the reciprocal-zeta Mertens bound, every condition named.
+
+    These are the sigma0 conditions plus the log statement's for zeta at
+    t0 = T1.  The T1-floor also needs T1 >= exp(e^(1/(2 sigma0 - 1))),
+    which is its edge term at edge 1/(2 (2 sigma0 - 1)).
+    """
+    edge = max(C2, 0.5 / (2.0 * sigma0 - 1.0)) if sigma0 > 0.5 else math.inf
+    return statement_hypotheses(
+        ("sigma0-range", "sigma0-floor", "T1-floor", "T1-gap", "T2-window",
+         "T2-floor"), profile_zeta(), TARGET_LOG,
+        sigma0=sigma0, C2=C2, C3=C3, T1=T1, T2=T2, t0=T1, edge=edge)
 
 
 def compute_epsilon0(sigma0: float, C1: float, C2: float, C3: float,
@@ -192,31 +173,22 @@ def compute_epsilon0(sigma0: float, C1: float, C2: float, C3: float,
     Raises HypothesisError naming the violated condition, including
     "epsilon0-applicability" when the computed exponent reaches 1.
     """
-    for check in epsilon0_hypotheses(sigma0, C2, C3, T1, T2):
-        if not check.ok:
-            raise HypothesisError(check.name, check.detail)
+    _require(epsilon0_hypotheses(sigma0, C2, C3, T1, T2))
     b = compute_b1(profile_zeta(), C1, C3, T1, T2)
     rate = compute_R(C2, C3, T1)
     ll = loglog(T1)
     eps0 = ((1.0 / C2) * b ** (2.0 * (1.0 - sigma0))
             * math.exp((1.0 + logplus(b) / ll) * rate)
             * ll / math.log(T1) ** (2.0 * sigma0 - 1.0))
-    if eps0 >= 1.0:
-        raise HypothesisError(
-            "epsilon0-applicability",
-            f"epsilon0 = {eps0!r} >= 1: the Mertens bound is inapplicable")
+    _require(check_hypotheses(("epsilon0-applicability",), epsilon0=eps0))
     return eps0
 
 
 def mertens_bound(sigma0: float, lam: float, T1: float, epsilon0: float,
                   integral_bound: float) -> MertensBoundSpec:
     """Assemble the explicit bound from epsilon0 and the integral bound I."""
-    if not (0.0 < epsilon0 < 1.0):
-        raise HypothesisError("epsilon0-applicability",
-                              f"need 0 < epsilon0 < 1; got {epsilon0!r}")
-    if not (0.0 < lam <= T1):
-        raise HypothesisError("lambda-range",
-                              f"need 0 < lambda <= T1; got lambda={lam!r}")
+    _require(check_hypotheses(("epsilon0-applicability", "lambda-range"),
+                              epsilon0=epsilon0, lam=lam, T1=T1))
     if not (integral_bound > 0.0 and math.isfinite(integral_bound)):
         raise DomainError(f"integral bound must be positive; got {integral_bound!r}")
     if not (0.5 < sigma0 < 1.0):
@@ -235,17 +207,17 @@ def mertens_bound(sigma0: float, lam: float, T1: float, epsilon0: float,
 
 def default_T2(T1: float, C3: float) -> float:
     """The window edge T1 - C3 loglog T1 - 1/2, the largest admissible T2."""
-    return T1 - C3 * loglog(T1) - 0.5
+    return window_edge(T1, C3, 1.0, ROOM[TARGET_LOG]["margin"])
 
 
-def mertens_from_first_principles(sigma0: float = DEFAULT_SIGMA0,
-                                  C1: float = DEFAULT_C1,
-                                  C2: float = DEFAULT_C2,
-                                  C3: float = DEFAULT_C3,
-                                  T1: float = DEFAULT_T1,
+def mertens_from_first_principles(sigma0: float = defaults.SIGMA0,
+                                  C1: float = defaults.MERTENS_C1,
+                                  C2: float = defaults.MERTENS_C2,
+                                  C3: float = defaults.C3,
+                                  T1: float = defaults.MERTENS_T1,
                                   T2: Optional[float] = None,
-                                  lam: float = DEFAULT_LAMBDA,
-                                  integral_bound: float = DEFAULT_INTEGRAL_BOUND,
+                                  lam: float = defaults.LAMBDA,
+                                  integral_bound: float = defaults.INTEGRAL_BOUND,
                                   ) -> tuple[float, MertensBoundSpec]:
     """End-to-end: epsilon0 from the b-constant, then the explicit bound."""
     if T2 is None:

@@ -29,21 +29,21 @@ from decimal import Decimal
 from pathlib import Path
 
 from .constants import (
-    A2_INFLATION,
     C4_GAP,
-    ITERLOG_FLOOR,
     REGION_STRETCH,
+    ROOM,
     TARGET_LOG,
     TARGET_LOGDER,
     BoundConstants,
     BoundParams,
     _a1_value,
     _a2_value,
-    _exp_exp,
     compute_a1,
     compute_a2,
     compute_b1,
+    edge_floor,
     loglog,
+    statement_hypotheses,
 )
 from .errors import HypothesisError
 from .profiles import LFunctionProfile
@@ -109,34 +109,11 @@ class _Trace:
             self._file.close()
 
 
-def _static_infeasibility(spec: SearchSpec) -> str | None:
-    """Check every candidate-independent hypothesis; return a reason or None.
-
-    These mirror the validators of the constants module exactly; a failure
-    here means the whole box is empty.
-    """
-    prof, deriv = spec.profile, spec.target == TARGET_LOGDER
-    d, m = prof.degree, prof.euler_order
-    base_floor = max(math.exp(4 * m / d), spec.C3, ITERLOG_FLOOR) + (1 if deriv else 0)
-    if spec.C3 < 1:
-        return f"C3-floor: need C3 >= 1, got {spec.C3}"
-    if spec.T1 < base_floor:
-        return f"T1-floor: need T1 >= {base_floor} regardless of C2, got {spec.T1}"
-    gap_need = 1.0 if deriv else 0.0
-    if spec.T1 <= math.e or spec.T1 - 2 * spec.C3 * loglog(spec.T1) < gap_need:
-        return f"T1-gap: T1 - 2*C3*loglog(T1) < {gap_need} at T1={spec.T1}"
-    if spec.t0 < spec.T1:
-        return f"t0-floor: need t0 >= T1={spec.T1}, got {spec.t0}"
-    margin = 1.5 if deriv else 0.5
-    c = prof.conductor_scale
-    if c * spec.t0 <= math.e:
-        return f"T2-window: c*t0={c * spec.t0} too small"
-    win = spec.t0 - spec.C3 * loglog(c * spec.t0) - margin
-    if win < spec.T2:
-        return f"T2-window: window {win} < T2={spec.T2}"
-    if spec.T2 < max(prof.min_height + 1, ITERLOG_FLOOR):
-        return f"T2-floor: T2={spec.T2} below floor"
-    return None
+# Hypotheses no grid candidate can change: a failure empties the whole box.
+# Their T1-floor is the edge-free part, so per candidate only the edge term
+# of the floor remains to be checked.
+CANDIDATE_FREE = ("C3-floor", "T1-floor", "T1-gap", "t0-floor", "T2-window",
+                  "T2-floor")
 
 
 def minimize(spec: SearchSpec,
@@ -146,17 +123,20 @@ def minimize(spec: SearchSpec,
     Raises HypothesisError("no-admissible-candidate") when nothing in the
     box satisfies the hypotheses.
     """
-    reason = _static_infeasibility(spec)
-    if reason is not None:
-        raise HypothesisError("no-admissible-candidate", reason)
-
     prof, deriv = spec.profile, spec.target == TARGET_LOGDER
+    for check in statement_hypotheses(CANDIDATE_FREE, prof, spec.target,
+                                      C3=spec.C3, T1=spec.T1, T2=spec.T2,
+                                      t0=spec.t0):
+        if not check.ok:
+            raise HypothesisError("no-admissible-candidate",
+                                  f"{check.name}: {check.detail}")
+
     m = prof.euler_order
     b_T1 = spec.T1 - 1 if deriv else spec.T1  # height the b-constant runs at
     ll_t1 = loglog(spec.T1)
     ll_b = loglog(b_T1)
     rate_den = 1 - 1 / (4 * spec.C3 * ll_b)
-    t1_base = max(math.exp(4 * m / prof.degree), spec.C3, ITERLOG_FLOOR)
+    shift = ROOM[spec.target]["shift"]
 
     trace = _Trace(trace_path)
     b_cache: dict[float, float] = {}
@@ -175,9 +155,7 @@ def minimize(spec: SearchSpec,
                 if deriv:
                     for rho in _decimal_range(step, *rho_box):
                         c4 = rho * (c2 / C4_GAP)
-                        floor = max(_exp_exp(2 * (REGION_STRETCH * c2 + c4)),
-                                    t1_base) + 1
-                        if spec.T1 < floor:
+                        if spec.T1 < edge_floor(REGION_STRETCH * c2 + c4, shift):
                             trace.row(c1, c2, rho, c4, "", "", False, "T1-floor")
                             continue
                         rate = (2 * c2 + 1 / (2 * spec.C3)) / rate_den
@@ -187,8 +165,7 @@ def minimize(spec: SearchSpec,
                         if best is None or cand < best:
                             best = cand
                 else:
-                    floor = max(_exp_exp(2 * c2), t1_base)
-                    if spec.T1 < floor:
+                    if spec.T1 < edge_floor(c2, shift):
                         trace.row(c1, c2, "", "", "", "", False, "T1-floor")
                         continue
                     rate = (2 * c2 + 1 / (2 * spec.C3)) / rate_den

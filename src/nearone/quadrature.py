@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import defaults
 from .errors import ConvergenceError, DomainError
+from .parallel import parallel_map
 from .zeta import inv_abs_zeta_many
 
 __all__ = [
@@ -52,9 +53,6 @@ __all__ = [
     "envelope_integrand_log_space",
 ]
 
-DEFAULT_PANEL_WIDTH = 10.0
-DEFAULT_MAX_LEVELS = 16
-DEFAULT_V_PANEL_WIDTH = 0.5
 MIN_LEVELS = 3
 MAX_LEVELS_CAP = 24
 T_CEILING = 3.0e4
@@ -78,7 +76,7 @@ class QuadratureResult:
 
 
 def romberg(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-            rel_tol: float, max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
+            rel_tol: float, max_levels: int = defaults.MAX_LEVELS) -> QuadratureResult:
     """Integrate a vectorized evaluator over [a, b] by Romberg extrapolation.
 
     Converged when successive diagonal entries differ by at most
@@ -153,14 +151,7 @@ def _eval_panel(task) -> tuple[float, float, int]:
 
 
 def _run_panels(tasks: list, workers: int, trace_path: Optional[str]) -> QuadratureResult:
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            results = pool.map(_eval_panel, tasks, chunksize=chunk)
-    else:
-        results = [_eval_panel(t) for t in tasks]
-
+    results = parallel_map(_eval_panel, tasks, workers)
     value = math.fsum(r[0] for r in results)
     err = math.fsum(r[1] for r in results)
     evals = sum(r[2] for r in results)
@@ -175,9 +166,9 @@ def _run_panels(tasks: list, workers: int, trace_path: Optional[str]) -> Quadrat
 
 
 def integrate_inv_abs_zeta(sigma0: float, lo: float, hi: float,
-                           panel_width: float = DEFAULT_PANEL_WIDTH,
-                           rel_tol: float = 1e-6,
-                           max_levels: int = DEFAULT_MAX_LEVELS,
+                           panel_width: float = defaults.PANEL_WIDTH,
+                           rel_tol: float = defaults.INV_ZETA_REL_TOL,
+                           max_levels: int = defaults.MAX_LEVELS,
                            workers: int = 1,
                            trace_path: Optional[str] = None) -> QuadratureResult:
     """Integrate 1/|zeta(sigma0 + iu)| over [lo, hi] on consecutive panels.
@@ -202,9 +193,9 @@ def integrate_inv_abs_zeta(sigma0: float, lo: float, hi: float,
 
 
 def integrate_envelope(sigma0: float, a1: float, lo: float, hi: float,
-                       rel_tol: float = 1e-9,
-                       max_levels: int = DEFAULT_MAX_LEVELS,
-                       panel_width_v: float = DEFAULT_V_PANEL_WIDTH,
+                       rel_tol: float = defaults.ENVELOPE_REL_TOL,
+                       max_levels: int = defaults.MAX_LEVELS,
+                       panel_width_v: float = defaults.V_PANEL_WIDTH,
                        workers: int = 1,
                        trace_path: Optional[str] = None) -> QuadratureResult:
     """Integrate u^(a1 loglog u / (log u)^(2 sigma0 - 1)) du over [lo, hi].

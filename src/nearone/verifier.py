@@ -44,24 +44,24 @@ import enum
 import math
 import statistics
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .constants import elementary_bounds, loglog
+from .defaults import (
+    DISPLAY_A1,
+    DISPLAY_A2,
+    DISPLAY_B1,
+    DISPLAY_B2,
+    LOG_REGION,
+    LOGDER_REGION,
+    VERIFY_ABS_TOL,
+    VERIFY_SAMPLES,
+)
 from .errors import ConvergenceError, DomainError
+from .parallel import parallel_map
 from .zeta import zeta, zeta_with_prime
 
 T_FLOOR = 1.0e4
 T_CEILING = 3.0e4
-
-LOG_REGION = (0.5, 0.5, 1.0)
-LOGDER_REGION = (1.0051, 0.3349, 1.0)
-DISPLAY_A1 = 5.44
-DISPLAY_B1 = 0.951
-DISPLAY_A2 = 33.281
-DISPLAY_B2 = 0.971
-
-DEFAULT_ABS_TOL = 1.0e-6
-DEFAULT_SAMPLES = 400
 
 _EDGE_TOL = 1.0e-12
 
@@ -226,12 +226,7 @@ def _run_check(kind: str, grid: SampleGrid, a: float, b: float,
     A, B, c = grid.region
     tasks = [(kind, sigma, t, a, b, A, B, c, abs_tol)
              for sigma, t in grid.samples()]
-    if workers == 1:
-        records = [_eval_sample(task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with Pool(processes=workers) as pool:
-            records = pool.map(_eval_sample, tasks, chunksize=chunk)
+    records = parallel_map(_eval_sample, tasks, workers)
     violations = [r for r in records if not r["ok"]]
     elem_records = [r for r in records if "elementary_bound" in r]
     elem_violations = [r for r in elem_records if not r["elementary_ok"]]
@@ -256,7 +251,7 @@ def _run_check(kind: str, grid: SampleGrid, a: float, b: float,
 
 
 def check_log_bound(grid: SampleGrid, a1: float, b1: float,
-                    abs_tol: float = DEFAULT_ABS_TOL, workers: int = 1) -> dict:
+                    abs_tol: float = VERIFY_ABS_TOL, workers: int = 1) -> dict:
     """Test |log|zeta(sigma+it)|| <= a1 (b1 log ct)^(2(1-sigma)) loglog ct.
 
     Returns a report with per-sample records, the violation count and
@@ -267,7 +262,7 @@ def check_log_bound(grid: SampleGrid, a1: float, b1: float,
 
 
 def check_logder_bound(grid: SampleGrid, a2: float, b2: float,
-                       abs_tol: float = DEFAULT_ABS_TOL, workers: int = 1) -> dict:
+                       abs_tol: float = VERIFY_ABS_TOL, workers: int = 1) -> dict:
     """Test |zeta'/zeta(sigma+it)| <= a2 (b2 log ct)^(2(1-sigma)) (loglog ct)^2.
 
     Right-edge samples are additionally required to sit under the
@@ -277,8 +272,8 @@ def check_logder_bound(grid: SampleGrid, a2: float, b2: float,
     return _run_check("logder", grid, a2, b2, abs_tol, workers)
 
 
-def default_verification(samples: int = DEFAULT_SAMPLES,
-                         abs_tol: float = DEFAULT_ABS_TOL,
+def default_verification(samples: int = VERIFY_SAMPLES,
+                         abs_tol: float = VERIFY_ABS_TOL,
                          workers: int = 1) -> dict:
     """The standard suite: both inequalities at their published constants.
 

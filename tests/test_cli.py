@@ -56,6 +56,21 @@ def test_constants_dedekind_reports_split(capsys):
         split["base"] + split["per_inverse_degree"] / degree, rel=1e-12)
 
 
+@pytest.mark.parametrize("which,display,point", [
+    ("a1", 5.44, (0.25, 0.5)),
+    ("a2", 33.281, (0.34, 0.67)),
+])
+def test_dirichlet_bare_reproduces_published(capsys, which, display, point):
+    code, rep = run_cli(capsys, ["constants", which, "--family", "dirichlet"])
+    assert code == 0
+    assert rep["constants"]["a_display"] == display
+    code, rep = run_cli(capsys, ["optimize", which, "--family", "dirichlet"])
+    assert code == 0
+    opt = rep["optimum"]
+    assert (opt["parameters"]["C1"], opt["parameters"]["C2"]) == point
+    assert opt["a_display"] == display
+
+
 def test_constants_hypothesis_failure_exits_one_with_report(capsys):
     code = main(["constants", "a1", "--T2", "99999999"])
     captured = capsys.readouterr()

@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from nearone.constants import TARGET_LOG, TARGET_LOGDER, compute_a1, compute_a2
+from nearone.constants import (
+    TARGET_LOG,
+    TARGET_LOGDER,
+    BoundParams,
+    compute_a1,
+    compute_a2,
+    hypothesis_report,
+)
 from nearone.errors import HypothesisError
 from nearone.optimizer import SearchSpec, minimize
 from nearone.profiles import profile_dedekind, profile_dirichlet, profile_zeta
@@ -89,6 +96,25 @@ def test_no_admissible_candidate():
     with pytest.raises(HypothesisError) as err:
         minimize(spec)
     assert err.value.condition == "no-admissible-candidate"
+
+
+# T1 = 1650 is left out: for a2 the C2-dependent T1-floor fails there first
+@pytest.mark.parametrize("target", [TARGET_LOG, TARGET_LOGDER])
+@pytest.mark.parametrize("field,value", [
+    ("C3", 0.99), ("T1", 1617.0), ("T1", 4000.0), ("t0", 9999.0),
+    ("T2", 7780.0), ("T2", 1000.0),
+])
+def test_candidate_free_failure_mirrors_hypothesis_report(target, field, value):
+    fixed = {"C3": 1000.0, "T1": 1e4, "T2": 7778.0, "t0": 1e4, field: value}
+    published = ({"C1": 0.25, "C2": 0.5} if target == TARGET_LOG
+                 else {"C1": 0.34, "C2": 0.67, "C4": 0.67 / 2.0001})
+    report = hypothesis_report(profile_zeta(), BoundParams(**published, **fixed),
+                               target)
+    first = next(check.name for check in report if not check.ok)
+    with pytest.raises(HypothesisError) as err:
+        minimize(SearchSpec(profile=profile_zeta(), target=target, **fixed))
+    assert err.value.condition == "no-admissible-candidate"
+    assert str(err.value).startswith(f"no-admissible-candidate: {first}:")
 
 
 def test_spec_validation():

@@ -109,6 +109,14 @@ def test_worker_count_does_not_change_result():
     assert parallel.evaluations == serial.evaluations
 
 
+def test_worker_failure_names_its_panel():
+    # either panel may be the one reported, depending on which worker fails first
+    with pytest.raises(ConvergenceError,
+                       match=r"non-convergent on \[(0\.0, 10\.0|10\.0, 20\.0)\]"):
+        integrate_inv_abs_zeta(0.98, 0.0, 20.0, rel_tol=1e-14, max_levels=3,
+                               workers=2)
+
+
 def test_panel_trace_csv(tmp_path):
     path = tmp_path / "panels.csv"
     r = integrate_inv_abs_zeta(0.98, 0.0, 35.0, trace_path=str(path))
