@@ -185,13 +185,13 @@ def _sigma0_floor(sigma0, C2, T1, **_):
                              f"got sigma0={sigma0!r}")
 
 
-def _t1_floor(T1, C3, edge=0.0, m_over_d=0.0, shift=0, **_):
+def _t1_floor(T1, C3, edge, m_over_d, shift, **_):
     floor = max(edge_floor(edge, shift),
                 max(math.exp(4 * m_over_d), C3, ITERLOG_FLOOR) + shift)
     return T1 >= floor, f"need T1 >= {floor}, got T1={T1}"
 
 
-def _t1_gap(T1, C3, gap=0.0, **_):
+def _t1_gap(T1, C3, gap, **_):
     if T1 <= math.e:
         return False, f"T1={T1} too small for loglog"
     slack = T1 - 2 * C3 * loglog(T1)
@@ -235,6 +235,12 @@ HYPOTHESES = (
         0.0 < lam <= T1, f"need 0 < lambda <= T1={T1!r}, got lambda={lam!r}")),
 )
 
+_HYPOTHESIS_NAMES = frozenset(name for name, _ in HYPOTHESES)
+
+# An edge of 0 puts the T1-floor's edge term at e, below ITERLOG_FLOOR, so it
+# drops out: the floor of a statement with no sigma-region.
+NO_EDGE = 0.0
+
 # the hypotheses of the a2 statement; a1 has all but C4-range
 STATEMENT_HYPOTHESES = ("C1-range", "C2-range", "C3-floor", "C4-range",
                         "T1-floor", "T1-gap", "t0-floor", "T2-window",
@@ -242,7 +248,14 @@ STATEMENT_HYPOTHESES = ("C1-range", "C2-range", "C3-floor", "C4-range",
 
 
 def check_hypotheses(names, **quantities) -> list[HypothesisCheck]:
-    """Evaluate the named entries of HYPOTHESES, in table order."""
+    """Evaluate the named entries of HYPOTHESES, in table order.
+
+    An unknown name raises DomainError rather than silently dropping its
+    check; a predicate missing a quantity it reads raises TypeError.
+    """
+    unknown = set(names) - _HYPOTHESIS_NAMES
+    if unknown:
+        raise DomainError(f"unknown hypotheses {sorted(unknown)!r}")
     return [HypothesisCheck(name, bool(ok), detail)
             for name, predicate in HYPOTHESES if name in names
             for ok, detail in [predicate(**quantities)]]
@@ -321,7 +334,7 @@ def compute_b1(profile: LFunctionProfile, C1: float, C3: float,
     """
     _require(statement_hypotheses(
         ("C1-range", "C3-floor", "T1-floor", "T1-gap", "T2-floor"), profile,
-        TARGET_LOG, C1=C1, C3=C3, T1=T1, T2=T2))
+        TARGET_LOG, C1=C1, C3=C3, T1=T1, T2=T2, edge=NO_EDGE))
     f1, f2 = _window_factors(C3, T1)
     return (compute_K(profile, C1, T2) / profile.euler_order) * f1 * f2
 
@@ -329,10 +342,13 @@ def compute_b1(profile: LFunctionProfile, C1: float, C3: float,
 def compute_R(C2: float, C3: float, T1: float) -> float:
     """Exponential rate (2 C2 + 1/(2 C3)) / (1 - 1/(4 C3 loglog T1)).
 
-    The rate needs only C2 > 0, so C2-range is checked with C1 unbounded.
+    The rate needs only C2 > 0, so C2-range is checked with C1 unbounded;
+    it has no sigma-region and no profile, so its T1-floor is
+    max(C3, ITERLOG_FLOOR).
     """
     _require(check_hypotheses(("C2-range", "C3-floor", "T1-floor"),
-                              C1=math.inf, C2=C2, C3=C3, T1=T1))
+                              C1=math.inf, C2=C2, C3=C3, T1=T1,
+                              edge=NO_EDGE, m_over_d=0.0, shift=0))
     den = 1 - 1 / (4 * C3 * loglog(T1))
     return (2 * C2 + 1 / (2 * C3)) / den
 

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .constants import (
     C4_GAP,
+    NO_EDGE,
     REGION_STRETCH,
     ROOM,
     TARGET_LOG,
@@ -110,8 +111,8 @@ class _Trace:
 
 
 # Hypotheses no grid candidate can change: a failure empties the whole box.
-# Their T1-floor is the edge-free part, so per candidate only the edge term
-# of the floor remains to be checked.
+# Their T1-floor is the edge-free part (edge NO_EDGE), so per candidate only
+# the edge term of the floor remains to be checked.
 CANDIDATE_FREE = ("C3-floor", "T1-floor", "T1-gap", "t0-floor", "T2-window",
                   "T2-floor")
 
@@ -126,7 +127,7 @@ def minimize(spec: SearchSpec,
     prof, deriv = spec.profile, spec.target == TARGET_LOGDER
     for check in statement_hypotheses(CANDIDATE_FREE, prof, spec.target,
                                       C3=spec.C3, T1=spec.T1, T2=spec.T2,
-                                      t0=spec.t0):
+                                      t0=spec.t0, edge=NO_EDGE):
         if not check.ok:
             raise HypothesisError("no-admissible-candidate",
                                   f"{check.name}: {check.detail}")

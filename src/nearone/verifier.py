@@ -215,18 +215,22 @@ def _eval_sample(task: tuple) -> dict:
     return record
 
 
-def _run_check(kind: str, grid: SampleGrid, a: float, b: float,
-               abs_tol: float, workers: int) -> dict:
+def _check_tasks(kind: str, grid: SampleGrid, a: float, b: float,
+                 abs_tol: float) -> list[tuple]:
+    """The _eval_sample tasks of one check, after validating its inputs."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"bound constants must be positive; got a={a!r}, b={b!r}")
     if not (abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
     A, B, c = grid.region
-    tasks = [(kind, sigma, t, a, b, A, B, c, abs_tol)
-             for sigma, t in grid.samples()]
-    records = parallel_map(_eval_sample, tasks, workers)
+    return [(kind, sigma, t, a, b, A, B, c, abs_tol)
+            for sigma, t in grid.samples()]
+
+
+def _check_report(kind: str, grid: SampleGrid, a: float, b: float,
+                  abs_tol: float, records: list[dict]) -> dict:
+    """Roll the per-sample records of one check up into its report."""
+    A, B, c = grid.region
     violations = [r for r in records if not r["ok"]]
     elem_records = [r for r in records if "elementary_bound" in r]
     elem_violations = [r for r in elem_records if not r["elementary_ok"]]
@@ -250,6 +254,26 @@ def _run_check(kind: str, grid: SampleGrid, a: float, b: float,
     }
 
 
+def _run_checks(specs: list[tuple], abs_tol: float, workers: int) -> list[dict]:
+    """One report per (kind, grid, a, b) spec, every sample on one pool.
+
+    Pooling the samples of all checks pays the workers' start-up once.
+    """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers!r}")
+    task_lists = [_check_tasks(kind, grid, a, b, abs_tol)
+                  for kind, grid, a, b in specs]
+    records = parallel_map(_eval_sample, [task for tasks in task_lists
+                                          for task in tasks], workers)
+    reports = []
+    start = 0
+    for (kind, grid, a, b), tasks in zip(specs, task_lists):
+        reports.append(_check_report(kind, grid, a, b, abs_tol,
+                                     records[start:start + len(tasks)]))
+        start += len(tasks)
+    return reports
+
+
 def check_log_bound(grid: SampleGrid, a1: float, b1: float,
                     abs_tol: float = VERIFY_ABS_TOL, workers: int = 1) -> dict:
     """Test |log|zeta(sigma+it)|| <= a1 (b1 log ct)^(2(1-sigma)) loglog ct.
@@ -258,7 +282,7 @@ def check_log_bound(grid: SampleGrid, a1: float, b1: float,
     margin statistics (min and median of bound/observed).  Engine failures
     propagate annotated with the offending sample.
     """
-    return _run_check("log", grid, a1, b1, abs_tol, workers)
+    return _run_checks([("log", grid, a1, b1)], abs_tol, workers)[0]
 
 
 def check_logder_bound(grid: SampleGrid, a2: float, b2: float,
@@ -269,7 +293,7 @@ def check_logder_bound(grid: SampleGrid, a2: float, b2: float,
     unconditional Euler-product bound (1/B) loglog(ct); see the module
     docstring.  Report shape matches check_log_bound.
     """
-    return _run_check("logder", grid, a2, b2, abs_tol, workers)
+    return _run_checks([("logder", grid, a2, b2)], abs_tol, workers)[0]
 
 
 def default_verification(samples: int = VERIFY_SAMPLES,
@@ -285,20 +309,16 @@ def default_verification(samples: int = VERIFY_SAMPLES,
     if samples < 4:
         raise DomainError(f"need at least 4 samples, got {samples!r}")
     per = samples // 4
-    checks = [
-        check_log_bound(build_grid(per, LOG_REGION, SigmaMode.INTERIOR_GRID,
-                                   seed=0), DISPLAY_A1, DISPLAY_B1,
-                        abs_tol=abs_tol, workers=workers),
-        check_log_bound(build_grid(per, LOG_REGION, SigmaMode.REGION_EDGES,
-                                   seed=1000), DISPLAY_A1, DISPLAY_B1,
-                        abs_tol=abs_tol, workers=workers),
-        check_logder_bound(build_grid(per, LOGDER_REGION, SigmaMode.INTERIOR_GRID,
-                                      seed=2000), DISPLAY_A2, DISPLAY_B2,
-                           abs_tol=abs_tol, workers=workers),
-        check_logder_bound(build_grid(per, LOGDER_REGION, SigmaMode.REGION_EDGES,
-                                      seed=3000), DISPLAY_A2, DISPLAY_B2,
-                           abs_tol=abs_tol, workers=workers),
-    ]
+    checks = _run_checks([
+        ("log", build_grid(per, LOG_REGION, SigmaMode.INTERIOR_GRID, seed=0),
+         DISPLAY_A1, DISPLAY_B1),
+        ("log", build_grid(per, LOG_REGION, SigmaMode.REGION_EDGES, seed=1000),
+         DISPLAY_A1, DISPLAY_B1),
+        ("logder", build_grid(per, LOGDER_REGION, SigmaMode.INTERIOR_GRID,
+                              seed=2000), DISPLAY_A2, DISPLAY_B2),
+        ("logder", build_grid(per, LOGDER_REGION, SigmaMode.REGION_EDGES,
+                              seed=3000), DISPLAY_A2, DISPLAY_B2),
+    ], abs_tol, workers)
     total_violations = sum(c["violations"] for c in checks)
     elementary_violations = sum(c["elementary_violations"] for c in checks)
     return {

@@ -306,3 +306,15 @@ def test_constants_report_structure():
         TARGET_LOG)
     assert bad["hypotheses_ok"] is False
     assert "constants" not in bad
+
+
+def test_check_hypotheses_rejects_unknown_name_and_missing_quantity():
+    from nearone.constants import check_hypotheses
+    with pytest.raises(DomainError, match="T1-flor"):
+        check_hypotheses(("C3-floor", "T1-flor"), C3=1000.0, T1=1e4)
+    # the T1-floor has no default edge, profile or shift to fall back on
+    with pytest.raises(TypeError):
+        check_hypotheses(("T1-floor",), C3=1000.0, T1=1e4)
+    [check] = check_hypotheses(("T1-floor",), C3=1000.0, T1=1e4, edge=0.5,
+                               m_over_d=1.0, shift=0)
+    assert check.ok
