@@ -51,13 +51,7 @@ from .constants import (
     dedekind_split,
 )
 from . import defaults
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    HypothesisError,
-    NearOneError,
-    NoCrossoverError,
-)
+from .errors import ConvergenceError, NearOneError, NoCrossoverError
 from .mertens import (
     compute_epsilon0,
     crossover_trivial,
@@ -70,6 +64,7 @@ from .mertens import (
 from .optimizer import SearchSpec, minimize
 from .profiles import (
     ALPHA_DEFAULT,
+    DEDEKIND_AMPLITUDE,
     T0_DEFAULT,
     profile_dedekind,
     profile_dirichlet,
@@ -143,7 +138,7 @@ def _cmd_profiles(args) -> tuple[dict, int]:
     elif args.family == "dedekind":
         report["prefactor"] = rademacher_prefactor_dedekind(
             args.degree, args.alpha, args.profile_t0)
-        report["prefactor_ceiling"] = 1.9
+        report["prefactor_ceiling"] = DEDEKIND_AMPLITUDE
     return report, EXIT_OK
 
 
@@ -206,26 +201,21 @@ def _cmd_integrate(args) -> tuple[dict, int]:
             args.sigma0, args.lo, args.hi, panel_width=args.panel_width,
             rel_tol=args.rel_tol, max_levels=args.max_levels,
             workers=workers, trace_path=args.trace)
-        parameters = {
-            "sigma0": args.sigma0, "from": args.lo, "to": args.hi,
-            "panel_width": args.panel_width, "rel_tol": args.rel_tol,
-            "max_levels": args.max_levels, "workers": workers,
-        }
+        own = {"panel_width": args.panel_width}
     else:
         result = integrate_envelope(
             args.sigma0, args.a1, args.lo, args.hi, rel_tol=args.rel_tol,
             max_levels=args.max_levels, panel_width_v=args.panel_width_v,
             workers=workers, trace_path=args.trace)
-        parameters = {
-            "sigma0": args.sigma0, "a1": args.a1, "from": args.lo,
-            "to": args.hi, "panel_width_v": args.panel_width_v,
-            "rel_tol": args.rel_tol, "max_levels": args.max_levels,
-            "workers": workers,
-        }
+        own = {"a1": args.a1, "panel_width_v": args.panel_width_v}
     report = {
         "subcommand": "integrate",
         "integrand": args.which,
-        "parameters": parameters,
+        "parameters": {
+            "sigma0": args.sigma0, "from": args.lo, "to": args.hi,
+            "rel_tol": args.rel_tol, "max_levels": args.max_levels,
+            "workers": workers, **own,
+        },
         "result": {
             "value": result.value,
             "error_estimate": result.error_estimate,
@@ -275,11 +265,13 @@ def _cmd_mertens(args) -> tuple[dict, int]:
             report["crossover_note"] = str(exc)
         return report, EXIT_OK
 
+    # derive-m, crossover and sieve-verify take the bound A x^a + B x^b
+    two_term = {"A": args.A, "a": args.a, "B": args.B, "b": args.b}
     if args.action == "derive-m":
         A_m, B_m = derive_m_bound(args.A, args.a, args.B, args.b)
         report = {
             "subcommand": "mertens.derive-m",
-            "parameters": {"A": args.A, "a": args.a, "B": args.B, "b": args.b},
+            "parameters": two_term,
             "A_m": A_m,
             "B_m": B_m,
         }
@@ -288,7 +280,7 @@ def _cmd_mertens(args) -> tuple[dict, int]:
     if args.action == "crossover":
         report = {
             "subcommand": "mertens.crossover",
-            "parameters": {"A": args.A, "a": args.a, "B": args.B, "b": args.b},
+            "parameters": two_term,
         }
         try:
             report["crossover_log10"] = crossover_trivial(
@@ -304,8 +296,7 @@ def _cmd_mertens(args) -> tuple[dict, int]:
     report = verify_bound_on_range(table, args.A, args.a, args.B, args.b)
     report = {
         "subcommand": "mertens.sieve-verify",
-        "parameters": {"limit": args.limit, "A": args.A, "a": args.a,
-                       "B": args.B, "b": args.b},
+        "parameters": {"limit": args.limit, **two_term},
         **report,
         "M_spot": {"10": table.M(10), "100": table.M(100)}
         if args.limit >= 100 else {},
@@ -464,13 +455,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"nearone: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (DomainError, NearOneError) as exc:
+    except NearOneError as exc:  # violated hypotheses and domain errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit(report, args.output)

@@ -74,9 +74,7 @@ def loglog(x: float) -> float:
 
 def logloglog(x: float) -> float:
     """log(log(log(x))); the argument must exceed e."""
-    if x <= math.e:
-        raise DomainError(f"logloglog needs x > e, got {x}")
-    return math.log(math.log(math.log(x)))
+    return math.log(loglog(x))
 
 
 def logplus(x: float) -> float:
@@ -122,10 +120,9 @@ class BoundParams:
     C4: float | None = None
 
     def as_dict(self) -> dict:
-        d = {"C1": self.C1, "C2": self.C2, "C3": self.C3,
-             "T1": self.T1, "T2": self.T2, "t0": self.t0}
-        if self.C4 is not None:
-            d["C4"] = self.C4
+        d = asdict(self)
+        if self.C4 is None:
+            del d["C4"]
         return d
 
 
@@ -248,11 +245,8 @@ STATEMENT_HYPOTHESES = ("C1-range", "C2-range", "C3-floor", "C4-range",
 
 
 def check_hypotheses(names, **quantities) -> list[HypothesisCheck]:
-    """Evaluate the named entries of HYPOTHESES, in table order.
-
-    An unknown name raises DomainError rather than silently dropping its
-    check; a predicate missing a quantity it reads raises TypeError.
-    """
+    """Evaluate the named entries of HYPOTHESES, in table order; an unknown
+    name raises DomainError instead of silently dropping its check."""
     unknown = set(names) - _HYPOTHESIS_NAMES
     if unknown:
         raise DomainError(f"unknown hypotheses {sorted(unknown)!r}")

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from typing import Optional
 
@@ -120,16 +120,9 @@ class MertensBoundSpec:
         return 10.0 ** self.log10_x_min if self.log10_x_min < 308 else math.inf
 
     def as_dict(self) -> dict:
-        return {
-            "sigma0": self.sigma0,
-            "lambda": self.lam,
-            "epsilon0": self.epsilon0,
-            "kappa": self.kappa,
-            "coef_sigma0": self.coef_sigma0,
-            "coef_kappa": self.coef_kappa,
-            "additive_one": self.additive_one,
-            "log10_x_min": self.log10_x_min,
-        }
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        return d
 
 
 @dataclass
@@ -226,6 +219,14 @@ def mertens_from_first_principles(sigma0: float = defaults.SIGMA0,
     return eps0, mertens_bound(sigma0, lam, T1, eps0, integral_bound)
 
 
+def _check_two_term(A: float, a_exp: float, B: float, b_exp: float) -> None:
+    """Domain of a bound A u^a + B u^b: 0 < a, b < 1, A > 0 and B >= 0."""
+    if not (0.0 < a_exp < 1.0 and 0.0 < b_exp < 1.0):
+        raise DomainError(f"exponents must lie in (0, 1); got {a_exp!r}, {b_exp!r}")
+    if not (A > 0.0 and B >= 0.0):
+        raise DomainError(f"need A > 0 and B >= 0; got A={A!r}, B={B!r}")
+
+
 def derive_m_bound(A: float, a_exp: float, B: float, b_exp: float
                    ) -> tuple[float, float]:
     """Partial-summation transfer |M| <= A u^a + B u^b to the mu(n)/n sums.
@@ -235,10 +236,7 @@ def derive_m_bound(A: float, a_exp: float, B: float, b_exp: float
     published products (e.g. 555.71 * 101 = 56126.71 with no binary
     rounding residue).
     """
-    if not (0.0 < a_exp < 1.0 and 0.0 < b_exp < 1.0):
-        raise DomainError(f"exponents must lie in (0, 1); got {a_exp!r}, {b_exp!r}")
-    if not (A > 0.0 and B >= 0.0):
-        raise DomainError(f"need A > 0 and B >= 0; got A={A!r}, B={B!r}")
+    _check_two_term(A, a_exp, B, b_exp)
     one = Decimal(1)
     A_m = float(Decimal(repr(A)) * (one + one / (one - Decimal(repr(a_exp)))))
     B_m = float(Decimal(repr(B)) * (one + one / (one - Decimal(repr(b_exp)))))
@@ -264,10 +262,7 @@ def crossover_trivial(A: float, a_exp: float, B: float, b_exp: float) -> float:
     below x at x = 1 ("no crossover above 1") or stays above x out to
     x = 10^2000.
     """
-    if not (0.0 < a_exp < 1.0 and 0.0 < b_exp < 1.0):
-        raise DomainError(f"exponents must lie in (0, 1); got {a_exp!r}, {b_exp!r}")
-    if not (A > 0.0 and B >= 0.0):
-        raise DomainError(f"need A > 0 and B >= 0; got A={A!r}, B={B!r}")
+    _check_two_term(A, a_exp, B, b_exp)
     g = lambda y: _log10_bound(y, A, a_exp, B, b_exp) - y
     g0 = g(0.0)
     if g0 < 0.0:

@@ -82,6 +82,19 @@ class LFunctionProfile:
             raise DomainError(f"min_height must exceed e, got {self.min_height}")
 
 
+def _smoothing(alpha: float, t0: float) -> tuple[float, float]:
+    """(1/alpha) exp(alpha (1/2 + gamma/log t0)) and (2 + alpha/log t0)/t0,
+    the growth and window factors both smoothed prefactors share."""
+    if alpha <= 0:
+        raise DomainError(f"alpha must be > 0, got {alpha}")
+    if t0 < math.exp(2 * alpha):
+        raise DomainError(
+            f"t0 must be >= exp(2 alpha) = {math.exp(2 * alpha):.3f}, got {t0}")
+    log_t0 = math.log(t0)
+    window = (2 + alpha / log_t0) / t0
+    return (1 / alpha) * math.exp(alpha * (0.5 + GAMMA_EULER / log_t0)), window
+
+
 def rademacher_prefactor_dirichlet(alpha: float = ALPHA_DEFAULT,
                                    t0: float = T0_DEFAULT) -> float:
     """Constant in front of (q|t|)^(1/4) log(q|t|) in the smoothed bound.
@@ -94,15 +107,8 @@ def rademacher_prefactor_dirichlet(alpha: float = ALPHA_DEFAULT,
     and must be <= 1 for profile_dirichlet to be valid.  Requires
     t0 >= exp(2 alpha) so the smoothing window stays below the height floor.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    if t0 < math.exp(2 * alpha):
-        raise DomainError(
-            f"t0 must be >= exp(2 alpha) = {math.exp(2 * alpha):.3f}, got {t0}")
-    log_t0 = math.log(t0)
-    window = (2 + alpha / log_t0) / t0
-    return ((1 / alpha) * math.exp(alpha * (0.5 + GAMMA_EULER / log_t0))
-            * ((1 / (2 * math.pi)) * math.sqrt(1 + window * window)) ** 0.25)
+    growth, window = _smoothing(alpha, t0)
+    return growth * ((1 / (2 * math.pi)) * math.sqrt(1 + window * window)) ** 0.25
 
 
 def rademacher_prefactor_dedekind(n_k: int, alpha: float = ALPHA_DEFAULT,
@@ -120,16 +126,9 @@ def rademacher_prefactor_dedekind(n_k: int, alpha: float = ALPHA_DEFAULT,
     """
     if n_k < 2:
         raise DomainError(f"n_k must be >= 2, got {n_k}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    if t0 < math.exp(2 * alpha):
-        raise DomainError(
-            f"t0 must be >= exp(2 alpha) = {math.exp(2 * alpha):.3f}, got {t0}")
-    log_t0 = math.log(t0)
-    window = (2 + alpha / log_t0) / t0
+    growth, window = _smoothing(alpha, t0)
     front = (3 / (2 * math.pi) ** 0.25) * (1 + window * window) ** 0.625
-    per_degree = ((1 / alpha) * math.exp(alpha * (0.5 + GAMMA_EULER / log_t0))
-                  / DEDEKIND_SCALE ** 0.25)
+    per_degree = growth / DEDEKIND_SCALE ** 0.25
     return front * per_degree ** n_k
 
 

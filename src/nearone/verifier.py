@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -165,9 +166,8 @@ def _bound_value(kind: str, sigma: float, t: float, a: float, b: float,
                  c: float) -> float:
     L = math.log(c * abs(t))
     ll = loglog(c * abs(t))
-    if kind == "log":
-        return a * (b * L) ** (2.0 * (1.0 - sigma)) * ll
-    return a * (b * L) ** (2.0 * (1.0 - sigma)) * ll ** 2
+    power = ll if kind == "log" else ll ** 2
+    return a * (b * L) ** (2.0 * (1.0 - sigma)) * power
 
 
 def _eval_sample(task: tuple) -> dict:
@@ -215,18 +215,6 @@ def _eval_sample(task: tuple) -> dict:
     return record
 
 
-def _check_tasks(kind: str, grid: SampleGrid, a: float, b: float,
-                 abs_tol: float) -> list[tuple]:
-    """The _eval_sample tasks of one check, after validating its inputs."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"bound constants must be positive; got a={a!r}, b={b!r}")
-    if not (abs_tol > 0.0):
-        raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
-    A, B, c = grid.region
-    return [(kind, sigma, t, a, b, A, B, c, abs_tol)
-            for sigma, t in grid.samples()]
-
-
 def _check_report(kind: str, grid: SampleGrid, a: float, b: float,
                   abs_tol: float, records: list[dict]) -> dict:
     """Roll the per-sample records of one check up into its report."""
@@ -259,19 +247,22 @@ def _run_checks(specs: list[tuple], abs_tol: float, workers: int) -> list[dict]:
 
     Pooling the samples of all checks pays the workers' start-up once.
     """
+    if not (abs_tol > 0.0):
+        raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
-    task_lists = [_check_tasks(kind, grid, a, b, abs_tol)
-                  for kind, grid, a, b in specs]
-    records = parallel_map(_eval_sample, [task for tasks in task_lists
-                                          for task in tasks], workers)
-    reports = []
-    start = 0
-    for (kind, grid, a, b), tasks in zip(specs, task_lists):
-        reports.append(_check_report(kind, grid, a, b, abs_tol,
-                                     records[start:start + len(tasks)]))
-        start += len(tasks)
-    return reports
+    tasks = []
+    for kind, grid, a, b in specs:
+        if not (a > 0.0 and b > 0.0):
+            raise DomainError(
+                f"bound constants must be positive; got a={a!r}, b={b!r}")
+        A, B, c = grid.region
+        tasks += [(kind, sigma, t, a, b, A, B, c, abs_tol)
+                  for sigma, t in grid.samples()]
+    records = iter(parallel_map(_eval_sample, tasks, workers))
+    return [_check_report(kind, grid, a, b, abs_tol,
+                          list(itertools.islice(records, len(grid))))
+            for kind, grid, a, b in specs]
 
 
 def check_log_bound(grid: SampleGrid, a1: float, b1: float,
