@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Compare the JSON reports of the bare CLI commands between two source trees.
+
+Usage: python scripts/cli_diff.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding the `nearone` package (the
+`src/` of two checkouts).  Each command below runs once per tree as
+`python -m nearone.cli ...` with PYTHONPATH set to that directory, and the
+two reports are walked leaf by leaf, skipping `runtime_seconds`.  Per
+command the script prints `identical`, or the number of float leaves that
+differ and the largest relative difference with its path.  It exits 1 if a
+key, string, integer or boolean leaf differs, or an exit code does; float
+differences alone are reported for the reader to judge.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+COMMANDS = (
+    "constants a1",
+    "constants a2",
+    "constants a1 --family dirichlet",
+    "constants a2 --family dirichlet",
+    "constants a1 --family dedekind --abs-disc 5",
+    "constants a2 --family dedekind --abs-disc 5",
+    "optimize a1",
+    "optimize a2",
+    "integrate envelope",
+    "mertens bound",
+    "mertens crossover",
+    "mertens derive-m",
+    "mertens sieve-verify --limit 1000000",
+    "profiles --family zeta",
+    "profiles --family dirichlet",
+    "profiles --family dedekind",
+    "integrate inv-zeta",
+    "integrate inv-zeta --from 11020 --to 11520",
+    "verify",
+    "verify --samples 2000",
+)
+IGNORED_KEYS = frozenset({"runtime_seconds"})
+
+
+def run(src: str, command: str) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "nearone.cli", *command.split()],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+def walk(old, new, path: str, floats: list, hard: list) -> None:
+    """Collect (relative difference, path) of differing floats into floats
+    and a description of every other difference into hard."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            hard.append(f"{path or '.'}: keys {sorted(old.keys() ^ new.keys())} "
+                        "in one report only")
+        for key in sorted(old.keys() & new.keys() - IGNORED_KEYS):
+            walk(old[key], new[key], f"{path}.{key}", floats, hard)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            hard.append(f"{path}: length {len(old)} -> {len(new)}")
+        for i, (a, b) in enumerate(zip(old, new)):
+            walk(a, b, f"{path}[{i}]", floats, hard)
+    elif type(old) is float and type(new) is float:
+        diff = rel_diff(old, new)
+        if diff:
+            floats.append((diff, path))
+    elif type(old) is not type(new) or old != new:
+        hard.append(f"{path or '.'}: {old!r} -> {new!r}")
+
+
+def compare(old_src: str, new_src: str, command: str) -> bool:
+    """Print the verdict for one command; return True if only floats differ."""
+    (old_code, old_out), (new_code, new_out) = (run(old_src, command),
+                                                run(new_src, command))
+    floats: list = []
+    hard: list = []
+    if old_code != new_code:
+        hard.append(f"exit code {old_code} -> {new_code}")
+    try:
+        walk(json.loads(old_out), json.loads(new_out), "", floats, hard)
+    except json.JSONDecodeError:
+        if old_out != new_out:
+            hard.append("non-JSON stdout differs")
+    if not floats and not hard:
+        print(f"{command}: identical")
+    elif floats:
+        worst, where = max(floats)
+        print(f"{command}: {len(floats)} float leaves differ, largest "
+              f"{worst:.3g} relative at {where}")
+    for line in hard:
+        print(f"{command}: {line}")
+    return not hard
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 64
+    old_src, new_src = (os.path.abspath(p) for p in argv)
+    results = [compare(old_src, new_src, command) for command in COMMANDS]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

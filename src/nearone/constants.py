@@ -424,7 +424,7 @@ def elementary_bounds(euler_order: int, B: float, conductor_scale: float,
     if conductor_scale < 1:
         raise DomainError(f"conductor_scale must be >= 1, got {conductor_scale}")
     if t0 <= math.exp(math.e):
-        raise HypothesisError("t0-floor", f"need t0 > e^e, got {t0}")
+        raise HypothesisError("t0-loglog-floor", f"need t0 > e^e, got {t0}")
     if abs(t) < t0:
         raise HypothesisError("t-floor", f"need |t| >= t0={t0}, got t={t}")
     m = euler_order

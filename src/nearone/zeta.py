@@ -18,7 +18,7 @@ Choosing N >= max(20, ceil(1.1 |t|)) keeps |s| / (2 pi N) <= 0.145, so the
 correction terms decay by more than a factor 40 per step and a handful of
 them reach double precision; the engine adds terms until the remainder
 estimate clears the requested tolerance and doubles N if the asymptotic
-tail stalls first.
+tail stalls first or 20 terms do not suffice (about 10 do in practice).
 
 Derivative.  zeta'(s) is evaluated by differentiating every piece term by
 term: the main sum acquires -log n weights, the two tail terms are
@@ -38,16 +38,26 @@ double-precision rounding error.  Writing eps for the unit roundoff step
 (2^-52), S1 for an integral upper bound on sum n^(-sigma), and M for the
 total magnitude of all accumulated terms, the model charges
 
-    eps * ((log2 N + 28) * M  +  2 |t| log N * S1):
+    eps * ((log2 N + 28) * M  +  2 |t| log N * S1).
 
-the first part covers pairwise summation and the O(10) scalar operations
-per term, the second the phase error of exp(-i t log n), whose argument
-is computed in double precision with relative error below 2 eps (log n
-and the product each contribute at most one unit).  The derivative model
-is identical with every weight inflated by log N.  This floor is what
-makes very small tolerances unreachable at large |t|; the engine raises
-ConvergenceError("tolerance unreachable ...") rather than returning a
-bound it cannot honor.
+The main sum exponentiates -s log n to n^(-s) and adds the terms with
+NumPy's pairwise row sum: 8 accumulators over leaves of 128 scalars (64
+complex terms), then halving.  In units of eps/2, (log2 N + 28) * M
+covers, per unit of M: at most log2 N + 14 additions on any term's path
+through that sum; 5 for exp, cos/sin and their product per term; 3 sigma
+log n for the rounded real exponent, whose n^(-sigma)-weighted mean stays
+below log2 N + 4 for sigma in [0.4, 3] and N <= 2^20 (checked
+numerically); 12 for the two tail terms and their additions; 20 for at
+most 20 correction terms; and 1 for their own rounding, as they total
+below M / 100.  That is 2 log2 N + 56.  The second part covers the phase
+error: -t log n is computed with relative error below 2 eps (log n and
+the product each contribute at most one unit).  The derivative model
+weights every term by log N and charges 38 instead of 28, ample for the
+extra rounding of log n and of the product.  The summation order is
+fixed by N alone, so the bits do not depend on BLAS threads or on the
+worker count.  This floor is what makes very small tolerances unreachable
+at large |t|; the engine raises ConvergenceError("tolerance unreachable
+...") rather than returning a bound it cannot honor.
 
 Supported domain: sigma in [0.4, 3], |t| <= 1e5, |s - 1| >= 1e-3; the
 derivative additionally keeps a 1e-3 margin from the sigma and t edges.
@@ -98,13 +108,14 @@ _EPS = math.ulp(1.0)          # 2^-52
 _PHASE_ROUNDING = 2.0
 _SUM_SLACK = 28.0
 _SUM_SLACK_PRIME = 38.0
-_CHUNK = 1 << 21              # max elements of the (points x terms) phase matrix
+_CHUNK = 1 << 21              # max elements of the (points x terms) matrix
 _MAX_DOUBLINGS = 3
 
-# B_{2k}/(2k)! for k = 1..31, exact rationals rounded once to double.
+# B_{2k}/(2k)! for the 21 terms examined (at most 20 are added), exact
+# rationals rounded once to double.
 _BFAC = tuple(
     float(Fraction(num, den) / math.factorial(2 * k))
-    for k, (num, den) in enumerate(BERNOULLI_EVEN, start=1)
+    for k, (num, den) in enumerate(BERNOULLI_EVEN[:21], start=1)
 )
 _LOG_ABS_BFAC = tuple(math.log(abs(b)) for b in _BFAC)
 
@@ -143,16 +154,6 @@ class EvaluatedValue:
             raise DomainError("terms_used must be a positive integer")
 
 
-class _RoundingFloor(Exception):
-    """Internal: tolerance below the rounding floor; N growth cannot help."""
-
-    def __init__(self, floor: float, t: float, basis: float) -> None:
-        super().__init__()
-        self.floor = floor
-        self.t = t
-        self.basis = basis
-
-
 class _TruncationStall(Exception):
     """Internal: correction terms exhausted or diverging at this N."""
 
@@ -173,7 +174,7 @@ def _coerce_point(s: Union[ComplexPoint, complex, float]) -> tuple[float, float]
 
 def _check_domain(sigma: float, t: float, margin: float = 0.0) -> None:
     if not (math.isfinite(sigma) and math.isfinite(t)):
-        raise DomainError("non-finite coordinates")
+        raise DomainError(f"non-finite coordinates sigma={sigma!r}, t={t!r}")
     if sigma < SIGMA_MIN + margin or sigma > SIGMA_MAX - margin:
         raise DomainError(
             f"sigma={sigma!r} outside supported strip "
@@ -183,6 +184,23 @@ def _check_domain(sigma: float, t: float, margin: float = 0.0) -> None:
     if abs(complex(sigma, t) - 1.0) < POLE_MARGIN:
         raise DomainError(
             f"s={complex(sigma, t)!r} within {POLE_MARGIN} of the pole at s=1")
+
+
+def _check_heights(sigma: float, ts: Sequence[float]) -> np.ndarray:
+    """Validate a batch of heights sharing sigma; return it as an array.
+
+    Only the largest |t| can exceed T_MAX and only the smallest can come
+    within POLE_MARGIN of s = 1, so those two entries are checked; argmax
+    and argmin return the first NaN, which _check_domain rejects.
+    """
+    arr = np.asarray(ts, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DomainError("ts must be one-dimensional")
+    if len(arr):
+        abs_t = np.abs(arr)
+        for i in (np.argmax(abs_t), np.argmin(abs_t)):
+            _check_domain(sigma, float(arr[i]))
+    return arr
 
 
 def _check_tol(abs_tol: float) -> None:
@@ -195,7 +213,7 @@ def _attempt(sigma: float, ts: np.ndarray, N: int, abs_tol: float,
     """One Euler-Maclaurin pass at fixed truncation point N.
 
     ts must be non-negative.  Returns (values, primes, bounds, bounds_prime)
-    with primes/bounds_prime None unless want_prime.  Raises _RoundingFloor
+    with primes/bounds_prime None unless want_prime.  Raises ConvergenceError
     if some point's tolerance sits below the rounding model (final), or
     _TruncationStall if the correction terms cannot clear the budget at
     this N (retryable with larger N).
@@ -207,25 +225,38 @@ def _attempt(sigma: float, ts: np.ndarray, N: int, abs_tol: float,
 
     n = np.arange(1, N, dtype=np.float64)
     logn = np.log(n)
-    amp = np.exp(-sigma * logn)
-    amp_log = amp * logn if want_prime else None
 
     values = np.empty(npts, dtype=np.complex128)
     primes = np.empty(npts, dtype=np.complex128) if want_prime else None
     bounds = np.empty(npts, dtype=np.float64)
     bounds_p = np.empty(npts, dtype=np.float64) if want_prime else None
 
+    def budget(rem, val, mag, slack, phase_floor):
+        """Rounding floor of one track of the chunk tc, and whether rem fits
+        in the budget above it; ConvergenceError where the budget is at or
+        below the floor."""
+        floor = _EPS * (log2N + slack) * mag + phase_floor
+        basis = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(val), ZETA_FLOOR))
+        bad = basis <= floor
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ConvergenceError(
+                f"tolerance unreachable: rounding floor {floor[i]:.3e} exceeds "
+                f"the budget {basis[i]:.3e} at sigma={sigma!r}, t={float(tc[i])!r}")
+        return floor, bool(np.all(rem <= basis - floor))
+
     rows = max(1, _CHUNK // max(N - 1, 1))
     for start in range(0, npts, rows):
         tc = ts[start:start + rows]
-        phases = np.outer(tc, logn)
-        cis = np.exp(-1j * phases)
-        del phases
-        main = cis @ amp
-        main_p = -(cis @ amp_log) if want_prime else None
-        del cis
-
         s = sigma + 1j * tc
+        terms = np.multiply.outer(-s, logn)
+        np.exp(terms, out=terms)                    # n^(-s)
+        main = terms.sum(axis=1)
+        if want_prime:
+            terms *= logn
+            main_p = -terms.sum(axis=1)
+        del terms
+
         sm1 = s - 1.0
         abs_sm1 = np.abs(sm1)
         abs_s = np.abs(s)
@@ -237,7 +268,6 @@ def _attempt(sigma: float, ts: np.ndarray, N: int, abs_tol: float,
         mag = S1 + N ** (1.0 - sigma) / abs_sm1 + half
         phase_floor = _PHASE_ROUNDING * _EPS * tc * lnN * S1
 
-        prime = magp = phase_floor_p = None
         if want_prime:
             prime = (main_p
                      + npow * (-lnN / sm1 - 1.0 / sm1 ** 2)
@@ -253,20 +283,12 @@ def _attempt(sigma: float, ts: np.ndarray, N: int, abs_tol: float,
         Q = npow / (N * N) * s
         psum = 1.0 / s if want_prime else None
         logpoly_rho = np.log(abs_s + DERIV_RADIUS)
-        trunc = trunc_p = None
         prev_worst = math.inf
         for k in range(1, len(_BFAC) + 1):
             Tk = _BFAC[k - 1] * Q
             abs_Tk = np.abs(Tk)
             rem = abs_Tk * (abs_s + (2 * k - 1)) / (sigma + (2 * k - 1))
-            floor_v = _EPS * ((log2N + _SUM_SLACK) * mag + 0.0) + phase_floor
-            basis = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(value), ZETA_FLOOR))
-            bad = basis <= floor_v
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise _RoundingFloor(float(floor_v[i]), float(tc[i]), float(basis[i]))
-            ok = bool(np.all(rem <= basis - floor_v))
-            rem_p = floor_p = None
+            floor_v, ok = budget(rem, value, mag, _SUM_SLACK, phase_floor)
             if want_prime:
                 log_rem_p = (_LOG_ABS_BFAC[k - 1]
                              + (1.0 - (sigma - DERIV_RADIUS) - 2 * k) * lnN
@@ -275,15 +297,9 @@ def _attempt(sigma: float, ts: np.ndarray, N: int, abs_tol: float,
                                       / (sigma - DERIV_RADIUS + 2 * k - 1))
                              - math.log(DERIV_RADIUS))
                 rem_p = np.exp(log_rem_p)
-                floor_p = _EPS * (log2N + _SUM_SLACK_PRIME) * magp + phase_floor_p
-                basis_p = np.maximum(abs_tol,
-                                     rel_tol * np.maximum(np.abs(prime), ZETA_FLOOR))
-                bad_p = basis_p <= floor_p
-                if np.any(bad_p):
-                    i = int(np.argmax(bad_p))
-                    raise _RoundingFloor(float(floor_p[i]), float(tc[i]),
-                                         float(basis_p[i]))
-                ok = ok and bool(np.all(rem_p <= basis_p - floor_p))
+                floor_p, ok_p = budget(rem_p, prime, magp, _SUM_SLACK_PRIME,
+                                       phase_floor_p)
+                ok = ok and ok_p
             if ok:
                 trunc = rem + floor_v
                 if want_prime:
@@ -296,16 +312,14 @@ def _attempt(sigma: float, ts: np.ndarray, N: int, abs_tol: float,
 
             value = value + Tk
             mag = mag + abs_Tk
+            f1 = s + (2 * k - 1)
+            f2 = s + 2 * k
             if want_prime:
                 Tkp = Tk * (psum - lnN)
                 prime = prime + Tkp
                 magp = magp + np.abs(Tkp)
-                f1 = s + (2 * k - 1)
-                f2 = s + 2 * k
                 psum = psum + 1.0 / f1 + 1.0 / f2
-                Q = Q * f1 * f2 / (N * N)
-            else:
-                Q = Q * (s + (2 * k - 1)) * (s + 2 * k) / (N * N)
+            Q = Q * f1 * f2 / (N * N)
             logpoly_rho = (logpoly_rho
                            + np.log(abs_s + DERIV_RADIUS + 2 * k - 1)
                            + np.log(abs_s + DERIV_RADIUS + 2 * k))
@@ -336,11 +350,6 @@ def _eval_block(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
             values, primes, bounds, bounds_p = _attempt(
                 sigma, ts, N, abs_tol, rel_tol, want_prime)
             return values, primes, bounds, bounds_p, N
-        except _RoundingFloor as exc:
-            raise ConvergenceError(
-                "tolerance unreachable: rounding floor "
-                f"{exc.floor:.3e} exceeds the budget {exc.basis:.3e} "
-                f"at sigma={sigma!r}, t={exc.t!r}") from None
         except _TruncationStall:
             N *= 2
     raise ConvergenceError(
@@ -349,17 +358,13 @@ def _eval_block(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
 
 
 def _eval_scalar(sigma: float, t: float, abs_tol: float, want_prime: bool):
+    """[zeta] or [zeta, zeta'] at sigma + it, as EvaluatedValues."""
     ts = np.array([abs(t)], dtype=np.float64)
     values, primes, bounds, bounds_p, N = _eval_block(
         sigma, ts, abs_tol, 0.0, want_prime)
-    value = complex(values[0])
-    prime = complex(primes[0]) if want_prime else None
-    if t < 0.0:
-        value = value.conjugate()
-        prime = prime.conjugate() if want_prime else None
-    bound = float(bounds[0])
-    bound_p = float(bounds_p[0]) if want_prime else None
-    return value, prime, bound, bound_p, N
+    tracks = [(values, bounds), (primes, bounds_p)][:2 if want_prime else 1]
+    return [EvaluatedValue(complex(v[0].conjugate() if t < 0.0 else v[0]),
+                           float(b[0]), N) for v, b in tracks]
 
 
 def zeta(s: Union[ComplexPoint, complex, float],
@@ -372,8 +377,7 @@ def zeta(s: Union[ComplexPoint, complex, float],
     _check_tol(abs_tol)
     sigma, t = _coerce_point(s)
     _check_domain(sigma, t)
-    value, _, bound, _, N = _eval_scalar(sigma, t, abs_tol, False)
-    return EvaluatedValue(value, bound, N)
+    return _eval_scalar(sigma, t, abs_tol, False)[0]
 
 
 def zeta_prime(s: Union[ComplexPoint, complex, float],
@@ -383,11 +387,7 @@ def zeta_prime(s: Union[ComplexPoint, complex, float],
     Requires s at distance >= 1e-3 from the strip boundary so the Cauchy
     circle of radius 5e-4 used by the remainder bound stays inside.
     """
-    _check_tol(abs_tol)
-    sigma, t = _coerce_point(s)
-    _check_domain(sigma, t, margin=EDGE_MARGIN)
-    _, prime, _, bound_p, N = _eval_scalar(sigma, t, abs_tol, True)
-    return EvaluatedValue(prime, bound_p, N)
+    return zeta_with_prime(s, abs_tol)[1]
 
 
 def zeta_with_prime(s: Union[ComplexPoint, complex, float],
@@ -397,8 +397,8 @@ def zeta_with_prime(s: Union[ComplexPoint, complex, float],
     _check_tol(abs_tol)
     sigma, t = _coerce_point(s)
     _check_domain(sigma, t, margin=EDGE_MARGIN)
-    value, prime, bound, bound_p, N = _eval_scalar(sigma, t, abs_tol, True)
-    return EvaluatedValue(value, bound, N), EvaluatedValue(prime, bound_p, N)
+    value, prime = _eval_scalar(sigma, t, abs_tol, True)
+    return value, prime
 
 
 def zeta_many(sigma: float, ts: Sequence[float],
@@ -410,34 +410,13 @@ def zeta_many(sigma: float, ts: Sequence[float],
     panel.  Returns (values, abs_error_bounds, terms_used).
     """
     _check_tol(abs_tol)
-    arr = np.asarray(ts, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError("ts must be one-dimensional")
+    arr = _check_heights(sigma, ts)
     if len(arr) == 0:
         return np.empty(0, dtype=np.complex128), np.empty(0), 20
-    for t in arr:
-        _check_domain(sigma, float(t))
     neg = arr < 0.0
     values, _, bounds, _, N = _eval_block(sigma, np.abs(arr), abs_tol, 0.0, False)
     values = np.where(neg, np.conj(values), values)
     return values, bounds, N
-
-
-def _inv_block(sigma0: float, ts_abs: np.ndarray) -> np.ndarray:
-    values, _, bounds, _, _ = _eval_block(sigma0, ts_abs, 0.0, INV_REL_TOL, False)
-    abs_v = np.abs(values)
-    bad = abs_v - bounds < ZETA_FLOOR
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"|zeta({sigma0!r} + {float(ts_abs[i])!r}i)| = {float(abs_v[i]):.6f} "
-            f"is below the {ZETA_FLOOR} reciprocal guard")
-    return 1.0 / abs_v
-
-
-def _check_sigma0(sigma0: float) -> None:
-    if not (0.9 <= sigma0 < 1.0):
-        raise DomainError(f"sigma0={sigma0!r} outside [0.9, 1.0)")
 
 
 def inv_abs_zeta(sigma0: float, t: float) -> float:
@@ -448,19 +427,23 @@ def inv_abs_zeta(sigma0: float, t: float) -> float:
     1e-3 guard (cannot happen for sigma0 in this range at moderate t, but
     checked unconditionally) and propagates engine errors.
     """
-    _check_sigma0(sigma0)
-    _check_domain(sigma0, t)
-    return float(_inv_block(sigma0, np.array([abs(t)], dtype=np.float64))[0])
+    return float(inv_abs_zeta_many(sigma0, [t])[0])
 
 
 def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
     """Vectorized inv_abs_zeta over clustered heights (one shared N)."""
-    _check_sigma0(sigma0)
-    arr = np.asarray(ts, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError("ts must be one-dimensional")
+    if not (0.9 <= sigma0 < 1.0):
+        raise DomainError(f"sigma0={sigma0!r} outside [0.9, 1.0)")
+    arr = _check_heights(sigma0, ts)
     if len(arr) == 0:
         return np.empty(0)
-    for t in arr:
-        _check_domain(sigma0, float(t))
-    return _inv_block(sigma0, np.abs(arr))
+    ts_abs = np.abs(arr)
+    values, _, bounds, _, _ = _eval_block(sigma0, ts_abs, 0.0, INV_REL_TOL, False)
+    abs_v = np.abs(values)
+    bad = abs_v - bounds < ZETA_FLOOR
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"|zeta({sigma0!r} + {float(ts_abs[i])!r}i)| = {float(abs_v[i]):.6f} "
+            f"is below the {ZETA_FLOOR} reciprocal guard")
+    return 1.0 / abs_v

@@ -269,6 +269,13 @@ def test_elementary_bounds_formula():
         elementary_bounds(1, 0.3349, 1.0, 5e3, 1e4)
 
 
+def test_elementary_t0_floor_is_not_the_table_t0_floor():
+    # t0 <= e^e breaks the iterated logs; the table's "t0-floor" is t0 >= T1
+    with pytest.raises(HypothesisError) as exc:
+        elementary_bounds(1, 0.3349, 1.0, 20.0, 10.0)
+    assert exc.value.condition == "t0-loglog-floor"
+
+
 def test_iterated_log_domain_guards():
     for fn in (loglog, logloglog):
         with pytest.raises(DomainError):

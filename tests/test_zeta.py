@@ -6,6 +6,7 @@ also asserts bound honesty: the true error must not exceed the reported
 abs_error_bound.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -233,3 +234,118 @@ def test_bound_honesty_random_sample():
         ref = complex(mp.zeta(mp.mpc(repr(sigma), repr(t))))
         assert abs(ev.value - ref) <= ev.abs_error_bound
         checked += 1
+
+
+@pytest.mark.parametrize("fn, sigma", [(zeta_many, 0.9), (inv_abs_zeta_many, 0.98)])
+def test_batch_rejects_last_height_above_t_max_and_nan(fn, sigma):
+    from nearone.zeta import T_MAX
+    with pytest.raises(DomainError, match=repr(T_MAX + 1.0)):
+        fn(sigma, [9.0e4, 9.5e4, T_MAX + 1.0])
+    with pytest.raises(DomainError, match="t=nan"):
+        fn(sigma, [10.0, math.nan, 20.0])
+
+
+def test_batch_rejects_point_near_pole_in_the_middle():
+    with pytest.raises(DomainError, match="pole"):
+        zeta_many(1.0, [5.0, -5e-4, 3.0])
+
+
+_BITS_SCRIPT = """
+import numpy as np
+from nearone.zeta import inv_abs_zeta_many, zeta, zeta_with_prime
+out = []
+for t in (10234.5, 17000.25, 29876.5):
+    out.append(zeta(complex(0.98, t), abs_tol=1e-6).value)
+    out.extend(v.value for v in zeta_with_prime(complex(0.75, t), abs_tol=1e-6))
+out.extend(inv_abs_zeta_many(0.98, np.linspace(11514.0, 11516.0, 9)))
+for v in out:
+    print(complex(v).real.hex(), complex(v).imag.hex())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nearone
+    src = str(Path(nearone.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _BITS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 18
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("sigma, t", [(0.98, 11515.3), (0.72, 29876.5),
+                                      (1.02, 10234.5), (0.75, 20000.25)])
+def test_against_mpmath_at_heights_in_use(sigma, t):
+    mp = pytest.importorskip("mpmath")
+    value, prime = zeta_with_prime(complex(sigma, t), abs_tol=1e-6)
+    with mp.workdps(30):
+        s = mp.mpc(repr(sigma), repr(t))
+        refs = complex(mp.zeta(s)), complex(mp.zeta(s, derivative=1))
+    for ev, ref in zip((value, prime), refs):
+        assert abs(ev.value - ref) <= ev.abs_error_bound <= 1e-6
+
+
+def _numpy_pairwise(a):
+    """NumPy's pairwise sum of interleaved (re, im) scalars, as its C loop
+    does it: 8 accumulators over leaves of at most 128 scalars, else halve."""
+    n = len(a)
+    if n < 8:
+        re = im = 0.0
+        for i in range(0, n, 2):
+            re += a[i]
+            im += a[i + 1]
+        return re, im
+    if n <= 128:
+        r = list(a[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += a[i + j]
+            i += 8
+        re, im = (r[0] + r[2]) + (r[4] + r[6]), (r[1] + r[3]) + (r[5] + r[7])
+        for i in range(i, n, 2):
+            re += a[i]
+            im += a[i + 1]
+        return re, im
+    half = n // 2 - (n // 2) % 8
+    (re1, im1), (re2, im2) = _numpy_pairwise(a[:half]), _numpy_pairwise(a[half:])
+    return re1 + re2, im1 + im2
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_depth(n):
+    """Most roundings any scalar passes through in that sum of n scalars."""
+    if n <= 128:
+        return n // 8 + 1 + (n % 8) // 2
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
+def test_rounding_model_matches_numpy_row_sum():
+    # the zeta docstring charges log2 N + 14 roundings for the main sum's
+    # additions and log2 N + 4 for the n^(-sigma)-weighted mean of
+    # 3 sigma log n, both in units of eps/2, for N <= 2^20
+    rng = np.random.default_rng(5)
+    rows = np.exp(rng.uniform(-3.0, 0.0, (2, 12672))
+                  + 1j * rng.uniform(0.0, 100.0, (2, 12672)))
+    for row, got in zip(rows, rows.sum(axis=1)):
+        assert got == complex(*_numpy_pairwise(row.view(np.float64).tolist()))
+    for N in list(range(20, 1 << 20, 911)) + [458760]:
+        assert _pairwise_depth(2 * (N - 1)) <= math.log2(N) + 14
+    for N in (20, 1000, 12673, 880000):
+        n = np.arange(1, N, dtype=np.float64)
+        for sigma in np.linspace(0.4, 3.0, 27):
+            weights = n ** -sigma
+            mean = 3.0 * sigma * np.dot(weights, np.log(n)) / weights.sum()
+            assert mean <= math.log2(N) + 4
