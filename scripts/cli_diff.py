@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the JSON reports of the bare CLI commands between two source trees.
+"""Compare the JSON reports of a fixed list of CLI commands between two source trees.
 
 Usage: python scripts/cli_diff.py OLD_SRC NEW_SRC
 
@@ -8,9 +8,11 @@ OLD_SRC and NEW_SRC are directories holding the `nearone` package (the
 `python -m nearone.cli ...` with PYTHONPATH set to that directory, and the
 two reports are walked leaf by leaf, skipping `runtime_seconds`.  Per
 command the script prints `identical`, or the number of float leaves that
-differ and the largest relative difference with its path.  It exits 1 if a
-key, string, integer or boolean leaf differs, or an exit code does; float
-differences alone are reported for the reader to judge.
+differ and the largest relative difference with its path.  Stdout that is
+not JSON, such as the empty stdout of a rejected command, is compared as
+text.  It exits 1 if a key, string, integer or boolean leaf differs, or an
+exit code or non-JSON stdout does; float differences alone are reported for
+the reader to judge.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ COMMANDS = (
     "integrate inv-zeta --from 11020 --to 11520",
     "verify",
     "verify --samples 2000",
+    # the spawned worker pool
+    "integrate inv-zeta --from 0 --to 100 --threads 2",
+    "verify --threads 2",
+    # failure exits: a report with exit 1, and exit 1 with no stdout
+    "constants a1 --T1 100",
+    "integrate inv-zeta --from 0 --to 40000",
 )
 IGNORED_KEYS = frozenset({"runtime_seconds"})
 

@@ -24,9 +24,9 @@ MAX_EVEN_INDEX = 62
 HEADER = '''"""Even-index Bernoulli numbers B_2 .. B_62 as exact (numerator, denominator) pairs.
 
 Generated by scripts/gen_bernoulli.py; do not edit by hand.  Entry k of
-BERNOULLI_EVEN (0-based) is B_{2(k+1)}.  The table is long enough for 30
-Euler-Maclaurin correction terms plus the remainder estimate, which needs
-one extra entry.
+BERNOULLI_EVEN (0-based) is B_{2(k+1)}.  The zeta engine reads the first
+21 entries: at most 20 Euler-Maclaurin correction terms plus one for the
+remainder estimate.  The rest are kept for tests/test_bernoulli.py.
 """
 
 BERNOULLI_EVEN = (

@@ -34,6 +34,7 @@ an array of the same shape.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -122,15 +123,18 @@ def romberg(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         f"last diagonal difference {diff:.3e}")
 
 
+def _envelope_log_space(expo: float, a1: float, vs: np.ndarray) -> np.ndarray:
+    vs = np.asarray(vs, dtype=np.float64)
+    return np.exp(vs + a1 * vs ** expo * np.log(vs))
+
+
 def envelope_integrand_log_space(sigma0: float, a1: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Return v -> exp(v + a1 * v^(2(1-sigma0)) * log v), the u = e^v image."""
-    expo = 2.0 * (1.0 - sigma0)
+    """Return v -> exp(v + a1 * v^(2(1-sigma0)) * log v), the u = e^v image.
 
-    def g(vs: np.ndarray) -> np.ndarray:
-        vs = np.asarray(vs, dtype=np.float64)
-        return np.exp(vs + a1 * vs ** expo * np.log(vs))
-
-    return g
+    The evaluator is a partial of a module-level function, so it pickles
+    into worker processes.
+    """
+    return functools.partial(_envelope_log_space, 2.0 * (1.0 - sigma0), a1)
 
 
 def _panel_edges(lo: float, hi: float, width: float) -> list[float]:
@@ -140,28 +144,27 @@ def _panel_edges(lo: float, hi: float, width: float) -> list[float]:
     return edges
 
 
-def _eval_panel(task) -> tuple[float, float, int]:
-    kind, p1, p2, a, b, rel_tol, max_levels = task
-    if kind == "inv":
-        f = lambda us: inv_abs_zeta_many(p1, us)
-    else:
-        f = envelope_integrand_log_space(p1, p2)
-    r = romberg(f, a, b, rel_tol, max_levels)
-    return r.value, r.error_estimate, r.evaluations
+def _eval_panel(task) -> QuadratureResult:
+    return romberg(*task)
 
 
-def _run_panels(tasks: list, workers: int, trace_path: Optional[str]) -> QuadratureResult:
+def _run_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
+                rel_tol: float, max_levels: int, workers: int,
+                trace_path: Optional[str]) -> QuadratureResult:
+    """Romberg on each panel [edges[k], edges[k+1]]; f must pickle."""
+    tasks = [(f, edges[k], edges[k + 1], rel_tol, max_levels)
+             for k in range(len(edges) - 1)]
     results = parallel_map(_eval_panel, tasks, workers)
-    value = math.fsum(r[0] for r in results)
-    err = math.fsum(r[1] for r in results)
-    evals = sum(r[2] for r in results)
+    value = math.fsum(r.value for r in results)
+    err = math.fsum(r.error_estimate for r in results)
+    evals = sum(r.evaluations for r in results)
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lo", "hi", "value", "error_estimate", "evaluations"])
             for task, r in zip(tasks, results):
-                writer.writerow([repr(task[3]), repr(task[4]), repr(r[0]),
-                                 repr(r[1]), r[2]])
+                writer.writerow([repr(task[1]), repr(task[2]), repr(r.value),
+                                 repr(r.error_estimate), r.evaluations])
     return QuadratureResult(value, err, len(tasks), evals)
 
 
@@ -186,10 +189,9 @@ def integrate_inv_abs_zeta(sigma0: float, lo: float, hi: float,
         raise DomainError(f"panel_width must be positive; got {panel_width!r}")
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0, 0)
-    edges = _panel_edges(lo, hi, panel_width)
-    tasks = [("inv", sigma0, 0.0, edges[k], edges[k + 1], rel_tol, max_levels)
-             for k in range(len(edges) - 1)]
-    return _run_panels(tasks, workers, trace_path)
+    return _run_panels(functools.partial(inv_abs_zeta_many, sigma0),
+                       _panel_edges(lo, hi, panel_width), rel_tol, max_levels,
+                       workers, trace_path)
 
 
 def integrate_envelope(sigma0: float, a1: float, lo: float, hi: float,
@@ -213,7 +215,6 @@ def integrate_envelope(sigma0: float, a1: float, lo: float, hi: float,
             f"need e^2 <= lo < hi < inf; got [{lo!r}, {hi!r}]")
     if not (math.isfinite(panel_width_v) and panel_width_v > 0.0):
         raise DomainError(f"panel_width_v must be positive; got {panel_width_v!r}")
-    edges = _panel_edges(math.log(lo), math.log(hi), panel_width_v)
-    tasks = [("env", sigma0, a1, edges[k], edges[k + 1], rel_tol, max_levels)
-             for k in range(len(edges) - 1)]
-    return _run_panels(tasks, workers, trace_path)
+    return _run_panels(envelope_integrand_log_space(sigma0, a1),
+                       _panel_edges(math.log(lo), math.log(hi), panel_width_v),
+                       rel_tol, max_levels, workers, trace_path)

@@ -7,11 +7,13 @@ abs_error_bound.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import nearone.zeta as zeta_engine
 from nearone.errors import ConvergenceError, DomainError
 from nearone.zeta import (
     ComplexPoint,
@@ -349,3 +351,31 @@ def test_rounding_model_matches_numpy_row_sum():
             weights = n ** -sigma
             mean = 3.0 * sigma * np.dot(weights, np.log(n)) / weights.sum()
             assert mean <= math.log2(N) + 4
+
+
+def test_truncation_point_never_grows():
+    # every point either returns with N = max(20, ceil(1.1|t|)) or stops at
+    # the rounding floor; 20 correction terms are never exhausted
+    returned = 0
+    for sigma, t, tol in itertools.product(
+            (0.401, 0.45, 0.5, 1.2, 2.999),
+            (0.0, 5.0, 17.0, 18.0, 18.2, 19.0, 25.0, 100.0, 1000.0),
+            (1e-13, 1e-12)):
+        for fn in (zeta, zeta_with_prime):
+            try:
+                result = fn(complex(sigma, t), abs_tol=tol)
+            except ConvergenceError as exc:
+                assert str(exc).startswith("tolerance unreachable: rounding floor")
+                continue
+            for ev in result if isinstance(result, tuple) else (result,):
+                assert ev.terms_used == max(20, math.ceil(1.1 * t))
+            returned += 1
+    assert returned > 0
+
+
+def test_exhausted_correction_terms_name_the_point(monkeypatch):
+    monkeypatch.setattr(zeta_engine, "_BFAC", zeta_engine._BFAC[:4])
+    with pytest.raises(ConvergenceError, match="correction terms exhausted") as info:
+        zeta(complex(0.5, 18.0), abs_tol=1e-12)
+    assert "t=18.0" in str(info.value)
+    assert "N=20" in str(info.value)
