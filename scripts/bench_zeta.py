@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Before/after timings of the zeta engine, written to BENCH_zeta.json.
+
+Usage: python scripts/bench_zeta.py PARENT_SRC CHANGE_SRC [--pairs N]
+
+PARENT_SRC and CHANGE_SRC are directories holding the `nearone` package
+(the `src/` of two checkouts).  For each tree, in a fresh interpreter with
+PYTHONPATH set to it, the script records at t = 1e2, 1e3, 1e4 and 3e4:
+
+- a 257-point batch `inv_abs_zeta_many(0.98, ts)` over ts in [t - 10, t],
+  the integral's path;
+- a single point `zeta_with_prime(0.98 + it, abs_tol=1e-6)`, the verifier's
+  path;
+
+each with its truncation point N, the number of correction terms added
+and the median microseconds per point.  Correction terms are counted by
+swapping the engine's Bernoulli table `_BFAC` for a tuple that remembers
+the highest entry read.
+
+With --pairs N > 0 (default 10) it then runs the `inv-zeta` benchmark
+workload N times on each tree, `perfbench/run.py --workload inv-zeta
+--seed i --seconds 30 --trace 0` from the checkout that holds each src,
+alternating which tree runs first, and records every run with the
+medians and quartiles of each side and the pairs the change won on wall
+time.  The result goes to BENCH_zeta.json at the root of this repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+HEIGHTS = (1e2, 1e3, 1e4, 3e4)
+METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+RUN_SECONDS = 30         # the benchmark's run length (BENCHMARK.json)
+
+PROBE = """
+import json, statistics, sys, time
+import numpy as np
+import nearone.zeta as z
+
+
+class Counting(tuple):
+    top = -1
+
+    def __getitem__(self, i):
+        self.top = max(self.top, i)
+        return tuple.__getitem__(self, i)
+
+
+def median_us(fn, repeats, points):
+    fn()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) / points * 1e6
+
+
+def terms_added(fn):
+    plain, z._BFAC = z._BFAC, Counting(z._BFAC)
+    try:
+        fn()
+        return z._BFAC.top
+    finally:
+        z._BFAC = plain
+
+
+rows = []
+for t in HEIGHTS:
+    ts = np.linspace(t - 10.0, t, 257)
+    batch = lambda: z.inv_abs_zeta_many(0.98, ts)
+    single = lambda: z.zeta_with_prime(complex(0.98, t), abs_tol=1e-6)
+    rows.append({
+        "t": t,
+        "batch": {"points": len(ts), "N": int(z.zeta_many(0.98, ts[-1:], 1e-6)[2]),
+                  "correction_terms": terms_added(batch),
+                  "us_per_point": round(median_us(batch, 7, len(ts)), 3)},
+        "single": {"N": single()[0].terms_used,
+                   "correction_terms": terms_added(single),
+                   "us_per_point": round(median_us(single, 51, 1), 3)},
+    })
+json.dump(rows, sys.stdout)
+"""
+
+
+def engine_rows(src: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"HEIGHTS = {HEIGHTS!r}\n{PROBE}"],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def workload_run(src: Path, seed: int) -> dict:
+    """One inv-zeta benchmark run from the checkout holding src."""
+    run_py = src.parent / "perfbench" / "run.py"
+    proc = subprocess.run(
+        [sys.executable, str(run_py), "--workload", "inv-zeta", "--seed",
+         str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
+        cwd=src.parent, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{run_py} seed {seed} exited {proc.returncode}: "
+                         f"{proc.stderr.strip()}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": summary["correct"], "attempted": summary["attempted"],
+            "failed": summary["failed"],
+            **{m: summary["metrics"][m]["value"] for m in METRICS}}
+
+
+def spread(values: list) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def workload_pairs(trees: dict, pairs: int) -> dict:
+    runs = []
+    for seed in range(1, pairs + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        run = {"seed": seed, "first": order[0]}
+        for side in order:
+            run[side] = workload_run(trees[side], seed)
+            print(f"inv-zeta seed {seed} {side}: wall {run[side]['wall_s']:.3f} s",
+                  file=sys.stderr)
+        runs.append(run)
+    return {
+        "command": f"python3 perfbench/run.py --workload inv-zeta --seed i "
+                   f"--seconds {RUN_SECONDS} --trace 0",
+        "runs": runs,
+        **{side: {m: spread([r[side][m] for r in runs]) for m in METRICS}
+           for side in trees},
+        "change_faster_wall_s": sum(r["change"]["wall_s"] < r["parent"]["wall_s"]
+                                    for r in runs),
+    }
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", type=Path)
+    ap.add_argument("change_src", type=Path)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+    report = {
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "engine": {side: engine_rows(src) for side, src in trees.items()},
+    }
+    if args.pairs > 0:
+        report["inv_zeta"] = workload_pairs(trees, args.pairs)
+    (ROOT / "BENCH_zeta.json").write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,13 +14,27 @@ sigma > -(2K+1):
 
     |R_K(s, N)| <= |T_{K+1}(s, N)| * |s + 2K + 1| / (sigma + 2K + 1).
 
-Choosing N = max(20, ceil(1.1 |t|)) keeps |s| / (2 pi N) <= 0.147 (the
-maximum, 0.1467, is at sigma = 3, t = 18.18, N = 20), so the correction
-terms decay by more than a factor 40 per step and a handful of them reach
-double precision.  The engine adds terms until the remainder estimate
-clears the requested tolerance.  20 terms always sufficed on the supported
-domain (at most 12 were measured); otherwise the engine raises
-ConvergenceError naming sigma, t and N.
+The estimate holds for every N >= 2, so N only trades the cost of the
+main sum against the decay of the correction terms.  With t the largest
+|t| of a batch, the engine takes
+
+    N = max(20, min(ceil(1.1 t), 20 + ceil(t / 2))),
+
+which is ceil(1.1 t) up to t = 33 and about 20 + t/2 above.  Then
+|s| < 2N, so |s| / (2 pi N) < 1/pi.  Since |T_{k+1} / T_k| <
+(|s| + 2k)^2 / (2 pi N)^2, each correction term is more than 9 times
+smaller than the one before while |s| + 2k < 2N, which holds for
+k <= 10 everywhere and for k <= 19 when t > 33.  The engine adds
+correction terms until every point's remainder estimate is at or below
+its rounding floor (below), or until the terms run out, and stops early
+only if every point's remainder plus floor fits its budget.  Unless the
+terms run out, a reported bound is therefore at most twice the rounding
+floor and does not depend on abs_tol once abs_tol is reachable: abs_tol
+only decides whether the result is accepted.  At most 14 terms were used
+over 14 values of sigma in [0.401, 2.999], 201 heights in [0, 1e5] and
+abs_tol from 1e-13 to 1e-6.  If the remainder after 20 terms still
+misses its budget, the engine raises ConvergenceError naming sigma, t
+and N.
 
 Derivative.  zeta'(s) is evaluated by differentiating every piece term by
 term: the main sum acquires -log n weights, the two tail terms are
@@ -219,7 +233,7 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
     neg = ts < 0.0
     ts = np.abs(ts)
     tmax = float(np.max(ts, initial=0.0))
-    N = max(20, int(math.ceil(1.1 * tmax)))
+    N = max(20, min(math.ceil(1.1 * tmax), 20 + math.ceil(tmax / 2)))
     npts = len(ts)
     lnN = math.log(N)
     log2N = math.log2(N)
@@ -283,13 +297,16 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
 
         # Correction terms.  Q_k = N^(1-s-2k) * prod_{j<=2k-2}(s+j); at
         # iteration k the remainder of stopping with k-1 terms is checked
-        # through T_k before T_k is added.
+        # through T_k before T_k is added.  The loop ends once every point
+        # fits its budget and every remainder is settled at or below its
+        # rounding floor, or the last term is reached.
         Q = npow / (N * N) * s
         for k in range(1, len(_BFAC) + 1):
             Tk = _BFAC[k - 1] * Q
             abs_Tk = np.abs(Tk)
             rem = abs_Tk * (abs_s + (2 * k - 1)) / (sigma + (2 * k - 1))
             floor_v, fits = budget(rem, value, mag, _SUM_SLACK, phase_floor)
+            settled = rem <= floor_v
             if want_prime:
                 log_rem_p = (_LOG_ABS_BFAC[k - 1]
                              + (1.0 - (sigma - DERIV_RADIUS) - 2 * k) * lnN
@@ -301,7 +318,8 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
                 floor_p, fits_p = budget(rem_p, prime, magp, _SUM_SLACK_PRIME,
                                          phase_floor_p)
                 fits = fits & fits_p
-            if np.all(fits):
+                settled = settled & (rem_p <= floor_p)
+            if np.all(fits) and (np.all(settled) or k == len(_BFAC)):
                 break
             if k == len(_BFAC):
                 i = int(np.argmin(fits))

@@ -47,6 +47,12 @@ ZP_098_500 = complex(0.839839408105791455299991342242,
 FIRST_ZERO_T = 14.1347251417346937904572519836
 INV_098_0 = 1.0 / 49.4242425873268097535697722716
 
+
+def _truncation_point(t):
+    """The main sum's N for a batch whose largest height is |t|."""
+    t = abs(t)
+    return max(20, min(math.ceil(1.1 * t), 20 + math.ceil(t / 2)))
+
 ZETA_CASES = [
     (2.0, 0.0, 1e-10, ZETA_2),
     (0.98, 0.0, 1e-10, ZETA_098),
@@ -78,7 +84,7 @@ def test_zeta_spot_values(sigma, t, tol, ref):
     err = abs(ev.value - ref)
     assert err <= ev.abs_error_bound
     assert ev.abs_error_bound <= tol
-    assert ev.terms_used >= max(20, math.ceil(1.1 * abs(t)))
+    assert ev.terms_used >= _truncation_point(t)
 
 
 @pytest.mark.parametrize("sigma,t,tol,ref", ZP_CASES)
@@ -205,7 +211,7 @@ def test_inv_abs_zeta_many_matches_scalar():
 def test_zeta_many_within_bounds_of_scalar():
     ts = np.array([10.0, 250.5, 993.25])
     vals, bounds, terms = zeta_many(0.9, ts, abs_tol=1e-9)
-    assert terms >= math.ceil(1.1 * ts.max())
+    assert terms >= _truncation_point(ts.max())
     for v, b, t in zip(vals, bounds, ts):
         ev = zeta(complex(0.9, float(t)), abs_tol=1e-9)
         assert abs(v - ev.value) <= b + ev.abs_error_bound
@@ -354,12 +360,14 @@ def test_rounding_model_matches_numpy_row_sum():
 
 
 def test_truncation_point_never_grows():
-    # every point either returns with N = max(20, ceil(1.1|t|)) or stops at
-    # the rounding floor; 20 correction terms are never exhausted
+    # every point either returns with N = max(20, min(ceil(1.1|t|),
+    # 20 + ceil(|t|/2))) or stops at the rounding floor; 20 correction
+    # terms are never exhausted
     returned = 0
     for sigma, t, tol in itertools.product(
             (0.401, 0.45, 0.5, 1.2, 2.999),
-            (0.0, 5.0, 17.0, 18.0, 18.2, 19.0, 25.0, 100.0, 1000.0),
+            (0.0, 5.0, 17.0, 18.0, 18.2, 19.0, 25.0, 26.0, 33.0, 34.0, 40.0,
+             60.0, 100.0, 300.0, 1000.0, 3000.0, 1e4),
             (1e-13, 1e-12)):
         for fn in (zeta, zeta_with_prime):
             try:
@@ -368,7 +376,7 @@ def test_truncation_point_never_grows():
                 assert str(exc).startswith("tolerance unreachable: rounding floor")
                 continue
             for ev in result if isinstance(result, tuple) else (result,):
-                assert ev.terms_used == max(20, math.ceil(1.1 * t))
+                assert ev.terms_used == _truncation_point(t)
             returned += 1
     assert returned > 0
 
@@ -379,3 +387,41 @@ def test_exhausted_correction_terms_name_the_point(monkeypatch):
         zeta(complex(0.5, 18.0), abs_tol=1e-12)
     assert "t=18.0" in str(info.value)
     assert "N=20" in str(info.value)
+
+
+def test_two_correction_terms_to_spare(monkeypatch):
+    # the truncation sweep still returns or stops at the rounding floor
+    # when the engine may add at most 17 correction terms instead of 20
+    monkeypatch.setattr(zeta_engine, "_BFAC", zeta_engine._BFAC[:18])
+    test_truncation_point_never_grows()
+
+
+@pytest.mark.parametrize("sigma, t", [(0.98, 11515.3), (0.72, 29876.5),
+                                      (1.02, 10234.5), (0.75, 20000.25)])
+def test_bounds_do_not_depend_on_a_reachable_tolerance(sigma, t):
+    # correction terms are added until the remainder reaches the rounding
+    # floor, so abs_tol only decides whether the result is accepted
+    loose = zeta_with_prime(complex(sigma, t), abs_tol=1e-6)
+    tight = zeta_with_prime(complex(sigma, t), abs_tol=1e-7)
+    assert loose == tight
+
+
+@pytest.mark.parametrize("sigma", [0.45, 1.2, 2.9])
+@pytest.mark.parametrize("t", [34.0, 60.0, 350.0, 2000.0])
+def test_against_mpmath_at_tightest_reachable_tolerance(sigma, t):
+    mp = pytest.importorskip("mpmath")
+    for tol in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        try:
+            value, prime = zeta_with_prime(complex(sigma, t), abs_tol=tol)
+        except ConvergenceError as exc:
+            assert str(exc).startswith("tolerance unreachable: rounding floor")
+            continue
+        break
+    else:
+        pytest.fail(f"no tolerance up to 1e-6 reachable at sigma={sigma}, t={t}")
+    with mp.workdps(30):
+        s = mp.mpc(repr(sigma), repr(t))
+        refs = complex(mp.zeta(s)), complex(mp.zeta(s, derivative=1))
+    for ev, ref in zip((value, prime), refs):
+        assert ev.terms_used == _truncation_point(t)
+        assert abs(ev.value - ref) <= ev.abs_error_bound <= tol
