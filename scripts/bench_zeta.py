@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
-"""Before/after timings of the zeta engine, written to BENCH_zeta.json.
+"""Before/after timings of two source trees on one benchmark workload.
 
-Usage: python scripts/bench_zeta.py PARENT_SRC CHANGE_SRC [--pairs N]
+Usage: python scripts/bench_zeta.py PARENT_SRC CHANGE_SRC [--workload W] [--pairs N]
 
 PARENT_SRC and CHANGE_SRC are directories holding the `nearone` package
 (the `src/` of two checkouts).  For each tree, in a fresh interpreter with
-PYTHONPATH set to it, the script records at t = 1e2, 1e3, 1e4 and 3e4:
+PYTHONPATH set to it, the script first runs the workload's probe:
 
-- a 257-point batch `inv_abs_zeta_many(0.98, ts)` over ts in [t - 10, t],
-  the integral's path;
-- a single point `zeta_with_prime(0.98 + it, abs_tol=1e-6)`, the verifier's
-  path;
+- `inv-zeta` (the default; written to BENCH_zeta.json): the zeta engine at
+  t = 1e2, 1e3, 1e4 and 3e4, as a 257-point batch `inv_abs_zeta_many(0.98,
+  ts)` over ts in [t - 10, t], the integral's path, and as a single point
+  `zeta_with_prime(0.98 + it, abs_tol=1e-6)`, the verifier's path; each
+  with its truncation point N, the number of correction terms added and
+  the median microseconds per point.  Correction terms are counted by
+  swapping the engine's Bernoulli table `_BFAC` for a tuple that remembers
+  the highest entry read.
+- `headline` (written to BENCH_headline.json): the in-process seconds of
+  `optimize a2 --grid-step 0.005`, its costliest operation, over three
+  calls of `nearone.cli.main`.
 
-each with its truncation point N, the number of correction terms added
-and the median microseconds per point.  Correction terms are counted by
-swapping the engine's Bernoulli table `_BFAC` for a tuple that remembers
-the highest entry read.
-
-With --pairs N > 0 (default 10) it then runs the `inv-zeta` benchmark
-workload N times on each tree, `perfbench/run.py --workload inv-zeta
---seed i --seconds 30 --trace 0` from the checkout that holds each src,
-alternating which tree runs first, and records every run with the
-medians and quartiles of each side and the pairs the change won on wall
-time.  The result goes to BENCH_zeta.json at the root of this repository.
+With --pairs N > 0 (default 10) it then runs the workload N times on each
+tree, `perfbench/run.py --workload W --seed i --seconds 30 --trace 0` from
+the checkout that holds each src, alternating which tree runs first, and
+records every run with the medians and quartiles of each side and the
+pairs the change won on wall time.  The result goes to the workload's
+BENCH file at the root of this repository.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ HEIGHTS = (1e2, 1e3, 1e4, 3e4)
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 RUN_SECONDS = 30         # the benchmark's run length (BENCHMARK.json)
 
-PROBE = """
+ENGINE_PROBE = """
 import json, statistics, sys, time
 import numpy as np
 import nearone.zeta as z
@@ -92,19 +94,44 @@ json.dump(rows, sys.stdout)
 """
 
 
-def engine_rows(src: Path) -> list:
+OPTIMIZE_PROBE = """
+import contextlib, io, json, statistics, sys, time
+import nearone.cli as cli
+
+seconds = []
+for _ in range(3):
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(ARGV)
+    seconds.append(time.perf_counter() - start)
+    if code != 0:
+        sys.exit(f"{ARGV} exited {code}")
+json.dump({"command": " ".join(ARGV), "seconds": [round(s, 4) for s in seconds],
+           "median_s": round(statistics.median(seconds), 4)}, sys.stdout)
+"""
+
+# per workload: the report file, the probe's key in it and the probe
+WORKLOADS = {
+    "inv-zeta": ("BENCH_zeta.json", "engine",
+                 f"HEIGHTS = {HEIGHTS!r}\n{ENGINE_PROBE}"),
+    "headline": ("BENCH_headline.json", "optimize",
+                 f"ARGV = {['optimize', 'a2', '--grid-step', '0.005']!r}\n"
+                 f"{OPTIMIZE_PROBE}"),
+}
+
+
+def probe(src: Path, code: str):
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"HEIGHTS = {HEIGHTS!r}\n{PROBE}"],
-        env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def workload_run(src: Path, seed: int) -> dict:
-    """One inv-zeta benchmark run from the checkout holding src."""
+def workload_run(src: Path, workload: str, seed: int) -> dict:
+    """One benchmark run of the workload from the checkout holding src."""
     run_py = src.parent / "perfbench" / "run.py"
     proc = subprocess.run(
-        [sys.executable, str(run_py), "--workload", "inv-zeta", "--seed",
+        [sys.executable, str(run_py), "--workload", workload, "--seed",
          str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
         cwd=src.parent, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -121,18 +148,18 @@ def spread(values: list) -> dict:
     return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def workload_pairs(trees: dict, pairs: int) -> dict:
+def workload_pairs(trees: dict, workload: str, pairs: int) -> dict:
     runs = []
     for seed in range(1, pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         run = {"seed": seed, "first": order[0]}
         for side in order:
-            run[side] = workload_run(trees[side], seed)
-            print(f"inv-zeta seed {seed} {side}: wall {run[side]['wall_s']:.3f} s",
+            run[side] = workload_run(trees[side], workload, seed)
+            print(f"{workload} seed {seed} {side}: wall {run[side]['wall_s']:.3f} s",
                   file=sys.stderr)
         runs.append(run)
     return {
-        "command": f"python3 perfbench/run.py --workload inv-zeta --seed i "
+        "command": f"python3 perfbench/run.py --workload {workload} --seed i "
                    f"--seconds {RUN_SECONDS} --trace 0",
         "runs": runs,
         **{side: {m: spread([r[side][m] for r in runs]) for m in METRICS}
@@ -146,17 +173,20 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=Path)
     ap.add_argument("change_src", type=Path)
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), default="inv-zeta")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+    out_name, probe_key, probe_code = WORKLOADS[args.workload]
     report = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        "engine": {side: engine_rows(src) for side, src in trees.items()},
+        probe_key: {side: probe(src, probe_code) for side, src in trees.items()},
     }
     if args.pairs > 0:
-        report["inv_zeta"] = workload_pairs(trees, args.pairs)
-    (ROOT / "BENCH_zeta.json").write_text(json.dumps(report, indent=1) + "\n")
+        report[args.workload.replace("-", "_")] = workload_pairs(
+            trees, args.workload, args.pairs)
+    (ROOT / out_name).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 

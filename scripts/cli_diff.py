@@ -32,6 +32,10 @@ COMMANDS = (
     "constants a2 --family dedekind --abs-disc 5",
     "optimize a1",
     "optimize a2",
+    "optimize a1 --grid-step 0.005",
+    "optimize a2 --grid-step 0.005",
+    "optimize a2 --family dedekind --abs-disc 5",
+    "optimize a1 --refine-rounds 2",
     "integrate envelope",
     "mertens bound",
     "mertens crossover",
@@ -47,9 +51,10 @@ COMMANDS = (
     # the spawned worker pool
     "integrate inv-zeta --from 0 --to 100 --threads 2",
     "verify --threads 2",
-    # failure exits: a report with exit 1, and exit 1 with no stdout
+    # failure exits: a report with exit 1, then exit 1 with no stdout
     "constants a1 --T1 100",
     "integrate inv-zeta --from 0 --to 40000",
+    "optimize a2 --T1 4000",
 )
 IGNORED_KEYS = frozenset({"runtime_seconds"})
 

@@ -2,19 +2,32 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
+from nearone import optimizer
 from nearone.constants import (
+    C4_GAP,
+    REGION_STRETCH,
+    ROOM,
     TARGET_LOG,
     TARGET_LOGDER,
     BoundParams,
+    _a1_value,
+    _a2_value,
     compute_a1,
     compute_a2,
+    compute_b1,
+    edge_floor,
     hypothesis_report,
+    loglog,
 )
+from nearone.defaults import CONSTANT_PARAMS
 from nearone.errors import HypothesisError
-from nearone.optimizer import SearchSpec, minimize
+from nearone.optimizer import SearchSpec, _decimal_range, minimize
 from nearone.profiles import profile_dedekind, profile_dirichlet, profile_zeta
 
 ZETA_A1 = 5.43989546984349625535483
@@ -125,3 +138,189 @@ def test_spec_validation():
         zeta_spec(TARGET_LOG, grid_step=0.5)
     with pytest.raises(HypothesisError):
         zeta_spec(TARGET_LOG, refine_rounds=-1)
+
+
+# --- Oracle: the scan as a per-candidate scalar loop -------------------------
+
+ORACLE_PROFILES = {
+    "zeta": profile_zeta,
+    "dirichlet": lambda: profile_dirichlet(3),
+    "dedekind": lambda: profile_dedekind(2, 5),
+}
+
+
+def oracle_spec(family, target, **kw):
+    p = CONSTANT_PARAMS[(family, target)]
+    return SearchSpec(profile=ORACLE_PROFILES[family](), target=target, C3=p.C3,
+                      T1=p.T1, T2=p.T2, t0=p.t0, **kw)
+
+
+def _reference_scan(spec, step, c1_box, c2_box, rho_box, best, b_of, row):
+    """One scan as a scalar triple loop over (C1, C2, rho), visiting and
+    tracing every candidate in order."""
+    deriv = spec.target == TARGET_LOGDER
+    m = spec.profile.euler_order
+    b_T1 = spec.T1 - 1 if deriv else spec.T1
+    ll_t1 = loglog(spec.T1)
+    ll_b = loglog(b_T1)
+    rate_den = 1 - 1 / (4 * spec.C3 * ll_b)
+    shift = ROOM[spec.target]["shift"]
+    for c1 in _decimal_range(step, *c1_box):
+        b = b_of(c1)
+        for c2 in _decimal_range(step, c2_box[0], min(c2_box[1], 2 * c1)):
+            if deriv:
+                for rho in _decimal_range(step, *rho_box):
+                    c4 = rho * (c2 / C4_GAP)
+                    if spec.T1 < edge_floor(REGION_STRETCH * c2 + c4, shift):
+                        row(c1, c2, rho, c4, "", "", False, "T1-floor")
+                        continue
+                    rate = (2 * c2 + 1 / (2 * spec.C3)) / rate_den
+                    a = _a2_value(m, c2, c4, b, rate, ll_t1, ll_b)
+                    row(c1, c2, rho, c4, a, b, True)
+                    cand = (a, c1, c2, rho)
+                    if best is None or cand < best:
+                        best = cand
+            else:
+                if spec.T1 < edge_floor(c2, shift):
+                    row(c1, c2, "", "", "", "", False, "T1-floor")
+                    continue
+                rate = (2 * c2 + 1 / (2 * spec.C3)) / rate_den
+                a = _a1_value(m, c2, b, rate, ll_t1)
+                row(c1, c2, "", "", a, b, True)
+                cand = (a, c1, c2, 1.0)
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
+def _reference_minimize(spec, trace_path=None):
+    """minimize with _reference_scan; returns (params, constants, the C1 of
+    every compute_b1 call in order)."""
+    deriv = spec.target == TARGET_LOGDER
+    b_T1 = spec.T1 - 1 if deriv else spec.T1
+    b_cache, b_calls = {}, []
+
+    def b_of(c1):
+        if c1 not in b_cache:
+            b_calls.append(c1)
+            b_cache[c1] = compute_b1(spec.profile, c1, spec.C3, b_T1, spec.T2)
+        return b_cache[c1]
+
+    with open(trace_path or os.devnull, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["C1", "C2", "rho", "C4", "a", "b", "feasible", "reason"])
+
+        def row(c1, c2, rho, c4, a, b, feasible, reason=""):
+            writer.writerow([c1, c2, rho, c4, a, b, int(feasible), reason])
+
+        step = Decimal(repr(spec.grid_step))
+        best = _reference_scan(spec, step, (0.0, 1.0), (0.0, 2.0), (0.0, 1.0),
+                               None, b_of, row)
+        for _ in range(spec.refine_rounds):
+            wide = 2 * float(step)
+            _, c1s, c2s, rhos = best
+            step = step / 2
+            best = _reference_scan(spec, step,
+                                   (max(c1s - wide, 0.0), min(c1s + wide, 1.0)),
+                                   (max(c2s - wide, 0.0), min(c2s + wide, 2.0)),
+                                   (max(rhos - wide, 0.0), min(rhos + wide, 1.0)),
+                                   best, b_of, row)
+    _, c1, c2, rho = best
+    params = BoundParams(C1=c1, C2=c2, C3=spec.C3, T1=spec.T1, T2=spec.T2,
+                         t0=spec.t0, C4=rho * (c2 / C4_GAP) if deriv else None)
+    constants = (compute_a2(spec.profile, params) if deriv
+                 else compute_a1(spec.profile, params))
+    return params, constants, b_calls
+
+
+@pytest.mark.parametrize("refine_rounds", [0, 2])
+@pytest.mark.parametrize("grid_step", [0.05, 0.02])
+@pytest.mark.parametrize("target", [TARGET_LOG, TARGET_LOGDER])
+@pytest.mark.parametrize("family", sorted(ORACLE_PROFILES))
+def test_minimize_matches_scalar_reference(family, target, grid_step, refine_rounds):
+    spec = oracle_spec(family, target, grid_step=grid_step,
+                       refine_rounds=refine_rounds)
+    ref_params, ref, _ = _reference_minimize(spec)
+    params, bc = minimize(spec)
+    assert params == ref_params
+    assert bc.a == ref.a and bc.b == ref.b
+
+
+@pytest.mark.parametrize("refine_rounds", [0, 2])
+@pytest.mark.parametrize("target", [TARGET_LOG, TARGET_LOGDER])
+def test_trace_matches_scalar_reference_bytes(tmp_path, target, refine_rounds):
+    spec = zeta_spec(target, grid_step=0.05, refine_rounds=refine_rounds)
+    _reference_minimize(spec, trace_path=tmp_path / "ref.csv")
+    minimize(spec, trace_path=tmp_path / "new.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def perturb_screen(monkeypatch, sign):
+    """Scale every screened exp value by 1 + 1e-14 (sign "up"), 1 - 1e-14
+    ("down") or either at random ("mixed"): far more than np.exp's
+    last-digit differences from math.exp."""
+    exp = optimizer._exp
+    rng = np.random.default_rng(7)
+
+    def perturbed(x, out=None):
+        y = exp(x, out=out)
+        factor = {"up": 1.0, "down": -1.0}.get(sign)
+        if factor is None:
+            factor = rng.choice([-1.0, 1.0], size=np.shape(y))
+        y *= 1 + 1e-14 * factor
+        return y
+
+    monkeypatch.setattr(optimizer, "_exp", perturbed)
+
+
+@pytest.mark.parametrize("sign", ["up", "down", "mixed"])
+@pytest.mark.parametrize("target", [TARGET_LOG, TARGET_LOGDER])
+def test_screen_error_never_decides_the_winner(monkeypatch, tmp_path, target, sign):
+    """With b1 <= 1 the objective is flat in C1, so a screen that decided
+    would report another C1."""
+    spec = zeta_spec(target, grid_step=0.05, refine_rounds=1)
+    ref_params, ref, _ = _reference_minimize(spec, trace_path=tmp_path / "ref.csv")
+    perturb_screen(monkeypatch, sign)
+    params, bc = minimize(spec, trace_path=tmp_path / "new.csv")
+    assert params == ref_params and bc.a == ref.a
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert minimize(spec) == (params, bc)
+
+
+@pytest.mark.parametrize("target,c2,rho", [(TARGET_LOG, 1.1, 1.0),
+                                           (TARGET_LOGDER, 0.9, 0.4)])
+def test_screen_error_never_decides_feasibility(monkeypatch, tmp_path, target,
+                                                c2, rho):
+    """T1 equal to one grid cell's floor: the cell is admissible (T1 >= floor)
+    although the raised screen puts its floor above T1."""
+    deriv = target == TARGET_LOGDER
+    edge = REGION_STRETCH * c2 + rho * (c2 / C4_GAP) if deriv else c2
+    spec = SearchSpec(profile=profile_zeta(), target=target, C3=1000.0,
+                      T1=edge_floor(edge, ROOM[target]["shift"]), T2=7778.0,
+                      t0=1e4, grid_step=0.05)
+    _reference_minimize(spec, trace_path=tmp_path / "ref.csv")
+    with open(tmp_path / "ref.csv", newline="") as fh:
+        cell = [r for r in csv.DictReader(fh)
+                if float(r["C2"]) == c2 and (not deriv or float(r["rho"]) == rho)]
+    assert cell and all(r["feasible"] == "1" for r in cell)
+    perturb_screen(monkeypatch, "up")
+    minimize(spec, trace_path=tmp_path / "new.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("refine_rounds", [0, 2])
+@pytest.mark.parametrize("target", [TARGET_LOG, TARGET_LOGDER])
+def test_b_constant_computed_once_per_c1(monkeypatch, target, refine_rounds):
+    spec = zeta_spec(target, grid_step=0.05, refine_rounds=refine_rounds)
+    *_, ref_calls = _reference_minimize(spec)
+    calls = []
+
+    def counting(profile, c1, *args):
+        calls.append(c1)
+        return compute_b1(profile, c1, *args)
+
+    monkeypatch.setattr(optimizer, "compute_b1", counting)
+    minimize(spec)
+    assert calls == ref_calls
+    if refine_rounds == 0:
+        assert calls == [k / 20 for k in range(1, 21)]
