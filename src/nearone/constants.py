@@ -27,19 +27,20 @@ and the exponential rate
 
 Every hypothesis of the underlying statements is validated by name before
 anything is computed; ``hypothesis_report`` exposes the full pass/fail list
-for machine-readable reports.  All arithmetic is IEEE float64; rounding
-helpers that only ever round upward are provided so displayed constants
-stay valid bounds.
+for machine-readable reports.  All arithmetic is IEEE float64.  The display
+helpers round up, which keeps a bound valid only where its exponent
+2(1 - sigma) is nonnegative (see BoundConstants.display).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from decimal import Decimal, ROUND_CEILING
+from decimal import Context, Decimal, ROUND_CEILING
 
 from .errors import DomainError, HypothesisError
-from .profiles import GAMMA_EULER, LFunctionProfile, T0_DEFAULT, DEDEKIND_AMPLITUDE
+from .profiles import (GAMMA_EULER, LFunctionProfile, T0_DEFAULT,
+                       DEDEKIND_AMPLITUDE, saturating_exp)
 
 # Safety inflation of the derivative-bound prefactor; absorbs the +-1 shift
 # of the imaginary part and the loglog inflation incurred when re-centering
@@ -85,9 +86,14 @@ def logplus(x: float) -> float:
 
 
 def ceil_decimals(x: float, places: int) -> float:
-    """Round x up (toward +inf) at the given number of decimal places."""
-    q = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_CEILING))
+    """Round x up (toward +inf) at the given number of decimal places; exact
+    for every finite x, as the context holds every digit and a carry."""
+    if not math.isfinite(x):
+        raise DomainError(f"cannot round {x!r} for display")
+    d = Decimal(repr(x))
+    context = Context(prec=max(d.adjusted() + places + 2, 1))
+    return float(d.quantize(Decimal(1).scaleb(-places),
+                            rounding=ROUND_CEILING, context=context))
 
 
 def ceil_sigfigs(x: float, digits: int) -> float:
@@ -96,9 +102,7 @@ def ceil_sigfigs(x: float, digits: int) -> float:
         raise DomainError(f"digits must be >= 1, got {digits}")
     if x == 0:
         return 0.0
-    d = Decimal(repr(x))
-    q = Decimal(1).scaleb(d.adjusted() - digits + 1)
-    return float(d.quantize(q, rounding=ROUND_CEILING))
+    return ceil_decimals(x, digits - 1 - Decimal(repr(x)).adjusted())
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,9 @@ class BoundConstants:
                 "sigma_region": list(self.sigma_region), "target": self.target}
 
     def display(self) -> dict:
-        """Published display forms, rounded upward so they remain valid
-        bounds: a1 at 2 decimals, a2 at 3, b at 3."""
+        """Published display forms, rounded upward: a1 at 2 decimals, a2 at 3,
+        b at 3.  A larger b enlarges the bound only where 2(1 - sigma) >= 0;
+        where sigma > 1 the displayed pair may sit below the computed one."""
         places = 2 if self.target == TARGET_LOG else 3
         return {"a_display": ceil_decimals(self.a, places),
                 "b_display": ceil_decimals(self.b, 3)}
@@ -154,12 +159,28 @@ class HypothesisCheck:
     detail: str
 
 
-def edge_floor(edge: float, shift: float) -> float:
-    """exp(e^(2 edge)) + shift, the edge term of the T1-floor, saturating to
-    +inf; the optimizer runs it per grid candidate, so it calls only math.exp."""
-    x = 2 * edge
-    y = math.exp(x) if x < 710 else math.inf
-    return (math.exp(y) if y < 710 else math.inf) + shift
+# Per-candidate formulas, for a float or a NumPy array of grid cells; an
+# array caller passes an exp that saturates to +inf, as saturating_exp does.
+
+def c4_of(C2, rho):
+    """C4 = rho C2/C4_GAP, rho in (0, 1]: C4-range holds for every rho."""
+    return rho * (C2 / C4_GAP)
+
+
+def region_edge(C2, C4=None):
+    """Left edge A of the sigma-region: C2 for a1 (no C4), else 1.00006 C2 + C4."""
+    return C2 if C4 is None else REGION_STRETCH * C2 + C4
+
+
+def rate(C2, C3, ll_T1):
+    """(2 C2 + 1/(2 C3)) / (1 - 1/(4 C3 ll_T1)), ll_T1 = loglog(T1)."""
+    return (2 * C2 + 1 / (2 * C3)) / (1 - 1 / (4 * C3 * ll_T1))
+
+
+def edge_floor(edge, shift, exp=saturating_exp):
+    """exp(e^(2 edge)) + shift, the edge term of the T1-floor; past the float
+    range it is +inf, so the T1-floor fails by name."""
+    return exp(exp(2 * edge)) + shift
 
 
 def window_edge(t0: float, C3: float, c: float, margin: float) -> float:
@@ -277,10 +298,10 @@ def hypothesis_report(profile: LFunctionProfile, params: BoundParams,
     p = params
     if target == TARGET_LOGDER:
         names = STATEMENT_HYPOTHESES
-        edge = REGION_STRETCH * p.C2 + (p.C4 if p.C4 is not None else 0.0)
+        edge = region_edge(p.C2, 0.0 if p.C4 is None else p.C4)
     else:
         names = [name for name in STATEMENT_HYPOTHESES if name != "C4-range"]
-        edge = p.C2
+        edge = region_edge(p.C2)
     return statement_hypotheses(names, profile, target, edge=edge,
                                 **asdict(p))
 
@@ -343,17 +364,15 @@ def compute_R(C2: float, C3: float, T1: float) -> float:
     _require(check_hypotheses(("C2-range", "C3-floor", "T1-floor"),
                               C1=math.inf, C2=C2, C3=C3, T1=T1,
                               edge=NO_EDGE, m_over_d=0.0, shift=0))
-    den = 1 - 1 / (4 * C3 * loglog(T1))
-    return (2 * C2 + 1 / (2 * C3)) / den
+    return rate(C2, C3, loglog(T1))
 
 
-def _a1_value(m: float, C2: float, b: float, R: float, ll_t1: float) -> float:
-    return (m / C2) * math.exp((1 + logplus(b) / ll_t1) * R)
+def _a1_value(m, C2, b, R, ll_t1, exp=math.exp):
+    return (m / C2) * exp((1 + logplus(b) / ll_t1) * R)
 
 
-def _a2_value(m: float, C2: float, C4: float, b2: float, R2: float,
-              ll_t1: float, ll_t1m1: float) -> float:
-    return (A2_INFLATION * m / (C2 * C4)) * math.exp(
+def _a2_value(m, C2, C4, b2, R2, ll_t1, ll_t1m1, exp=math.exp):
+    return (A2_INFLATION * m / (C2 * C4)) * exp(
         2 * C4 * (1 + logplus(b2) / ll_t1)
         + (1 + logplus(b2) / ll_t1m1) * R2)
 
@@ -384,7 +403,7 @@ def compute_a2(profile: LFunctionProfile, params: BoundParams) -> BoundConstants
     a = _a2_value(profile.euler_order, p.C2, p.C4, b2,
                   compute_R(p.C2, p.C3, p.T1 - 1),
                   loglog(p.T1), loglog(p.T1 - 1))
-    region = (REGION_STRETCH * p.C2 + p.C4, p.C4)
+    region = (region_edge(p.C2, p.C4), p.C4)
     return BoundConstants(a=a, b=b2, sigma_region=region, target=TARGET_LOGDER)
 
 
@@ -440,8 +459,8 @@ def constants_report(profile: LFunctionProfile, params: BoundParams,
     """Machine-readable report: inputs, hypothesis list, computed constants.
 
     The constants block is present only when every hypothesis passes.
-    Display values are rounded upward (2 decimals for a1, 3 for a2) so they
-    remain valid bounds.
+    Display values are rounded upward (2 decimals for a1, 3 for a2); see
+    BoundConstants.display for where the rounded pair covers the bound.
     """
     checks = hypothesis_report(profile, params, target)
     report = {

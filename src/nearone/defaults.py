@@ -5,7 +5,7 @@ Each is written here once; the library and the command line import it.
 
 from __future__ import annotations
 
-from .constants import C4_GAP, TARGET_LOG, TARGET_LOGDER, BoundParams
+from .constants import TARGET_LOG, TARGET_LOGDER, BoundParams, c4_of
 
 # Window constant of every published parameter set.
 C3 = 1000.0
@@ -24,7 +24,7 @@ _FAMILIES = {
 CONSTANT_PARAMS = {
     (family, target): BoundParams(
         C1=C1, C2=C2, C3=C3, T1=T1, T2=T2, t0=t0,
-        C4=C2 / C4_GAP if target == TARGET_LOGDER else None)
+        C4=c4_of(C2, 1.0) if target == TARGET_LOGDER else None)
     for family, (a1_point, a2_point, (T1, T2, t0)) in _FAMILIES.items()
     for target, (C1, C2) in ((TARGET_LOG, a1_point), (TARGET_LOGDER, a2_point))
 }

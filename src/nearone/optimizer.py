@@ -17,20 +17,21 @@ reported optimum is re-validated through compute_a1 / compute_a2, so it
 satisfies the full hypothesis list by construction.
 
 A scan is NumPy work in one block per C1.  The T1-floor feasibility of a
-(C2, rho) cell, its C4, rate and prefactor do not depend on C1, so they are
+(C2, rho) cell, its C4 and its rate do not depend on C1, so they are
 computed once per scan and only the feasible cells are kept, flat in scan
 order.  The C2 grid of a C1 is a prefix of the scan's C2 grid, so its block
-is a prefix of those cells; per C1 only b and one exp over the block remain.
+is a prefix of those cells; per C1 only b and a over the block remain.
 The full (C1, C2, rho) grid is never built.
 
-The NumPy values only screen: np.exp can differ from math.exp in the last
-digit, so it never decides.  Every cell whose screened floor lies within
-1e-9 T1 of T1 is rechecked with the scalar edge_floor, and every cell whose
-screened a lies within a relative 1e-12 of its block's minimum is
-recomputed with the scalar _a1_value / _a2_value; those values pick the
-winner.  The margins exceed the screen's error of a few ulp by orders of
-magnitude, so the winner is the one a scalar loop over every candidate
-picks, bit for bit.
+The screen calls the formulas of constants (c4_of, region_edge, rate,
+edge_floor, _a1_value / _a2_value) on arrays of cells with this module's
+_exp; the recheck and the trace call them on floats with math.exp.  np.exp
+can differ from math.exp in the last digit, so the screen never decides.
+Every cell whose screened floor lies within 1e-9 T1 of T1, and every cell
+whose screened a lies within a relative 1e-12 of its block's minimum, is
+recomputed on floats, and those values pick the winner.  The margins exceed
+the screen's error of a few ulp by orders of magnitude, so the winner is
+the one a scalar loop over every candidate picks, bit for bit.
 
 A CSV trace of every visited candidate (feasible or not), with its scalar
 a, can be written for audit: 10,100 rows for a1 and 1,010,000 for a2 on
@@ -48,10 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import (
-    A2_INFLATION,
-    C4_GAP,
     NO_EDGE,
-    REGION_STRETCH,
     ROOM,
     TARGET_LOG,
     TARGET_LOGDER,
@@ -59,12 +57,14 @@ from .constants import (
     BoundParams,
     _a1_value,
     _a2_value,
+    c4_of,
     compute_a1,
     compute_a2,
     compute_b1,
     edge_floor,
     loglog,
-    logplus,
+    rate,
+    region_edge,
     statement_hypotheses,
 )
 from .errors import HypothesisError
@@ -164,7 +164,6 @@ def minimize(spec: SearchSpec,
     b_T1 = spec.T1 - 1 if deriv else spec.T1  # height the b-constant runs at
     ll_t1 = loglog(spec.T1)
     ll_b = loglog(b_T1)
-    rate_den = 1 - 1 / (4 * spec.C3 * ll_b)
     shift = ROOM[spec.target]["shift"]
 
     trace = _Trace(trace_path)
@@ -177,33 +176,25 @@ def minimize(spec: SearchSpec,
             b_cache[c1] = b
         return b
 
-    # Formulas of one candidate, written once for a float and for an array.
-    def c4_of(c2, rho):
-        return rho * (c2 / C4_GAP)
-
+    # A cell's edge and a through the constants formulas: on floats for the
+    # recheck and the trace, on arrays of cells with _exp for the screen.
     def edge_of(c2, rho):
-        return REGION_STRETCH * c2 + c4_of(c2, rho) if deriv else c2
+        return region_edge(c2, c4_of(c2, rho) if deriv else None)
 
-    def rate_of(c2):
-        return (2 * c2 + 1 / (2 * spec.C3)) / rate_den
+    def a_of(c2, c4, b, r, exp=math.exp):
+        return (_a2_value(m, c2, c4, b, r, ll_t1, ll_b, exp) if deriv
+                else _a1_value(m, c2, b, r, ll_t1, exp))
 
     def a_exact(c2: float, rho: float, b: float) -> float:
-        return (_a2_value(m, c2, c4_of(c2, rho), b, rate_of(c2), ll_t1, ll_b)
-                if deriv else _a1_value(m, c2, b, rate_of(c2), ll_t1))
+        return a_of(c2, c4_of(c2, rho), b, rate(c2, spec.C3, ll_b))
 
     def t1_floor_ok(c2s: list, rhos: list) -> np.ndarray:
         """T1 >= edge_floor(edge, shift) per (C2, rho) cell; the scalar floor
         decides every cell the screen puts within 1e-9 T1 of T1."""
-        gap = c2 = np.reshape(c2s, (-1, 1))
-        if deriv:  # edge_of, in place on one (C2 x rho) array
-            gap = c4_of(c2, np.array(rhos))
-            gap += REGION_STRETCH * c2
-        gap *= 2
-        _exp(gap, out=gap)
-        _exp(gap, out=gap)
-        gap += shift - spec.T1  # floor - T1, negative or zero where feasible
+        c2 = np.reshape(c2s, (-1, 1))
+        gap = edge_floor(edge_of(c2, np.array(rhos)), shift, _exp) - spec.T1
         ok = gap <= 0
-        for i, j in zip(*np.nonzero(np.abs(gap, out=gap) <= 1e-9 * spec.T1)):
+        for i, j in zip(*np.nonzero(np.abs(gap) <= 1e-9 * spec.T1)):
             ok[i, j] = not spec.T1 < edge_floor(edge_of(c2s[i], rhos[j]), shift)
         return ok
 
@@ -227,12 +218,9 @@ def minimize(spec: SearchSpec,
         # grid is the first n rows owns the first row_end[n] cells.
         per_row = feasible.sum(axis=1)
         row_end = np.concatenate(([0], np.cumsum(per_row)))
-        rate = rate_of(c2_grid)  # per C2 row: np.repeat spreads it over cells
         c2 = np.repeat(c2_grid, per_row)
         c4 = c4_of(c2, np.broadcast_to(rhos, feasible.shape)[feasible])
-        pre = A2_INFLATION * m / (c2 * c4) if deriv else m / c2
-        two_c4 = np.multiply(c4, 2, out=c4)
-        del c2, c4
+        r = rate(c2, spec.C3, ll_b)
         for c1 in _decimal_range(step, *c1_box):
             b = b_of(c1)
             hi = min(c2_box[1], 2 * c1)  # as _decimal_range bounds the C2 grid
@@ -241,15 +229,7 @@ def minimize(spec: SearchSpec,
             if trace.enabled:
                 trace_block(c1, b, c2s[:n], rhos, feasible_rows)
             k = row_end[n]
-            lb = logplus(b)
-            # a, in the operation order of _a2_value / _a1_value
-            if deriv:
-                a = two_c4[:k] * (1 + lb / ll_t1)
-                a += np.repeat((1 + lb / ll_b) * rate[:n], per_row[:n])
-            else:
-                a = np.repeat((1 + lb / ll_t1) * rate[:n], per_row[:n])
-            _exp(a, out=a)
-            a *= pre[:k]
+            a = a_of(c2[:k], c4[:k], b, r[:k], _exp)
             # The scalar formula decides among every cell the screen puts
             # within 1e-12 of the block minimum, and raises as the scalar
             # code would wherever the screen overflowed.
@@ -258,8 +238,7 @@ def minimize(spec: SearchSpec,
             for cell in np.nonzero(close)[0]:
                 i = int(np.searchsorted(row_end, cell, side="right")) - 1
                 j = np.flatnonzero(feasible[i])[cell - row_end[i]]
-                c2, rho = c2s[i], rhos[j]
-                cand = (a_exact(c2, rho, b), c1, c2, rho)
+                cand = (a_exact(c2s[i], rhos[j], b), c1, c2s[i], rhos[j])
                 if best is None or cand < best:
                     best = cand
         return best

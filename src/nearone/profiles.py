@@ -46,6 +46,14 @@ DEDEKIND_AMPLITUDE = 1.9
 ZETA_MIN_HEIGHT = 50.0
 
 
+def saturating_exp(x: float) -> float:
+    """math.exp(x), or +inf where it overflows, so a named check fails."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LFunctionProfile:
     """Data (d, m, l, C, c, T) of one growth estimate.
@@ -87,9 +95,9 @@ def _smoothing(alpha: float, t0: float) -> tuple[float, float]:
     the growth and window factors both smoothed prefactors share."""
     if alpha <= 0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
-    if t0 < math.exp(2 * alpha):
-        raise DomainError(
-            f"t0 must be >= exp(2 alpha) = {math.exp(2 * alpha):.3f}, got {t0}")
+    floor = saturating_exp(2 * alpha)
+    if t0 < floor:
+        raise DomainError(f"t0 must be >= exp(2 alpha) = {floor:.3f}, got {t0}")
     log_t0 = math.log(t0)
     window = (2 + alpha / log_t0) / t0
     return (1 / alpha) * math.exp(alpha * (0.5 + GAMMA_EULER / log_t0)), window
@@ -129,7 +137,10 @@ def rademacher_prefactor_dedekind(n_k: int, alpha: float = ALPHA_DEFAULT,
     growth, window = _smoothing(alpha, t0)
     front = (3 / (2 * math.pi) ** 0.25) * (1 + window * window) ** 0.625
     per_degree = growth / DEDEKIND_SCALE ** 0.25
-    return front * per_degree ** n_k
+    try:
+        return front * per_degree ** n_k
+    except OverflowError:  # +inf, which the prefactor check rejects
+        return math.inf
 
 
 def profile_zeta() -> LFunctionProfile:
@@ -149,7 +160,7 @@ def profile_dirichlet(q: int, alpha: float = ALPHA_DEFAULT,
     if q < 3:
         raise DomainError(f"q must be an integer >= 3, got {q}")
     pref = rademacher_prefactor_dirichlet(alpha, t0)
-    if pref > 1:
+    if not pref <= 1:  # a NaN prefactor fails too
         raise HypothesisError(
             "dirichlet-prefactor",
             f"prefactor {pref:.6f} > 1 at alpha={alpha}, t0={t0}")
@@ -171,7 +182,7 @@ def profile_dedekind(n_k: int, abs_disc: float, alpha: float = ALPHA_DEFAULT,
     if abs_disc < 3:
         raise DomainError(f"abs_disc must be >= 3, got {abs_disc}")
     pref = rademacher_prefactor_dedekind(n_k, alpha, t0)
-    if pref > DEDEKIND_AMPLITUDE:
+    if not pref <= DEDEKIND_AMPLITUDE:  # a NaN prefactor fails too
         raise HypothesisError(
             "dedekind-prefactor",
             f"prefactor {pref:.6f} > {DEDEKIND_AMPLITUDE} at "

@@ -58,6 +58,8 @@ MIN_LEVELS = 3
 MAX_LEVELS_CAP = 24
 T_CEILING = 3.0e4
 LO_FLOOR_ENVELOPE = math.exp(2.0)
+# Most panels one integral may split into; the defaults use 1152 and 16.
+PANEL_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,12 @@ def envelope_integrand_log_space(sigma0: float, a1: float) -> Callable[[np.ndarr
 
 
 def _panel_edges(lo: float, hi: float, width: float) -> list[float]:
-    count = int(math.ceil((hi - lo) / width - 1e-12))
+    count = (hi - lo) / width - 1e-12
+    if not count <= PANEL_LIMIT:  # checked before any list is built
+        raise DomainError(
+            f"resource limit exceeded: need at most {PANEL_LIMIT} panels; "
+            f"got {count:.3g} of width {width!r} on [{lo!r}, {hi!r}]")
+    count = int(math.ceil(count))
     edges = [lo + k * width for k in range(count)]
     edges.append(hi)
     return edges

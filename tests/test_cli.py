@@ -233,3 +233,43 @@ def test_profiles_dirichlet(capsys):
     assert code == 0
     assert rep["profile"]["conductor_scale"] == 5.0
     assert rep["prefactor"] < rep["prefactor_ceiling"] == 1.0
+
+
+def test_constants_overflowing_edge_fails_c2_range(capsys):
+    code, rep = run_cli(capsys, ["constants", "a1", "--C2", "3.2825"])
+    assert code == 1
+    failed = [ch for ch in rep["hypotheses"] if not ch["ok"]]
+    assert failed[0]["name"] == "C2-range"
+    t1_floor = next(ch for ch in failed if ch["name"] == "T1-floor")
+    assert t1_floor["detail"].startswith("need T1 >= inf")
+    assert "constants" not in rep
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["profiles", "--family", "dirichlet", "--alpha", "400"],
+     "exp(2 alpha) = inf"),
+    (["profiles", "--family", "dedekind", "--alpha", "400"],
+     "exp(2 alpha) = inf"),
+    (["profiles", "--family", "dedekind", "--alpha", "1e-300"],
+     "dedekind-prefactor: prefactor inf"),
+    (["integrate", "inv-zeta", "--from", "0", "--to", "100",
+      "--panel-width", "1e-300"], "resource limit exceeded"),
+    (["integrate", "envelope", "--panel-width-v", "1e-300"],
+     "resource limit exceeded"),
+])
+def test_out_of_range_input_fails_by_name(capsys, argv, message):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["constants", "a1", "--C2", "1e-300"],
+                                  ["constants", "a2", "--C4", "1e-300"]])
+def test_huge_constants_round_for_display(capsys, argv):
+    code, rep = run_cli(capsys, argv)
+    assert code == 0
+    constants = rep["constants"]
+    assert constants["a"] > 1e299
+    assert constants["a_display"] >= constants["a"]
+    assert constants["b_display"] >= constants["b"]

@@ -17,6 +17,7 @@ from nearone.constants import (
     compute_R,
     constants_report,
     dedekind_split,
+    edge_floor,
     elementary_bounds,
     hypothesis_report,
     loglog,
@@ -325,3 +326,32 @@ def test_check_hypotheses_rejects_unknown_name_and_missing_quantity():
     [check] = check_hypotheses(("T1-floor",), C3=1000.0, T1=1e4, edge=0.5,
                                m_over_d=1.0, shift=0)
     assert check.ok
+
+
+def test_edge_floor_saturates_past_the_float_range():
+    # exp(2 * 3.2825) = 710.1 lies past the largest finite exp argument
+    assert edge_floor(3.2825, 0) == math.inf
+    assert edge_floor(3.2825, 1) == math.inf
+    params = BoundParams(C1=0.25, C2=3.2825, C3=1000.0, T1=1e4, T2=7778.0, t0=1e4)
+    checks = {ch.name: ch for ch in hypothesis_report(profile_zeta(), params,
+                                                      TARGET_LOG)}
+    assert not checks["C2-range"].ok
+    assert not checks["T1-floor"].ok
+    assert checks["T1-floor"].detail.startswith("need T1 >= inf")
+
+
+def test_ceil_rounding_exact_for_huge_values():
+    assert ceil_decimals(1e300, 2) == 1e300
+    assert ceil_decimals(1.7976931348623157e308, 3) == 1.7976931348623157e308
+    assert ceil_decimals(5e-324, 2) == 0.01
+    assert ceil_decimals(999.999, 2) == 1000.0
+    assert ceil_sigfigs(1e300, 40) == 1e300
+    assert ceil_sigfigs(1.2345e300, 3) == 1.24e300
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_ceil_rounding_rejects_non_finite(x):
+    with pytest.raises(DomainError):
+        ceil_decimals(x, 2)
+    with pytest.raises(DomainError):
+        ceil_sigfigs(x, 3)

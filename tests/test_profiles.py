@@ -113,3 +113,30 @@ def test_profile_invariants_enforced():
         LFunctionProfile(1, 1, 1, 1.0, 0.5, 50.0)
     with pytest.raises(DomainError):
         LFunctionProfile(1, 1, 1, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "dedekind"])
+def test_smoothing_floor_overflow_is_a_domain_error(family):
+    """exp(2 alpha) past the float range is +inf, which every t0 fails."""
+    with pytest.raises(DomainError, match=r"exp\(2 alpha\) = inf"):
+        if family == "dirichlet":
+            profile_dirichlet(3, alpha=400.0)
+        else:
+            profile_dedekind(2, 5, alpha=400.0)
+
+
+def test_dedekind_prefactor_overflow_fails_by_name():
+    assert rademacher_prefactor_dedekind(2, alpha=1e-300) == math.inf
+    with pytest.raises(HypothesisError) as err:
+        profile_dedekind(2, 5, alpha=1e-300)
+    assert err.value.condition == "dedekind-prefactor"
+
+
+@pytest.mark.parametrize("kw", [{"alpha": math.nan}, {"t0": math.nan}])
+def test_nan_prefactor_fails_by_name(kw):
+    with pytest.raises(HypothesisError) as err:
+        profile_dirichlet(3, **kw)
+    assert err.value.condition == "dirichlet-prefactor"
+    with pytest.raises(HypothesisError) as err:
+        profile_dedekind(2, 5, **kw)
+    assert err.value.condition == "dedekind-prefactor"

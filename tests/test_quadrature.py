@@ -13,7 +13,9 @@ import pytest
 
 from nearone.errors import ConvergenceError, DomainError
 from nearone.quadrature import (
+    PANEL_LIMIT,
     QuadratureResult,
+    _panel_edges,
     envelope_integrand_log_space,
     integrate_envelope,
     integrate_inv_abs_zeta,
@@ -167,3 +169,15 @@ def test_quadrature_result_invariants():
         QuadratureResult(1.0, math.inf, 1, 2)
     with pytest.raises(DomainError):
         QuadratureResult(1.0, 0.0, 3, 2)
+
+
+def test_panel_count_is_capped_before_any_list_is_built():
+    assert len(_panel_edges(0.0, float(PANEL_LIMIT), 1.0)) == PANEL_LIMIT + 1
+    with pytest.raises(DomainError, match="resource limit exceeded"):
+        _panel_edges(0.0, PANEL_LIMIT + 1.0, 1.0)
+    with pytest.raises(DomainError, match="resource limit exceeded"):
+        integrate_inv_abs_zeta(0.98, 0.0, 100.0, panel_width=1e-300)
+    with pytest.raises(DomainError, match="resource limit exceeded"):
+        integrate_inv_abs_zeta(0.98, 0.0, 100.0, panel_width=5e-324)
+    with pytest.raises(DomainError, match="resource limit exceeded"):
+        integrate_envelope(0.98, 5.44, 11520.0, 2.6e7, panel_width_v=1e-300)
