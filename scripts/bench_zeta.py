@@ -9,15 +9,19 @@ PYTHONPATH set to it, the script first runs the workload's probe:
 
 - `inv-zeta` (the default; written to BENCH_zeta.json): the zeta engine at
   t = 1e2, 1e3, 1e4 and 3e4, as a 257-point batch `inv_abs_zeta_many(0.98,
-  ts)` over ts in [t - 10, t], the integral's path, and as a single point
-  `zeta_with_prime(0.98 + it, abs_tol=1e-6)`, the verifier's path; each
-  with its truncation point N, the number of correction terms added and
-  the median microseconds per point.  Correction terms are counted by
-  swapping the engine's Bernoulli table `_BFAC` for a tuple that remembers
-  the highest entry read.
+  ts)` over ts in [t - 10, t], the integral's path, and as the verifier's
+  path: one chunk of as many points as the verifier's cap on points x N
+  allows, heights in [t - 10, t] and sigma spread over [0.95, 1.13], with
+  the derivative at abs_tol = 1e-6.  A tree whose engine has no per-point
+  sigma batch (`zeta_points`) evaluates the chunk as the verifier then
+  did, one `zeta_with_prime` call per point.  Each row gives the
+  truncation point N, the number of correction terms added and the median
+  microseconds per point.  Correction terms are counted by swapping the
+  engine's Bernoulli table `_BFAC` for a tuple that remembers the highest
+  entry read.
 - `headline` (written to BENCH_headline.json): the in-process seconds of
-  `optimize a2 --grid-step 0.005`, its costliest operation, over three
-  calls of `nearone.cli.main`.
+  `verify --samples 2000`, its costliest operation, over three calls of
+  `nearone.cli.main`.
 
 With --pairs N > 0 (default 10) it then runs the workload N times on each
 tree, `perfbench/run.py --workload W --seed i --seconds 30 --trace 0` from
@@ -76,25 +80,40 @@ def terms_added(fn):
         z._BFAC = plain
 
 
+CHUNK_ELEMENTS = 1 << 17       # nearone.verifier.CHUNK_ELEMENTS
+points_call = getattr(z, "zeta_points", None)
+
+
+def verifier_path(sigmas, ts):
+    # evaluate the chunk as the verifier does; return its truncation point N
+    if points_call is None:
+        return max(z.zeta_with_prime(complex(s, t), abs_tol=1e-6)[0].terms_used
+                   for s, t in zip(sigmas, ts))
+    return points_call(sigmas, ts, abs_tol=1e-6, with_prime=True)[4]
+
+
 rows = []
 for t in HEIGHTS:
     ts = np.linspace(t - 10.0, t, 257)
     batch = lambda: z.inv_abs_zeta_many(0.98, ts)
-    single = lambda: z.zeta_with_prime(complex(0.98, t), abs_tol=1e-6)
+    n_chunk = max(1, CHUNK_ELEMENTS // z.zeta_many(0.98, [t], 1e-6)[2])
+    chunk_ts = np.linspace(t - 10.0, t, n_chunk)
+    chunk_sigmas = np.linspace(0.95, 1.13, n_chunk)
+    chunk = lambda: verifier_path(chunk_sigmas, chunk_ts)
     rows.append({
         "t": t,
         "batch": {"points": len(ts), "N": int(z.zeta_many(0.98, ts[-1:], 1e-6)[2]),
                   "correction_terms": terms_added(batch),
                   "us_per_point": round(median_us(batch, 7, len(ts)), 3)},
-        "single": {"N": single()[0].terms_used,
-                   "correction_terms": terms_added(single),
-                   "us_per_point": round(median_us(single, 51, 1), 3)},
+        "verifier": {"points": n_chunk, "N": int(chunk()),
+                     "correction_terms": terms_added(chunk),
+                     "us_per_point": round(median_us(chunk, 7, n_chunk), 3)},
     })
 json.dump(rows, sys.stdout)
 """
 
 
-OPTIMIZE_PROBE = """
+CLI_PROBE = """
 import contextlib, io, json, statistics, sys, time
 import nearone.cli as cli
 
@@ -114,9 +133,8 @@ json.dump({"command": " ".join(ARGV), "seconds": [round(s, 4) for s in seconds],
 WORKLOADS = {
     "inv-zeta": ("BENCH_zeta.json", "engine",
                  f"HEIGHTS = {HEIGHTS!r}\n{ENGINE_PROBE}"),
-    "headline": ("BENCH_headline.json", "optimize",
-                 f"ARGV = {['optimize', 'a2', '--grid-step', '0.005']!r}\n"
-                 f"{OPTIMIZE_PROBE}"),
+    "headline": ("BENCH_headline.json", "verify",
+                 f"ARGV = {['verify', '--samples', '2000']!r}\n{CLI_PROBE}"),
 }
 
 

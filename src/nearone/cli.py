@@ -37,6 +37,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -93,6 +94,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and +-inf are usage errors,
+    so no report echoes a non-standard JSON token such as NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
+    return value
 
 
 def _resolve_workers(flag: Optional[str]) -> int:
@@ -344,10 +357,10 @@ def _add_family_flags(parser) -> None:
                         help="Dirichlet modulus (family dirichlet)")
     parser.add_argument("--degree", type=int, default=2,
                         help="number field degree (family dedekind)")
-    parser.add_argument("--abs-disc", type=float, default=3.0,
+    parser.add_argument("--abs-disc", type=_finite_float, default=3.0,
                         help="absolute discriminant (family dedekind)")
-    parser.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
-    parser.add_argument("--profile-t0", type=float, default=T0_DEFAULT)
+    parser.add_argument("--alpha", type=_finite_float, default=ALPHA_DEFAULT)
+    parser.add_argument("--profile-t0", type=_finite_float, default=T0_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,15 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("a1", "a2"))
     _add_family_flags(p)
     for flag in ("C1", "C2", "C3", "C4", "T1", "T2", "t0"):
-        p.add_argument(f"--{flag}", type=float, default=None)
+        p.add_argument(f"--{flag}", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("optimize", help="grid search minimizing a1 or a2")
     p.add_argument("which", choices=("a1", "a2"))
     _add_family_flags(p)
     for flag in ("C3", "T1", "T2", "t0"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    p.add_argument("--grid-step", type=float, default=0.01)
+        p.add_argument(f"--{flag}", type=_finite_float, default=None)
+    p.add_argument("--grid-step", type=_finite_float, default=0.01)
     p.add_argument("--refine-rounds", type=int, default=0)
     p.add_argument("--trace", default=None,
                    help="CSV trace of evaluated grid points")
@@ -382,15 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="Romberg panel integration")
     p.add_argument("which", choices=("inv-zeta", "envelope"))
-    p.add_argument("--sigma0", type=float, default=defaults.SIGMA0)
-    p.add_argument("--from", dest="lo", type=float, default=None)
-    p.add_argument("--to", dest="hi", type=float, default=None)
-    p.add_argument("--a1", type=float, default=defaults.DISPLAY_A1,
+    p.add_argument("--sigma0", type=_finite_float, default=defaults.SIGMA0)
+    p.add_argument("--from", dest="lo", type=_finite_float, default=None)
+    p.add_argument("--to", dest="hi", type=_finite_float, default=None)
+    p.add_argument("--a1", type=_finite_float, default=defaults.DISPLAY_A1,
                    help="envelope growth constant (integrand envelope)")
-    p.add_argument("--panel-width", type=float, default=defaults.PANEL_WIDTH)
-    p.add_argument("--panel-width-v", type=float,
+    p.add_argument("--panel-width", type=_finite_float,
+                   default=defaults.PANEL_WIDTH)
+    p.add_argument("--panel-width-v", type=_finite_float,
                    default=defaults.V_PANEL_WIDTH)
-    p.add_argument("--rel-tol", type=float, default=None)
+    p.add_argument("--rel-tol", type=_finite_float, default=None)
     p.add_argument("--max-levels", type=int, default=defaults.MAX_LEVELS)
     p.add_argument("--threads", default=None)
     p.add_argument("--trace", default=None,
@@ -400,27 +414,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mertens", help="explicit Mertens-function bounds")
     p.add_argument("action",
                    choices=("bound", "derive-m", "crossover", "sieve-verify"))
-    p.add_argument("--sigma0", type=float, default=defaults.SIGMA0)
-    p.add_argument("--C1", type=float, default=defaults.MERTENS_C1)
-    p.add_argument("--C2", type=float, default=defaults.MERTENS_C2)
-    p.add_argument("--C3", type=float, default=defaults.C3)
-    p.add_argument("--T1", type=float, default=defaults.MERTENS_T1)
-    p.add_argument("--T2", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=defaults.LAMBDA)
-    p.add_argument("--integral", type=float, default=defaults.INTEGRAL_BOUND)
-    p.add_argument("--epsilon0", type=float, default=None,
+    p.add_argument("--sigma0", type=_finite_float, default=defaults.SIGMA0)
+    p.add_argument("--C1", type=_finite_float, default=defaults.MERTENS_C1)
+    p.add_argument("--C2", type=_finite_float, default=defaults.MERTENS_C2)
+    p.add_argument("--C3", type=_finite_float, default=defaults.C3)
+    p.add_argument("--T1", type=_finite_float, default=defaults.MERTENS_T1)
+    p.add_argument("--T2", type=_finite_float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float,
+                   default=defaults.LAMBDA)
+    p.add_argument("--integral", type=_finite_float,
+                   default=defaults.INTEGRAL_BOUND)
+    p.add_argument("--epsilon0", type=_finite_float, default=None,
                    help="skip the chain and use this exponent directly")
-    p.add_argument("--A", type=float, default=defaults.DISPLAY_COEF_KAPPA)
-    p.add_argument("--a", type=float, default=defaults.DISPLAY_KAPPA)
-    p.add_argument("--B", type=float, default=defaults.DISPLAY_COEF_SIGMA0)
-    p.add_argument("--b", type=float, default=defaults.SIGMA0)
+    p.add_argument("--A", type=_finite_float,
+                   default=defaults.DISPLAY_COEF_KAPPA)
+    p.add_argument("--a", type=_finite_float, default=defaults.DISPLAY_KAPPA)
+    p.add_argument("--B", type=_finite_float,
+                   default=defaults.DISPLAY_COEF_SIGMA0)
+    p.add_argument("--b", type=_finite_float, default=defaults.SIGMA0)
     p.add_argument("--limit", type=int, default=1_000_000,
                    help="sieve range for sieve-verify")
     p.set_defaults(handler=_cmd_mertens)
 
     p = sub.add_parser("verify", help="empirical bound spot checks")
     p.add_argument("--samples", type=int, default=defaults.VERIFY_SAMPLES)
-    p.add_argument("--abs-tol", type=float, default=defaults.VERIFY_ABS_TOL)
+    p.add_argument("--abs-tol", type=_finite_float,
+                   default=defaults.VERIFY_ABS_TOL)
     p.add_argument("--threads", default=None)
     p.add_argument("--csv", default=None,
                    help="write per-sample records here as CSV")

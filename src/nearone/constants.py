@@ -92,8 +92,12 @@ def ceil_decimals(x: float, places: int) -> float:
         raise DomainError(f"cannot round {x!r} for display")
     d = Decimal(repr(x))
     context = Context(prec=max(d.adjusted() + places + 2, 1))
-    return float(d.quantize(Decimal(1).scaleb(-places),
-                            rounding=ROUND_CEILING, context=context))
+    up = float(d.quantize(Decimal(1).scaleb(-places),
+                          rounding=ROUND_CEILING, context=context))
+    if math.isinf(up):
+        raise DomainError(f"{x!r} rounded up at {places} decimal places "
+                          f"exceeds the largest float")
+    return up
 
 
 def ceil_sigfigs(x: float, digits: int) -> float:

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 
 class NearOneError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``index`` is the position of the offending point when a batch
+    evaluation raised the error, and None otherwise.
+    """
+
+    index: int | None = None
 
 
 class HypothesisError(NearOneError):

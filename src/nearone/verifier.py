@@ -35,6 +35,15 @@ A sample counts as a violation only when the observed quantity exceeds the
 bound by more than the propagated engine error (the evaluations carry
 certified absolute error bounds), so a red result cannot be an artifact of
 the evaluator's own tolerance.
+
+Evaluation is batched.  The samples of all checks are sorted by (kind, |t|)
+and cut into consecutive chunks whose points times truncation point N
+(set by the chunk's largest |t|) stay within CHUNK_ELEMENTS; each chunk is
+one engine call with sigma per point, and the chunks go to the worker
+pool.  The chunks depend on the samples alone, so the report's bits do not
+depend on the worker count.  A sample's value and bound can differ in the
+last digits from a single-point call, whose N follows its own height,
+always within the two certified bounds.
 """
 
 from __future__ import annotations
@@ -59,12 +68,19 @@ from .defaults import (
 )
 from .errors import ConvergenceError, DomainError
 from .parallel import parallel_map
-from .zeta import zeta, zeta_with_prime
+from .zeta import truncation_point, zeta_points
+# The per-sample entry points stay importable from here, where
+# perfbench/tracing.py looks them up; the checks themselves run in batches.
+from .zeta import zeta, zeta_with_prime  # noqa: F401
 
 T_FLOOR = 1.0e4
 T_CEILING = 3.0e4
 
 _EDGE_TOL = 1.0e-12
+# Cap on points x N per engine call, the size of its (points x terms)
+# matrix: 2 MB of complex128, which keeps the peak memory of a run near
+# that of single-point calls while amortizing the per-call overhead.
+CHUNK_ELEMENTS = 1 << 17
 
 
 class SigmaMode(enum.Enum):
@@ -170,49 +186,90 @@ def _bound_value(kind: str, sigma: float, t: float, a: float, b: float,
     return a * (b * L) ** (2.0 * (1.0 - sigma)) * power
 
 
-def _eval_sample(task: tuple) -> dict:
-    """Evaluate one sample; top-level so worker pools can pickle it.
+def _sample_error(exc: Exception, task: tuple) -> Exception:
+    """exc re-raised as its own type, prefixed with the sample it concerns."""
+    _, sigma, t = task[:3]
+    return type(exc)(f"sample (sigma={sigma!r}, t={t!r}): {exc}")
 
-    task = (kind, sigma, t, a, b, A, B, c, abs_tol) with kind "log" or
-    "logder".  Returns the per-sample record.
+
+def _eval_chunk(chunk: list) -> list[dict]:
+    """Evaluate a chunk of samples in one engine call; top-level so worker
+    pools can pickle it.
+
+    Each task is (kind, sigma, t, a, b, A, B, c, abs_tol) with kind "log"
+    or "logder"; the tasks of one chunk share kind and abs_tol.  Returns
+    the per-sample records in chunk order.  An engine failure, or a |zeta|
+    indistinguishable from zero, raises naming the sample it concerns.
     """
-    kind, sigma, t, a, b, A, B, c, abs_tol = task
-    point = complex(sigma, t)
+    kind, abs_tol = chunk[0][0], chunk[0][8]
     try:
-        if kind == "log":
-            val = zeta(point, abs_tol=abs_tol)
-            abs_v = abs(val.value)
-            if abs_v <= val.abs_error_bound:
-                raise DomainError("|zeta| indistinguishable from zero")
-            observed = abs(math.log(abs_v))
-            slack = val.abs_error_bound / (abs_v - val.abs_error_bound)
-        else:
-            val, prime = zeta_with_prime(point, abs_tol=abs_tol)
-            abs_v = abs(val.value)
-            if abs_v <= val.abs_error_bound:
-                raise DomainError("|zeta| indistinguishable from zero")
-            observed = abs(prime.value / val.value)
-            slack = ((prime.abs_error_bound + observed * val.abs_error_bound)
-                     / (abs_v - val.abs_error_bound))
+        values, bounds, primes, bounds_p, _ = zeta_points(
+            [task[1] for task in chunk], [task[2] for task in chunk],
+            abs_tol=abs_tol, with_prime=kind == "logder")
     except (ConvergenceError, DomainError) as exc:
-        raise type(exc)(f"sample (sigma={sigma!r}, t={t!r}): {exc}") from exc
-    bound = _bound_value(kind, sigma, t, a, b, c)
-    record = {
-        "sigma": sigma,
-        "t": t,
-        "observed": observed,
-        "bound": bound,
-        "ratio": bound / observed if observed > 0.0 else math.inf,
-        "engine_slack": slack,
-        "ok": observed <= bound + slack,
-    }
-    ll = loglog(c * abs(t))
-    if sigma >= 1.0 + B / ll - _EDGE_TOL:
-        elem_log, elem_logder = elementary_bounds(1, B, c, t, T_FLOOR)
-        elem = elem_log if kind == "log" else elem_logder
-        record["elementary_bound"] = elem
-        record["elementary_ok"] = observed <= elem + slack
-    return record
+        raise _sample_error(exc, chunk[exc.index or 0]) from exc
+    values, bounds = values.tolist(), bounds.tolist()
+    if primes is not None:
+        primes, bounds_p = primes.tolist(), bounds_p.tolist()
+    records = []
+    for i, task in enumerate(chunk):
+        _, sigma, t, a, b, _, B, c, _ = task
+        value, err = values[i], bounds[i]
+        abs_v = abs(value)
+        if abs_v <= err:
+            raise _sample_error(DomainError("|zeta| indistinguishable from zero"),
+                                task)
+        if kind == "log":
+            observed = abs(math.log(abs_v))
+            slack = err / (abs_v - err)
+        else:
+            observed = abs(primes[i] / value)
+            slack = (bounds_p[i] + observed * err) / (abs_v - err)
+        bound = _bound_value(kind, sigma, t, a, b, c)
+        record = {
+            "sigma": sigma,
+            "t": t,
+            "observed": observed,
+            "bound": bound,
+            "ratio": bound / observed if observed > 0.0 else math.inf,
+            "engine_slack": slack,
+            "ok": observed <= bound + slack,
+        }
+        ll = loglog(c * abs(t))
+        if sigma >= 1.0 + B / ll - _EDGE_TOL:
+            elem_log, elem_logder = elementary_bounds(1, B, c, t, T_FLOOR)
+            elem = elem_log if kind == "log" else elem_logder
+            record["elementary_bound"] = elem
+            record["elementary_ok"] = observed <= elem + slack
+        records.append(record)
+    return records
+
+
+def _eval_sample(task: tuple) -> dict:
+    """The record of one sample: _eval_chunk on a chunk of one."""
+    return _eval_chunk([task])[0]
+
+
+def _chunks(tasks: list) -> list[list[int]]:
+    """Task positions sorted by (kind, |t|) and cut into consecutive runs.
+
+    A run holds tasks of one kind, and its points times the truncation
+    point of its largest |t| stay within CHUNK_ELEMENTS unless it is a
+    single task.  The runs depend on the tasks alone, never on the worker
+    count.
+    """
+    runs: list[list[int]] = []
+    last_kind = None
+    for i in sorted(range(len(tasks)),
+                    key=lambda i: (tasks[i][0], abs(tasks[i][2]))):
+        kind, t = tasks[i][0], abs(tasks[i][2])
+        if (kind == last_kind
+                and (len(runs[-1]) + 1) * truncation_point(t) <= CHUNK_ELEMENTS):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+            last_kind = kind
+    return runs
 
 
 def _check_report(kind: str, grid: SampleGrid, a: float, b: float,
@@ -246,6 +303,8 @@ def _run_checks(specs: list[tuple], abs_tol: float, workers: int) -> list[dict]:
     """One report per (kind, grid, a, b) spec, every sample on one pool.
 
     Pooling the samples of all checks pays the workers' start-up once.
+    The samples travel in chunks (_chunks), one engine call each, and
+    their records are put back in sample order.
     """
     if not (abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
@@ -259,7 +318,14 @@ def _run_checks(specs: list[tuple], abs_tol: float, workers: int) -> list[dict]:
         A, B, c = grid.region
         tasks += [(kind, sigma, t, a, b, A, B, c, abs_tol)
                   for sigma, t in grid.samples()]
-    records = iter(parallel_map(_eval_sample, tasks, workers))
+    runs = _chunks(tasks)
+    results = parallel_map(_eval_chunk, [[tasks[i] for i in run] for run in runs],
+                           workers)
+    ordered = [None] * len(tasks)
+    for run, run_records in zip(runs, results):
+        for i, record in zip(run, run_records):
+            ordered[i] = record
+    records = iter(ordered)
     return [_check_report(kind, grid, a, b, abs_tol,
                           list(itertools.islice(records, len(grid))))
             for kind, grid, a, b in specs]

@@ -16,19 +16,19 @@ sigma > -(2K+1):
 
 The estimate holds for every N >= 2, so N only trades the cost of the
 main sum against the decay of the correction terms.  With t the largest
-|t| of a batch, the engine takes
+|t| of a batch, the engine takes (truncation_point)
 
     N = max(20, min(ceil(1.1 t), 20 + ceil(t / 2))),
 
-which is ceil(1.1 t) up to t = 33 and about 20 + t/2 above.  Then
-|s| < 2N, so |s| / (2 pi N) < 1/pi.  Since |T_{k+1} / T_k| <
-(|s| + 2k)^2 / (2 pi N)^2, each correction term is more than 9 times
-smaller than the one before while |s| + 2k < 2N, which holds for
-k <= 10 everywhere and for k <= 19 when t > 33.  The engine adds
-correction terms until every point's remainder estimate is at or below
-its rounding floor (below), or until the terms run out, and stops early
-only if every point's remainder plus floor fits its budget.  Unless the
-terms run out, a reported bound is therefore at most twice the rounding
+which is ceil(1.1 t) up to t = 33 and about 20 + t/2 above.  Then every
+point of the batch has |s| < 2N, so |s| / (2 pi N) < 1/pi.  Since
+|T_{k+1} / T_k| < (|s| + 2k)^2 / (2 pi N)^2, each correction term is
+more than 9 times smaller than the one before while |s| + 2k < 2N,
+which holds for k <= 10 everywhere and for k <= 19 when t > 33.  The
+engine adds correction terms until every point's remainder estimate is
+at or below its rounding floor (below), or until the terms run out, and
+stops early only if every point's remainder plus floor fits its budget.
+Unless the terms run out, a reported bound is therefore at most twice the rounding
 floor and does not depend on abs_tol once abs_tol is reachable: abs_tol
 only decides whether the result is accepted.  At most 14 terms were used
 over 14 values of sigma in [0.401, 2.999], 201 heights in [0, 1e5] and
@@ -75,6 +75,19 @@ worker count.  This floor is what makes very small tolerances unreachable
 at large |t|; the engine raises ConvergenceError("tolerance unreachable
 ...") rather than returning a bound it cannot honor.
 
+Per-point sigma.  A batch may give each point its own sigma
+(zeta_points, used by the verifier); a shared sigma stays a Python float
+throughout, so the shared-sigma paths do not touch the per-point
+arithmetic.  The model's claims hold point by point for every sigma in
+[0.4, 3].  Each point has its own row of the (points x terms) matrix and
+its own pairwise row sum, whose order depends on N alone.  S1, M, the
+phase floor, the remainder ratios and the Cauchy-circle term are
+computed from that point's sigma.  The one numerical premise, the
+n^(-sigma)-weighted mean of 3 sigma log n, was checked for every sigma
+in [0.4, 3] at each N <= 2^20.  The shared N only makes a point's sum
+longer than its own height needs, and the model charges it through
+log2 N.
+
 Supported domain: sigma in [0.4, 3], |t| <= 1e5, |s - 1| >= 1e-3; the
 derivative additionally keeps a 1e-3 margin from the sigma and t edges.
 Negative t is folded to positive by the reflection zeta(conj s) =
@@ -100,6 +113,8 @@ __all__ = [
     "zeta_prime",
     "zeta_with_prime",
     "zeta_many",
+    "zeta_points",
+    "truncation_point",
     "inv_abs_zeta",
     "inv_abs_zeta_many",
     "SIGMA_MIN",
@@ -169,11 +184,18 @@ class EvaluatedValue:
             raise DomainError("terms_used must be a positive integer")
 
 
-def _power_sum_bound(N: int, a: float) -> float:
-    """Upper bound for sum_{n=1}^{N-1} n^(-a) via integral comparison, a > 0."""
-    if abs(a - 1.0) < 1.0e-12:
-        return 1.0 + math.log(N)
-    return 1.0 + (N ** (1.0 - a) - 1.0) / (1.0 - a)
+def _power_sum_bound(N: int, a):
+    """Upper bound for sum_{n=1}^{N-1} n^(-a) via integral comparison, a > 0.
+
+    a is a float or an array of them, bounded elementwise.
+    """
+    if np.ndim(a) == 0:
+        if abs(a - 1.0) < 1.0e-12:
+            return 1.0 + math.log(N)
+        return 1.0 + (N ** (1.0 - a) - 1.0) / (1.0 - a)
+    near = np.abs(a - 1.0) < 1.0e-12
+    d = np.where(near, 1.0, 1.0 - a)
+    return np.where(near, 1.0 + math.log(N), 1.0 + (N ** d - 1.0) / d)
 
 
 def _coerce_point(s: Union[ComplexPoint, complex, float]) -> tuple[float, float]:
@@ -219,25 +241,39 @@ def _check_tol(abs_tol: float) -> None:
         raise DomainError(f"abs_tol must be >= {MIN_ABS_TOL}; got {abs_tol!r}")
 
 
-def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
-              want_prime: bool):
-    """One Euler-Maclaurin pass over a batch of heights sharing sigma.
+def truncation_point(tmax: float) -> int:
+    """The main sum's N for a batch whose largest |t| is tmax."""
+    return max(20, min(math.ceil(1.1 * tmax), 20 + math.ceil(tmax / 2)))
 
-    N is set from the largest |t| in the batch, so callers should pass
-    heights of comparable magnitude.  Negative heights are evaluated at |t|
-    and conjugated.  Returns (values, primes, bounds, bounds_prime, N) with
-    primes/bounds_prime None unless want_prime.  Raises ConvergenceError if
-    some point's tolerance sits below the rounding model, or if the
-    remainder still misses its budget after the last correction term.
+
+def _at_point(exc: Exception, index: int) -> Exception:
+    """exc with the batch position of the point it names attached."""
+    exc.index = index
+    return exc
+
+
+def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
+              want_prime: bool):
+    """One Euler-Maclaurin pass over a batch of points sigma + i ts.
+
+    sigma is a float shared by every point or an array aligned with ts.
+    A float stays a Python float throughout, so shared-sigma batches get
+    the same bits whatever else the engine is asked to do.  N is
+    truncation_point(max |t|), so callers should pass heights of
+    comparable magnitude.  Negative heights are evaluated at |t| and
+    conjugated.  Returns (values, primes, bounds, bounds_prime, N) with
+    primes/bounds_prime None unless want_prime.  Raises ConvergenceError,
+    with the failing point's position as its index, if some point's
+    tolerance sits below the rounding model, or if the remainder still
+    misses its budget after the last correction term.
     """
+    per_point = np.ndim(sigma) > 0
     neg = ts < 0.0
     ts = np.abs(ts)
-    tmax = float(np.max(ts, initial=0.0))
-    N = max(20, min(math.ceil(1.1 * tmax), 20 + math.ceil(tmax / 2)))
+    N = truncation_point(float(np.max(ts, initial=0.0)))
     npts = len(ts)
     lnN = math.log(N)
     log2N = math.log2(N)
-    S1 = _power_sum_bound(N, sigma)
 
     n = np.arange(1, N, dtype=np.float64)
     logn = np.log(n)
@@ -247,24 +283,29 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
     bounds = np.empty(npts, dtype=np.float64)
     bounds_p = np.empty(npts, dtype=np.float64) if want_prime else None
 
+    def point_at(i):
+        """sigma, t of point i of the chunk (sc, tc), for error messages."""
+        return f"sigma={float(sc[i]) if per_point else sc!r}, t={float(tc[i])!r}"
+
     def budget(rem, val, mag, slack, phase_floor):
-        """Rounding floor of one track of the chunk tc, and where rem fits in
-        the budget above it; ConvergenceError where the budget is at or
-        below the floor."""
+        """Rounding floor of one track of the chunk (sc, tc), and where rem
+        fits in the budget above it; ConvergenceError where the budget is
+        at or below the floor."""
         floor = _EPS * (log2N + slack) * mag + phase_floor
         basis = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(val), ZETA_FLOOR))
         bad = basis <= floor
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise ConvergenceError(
+            raise _at_point(ConvergenceError(
                 f"tolerance unreachable: rounding floor {floor[i]:.3e} exceeds "
-                f"the budget {basis[i]:.3e} at sigma={sigma!r}, t={float(tc[i])!r}")
+                f"the budget {basis[i]:.3e} at {point_at(i)}"), start + i)
         return floor, rem <= basis - floor
 
     rows = max(1, _CHUNK // max(N - 1, 1))
     for start in range(0, npts, rows):
         tc = ts[start:start + rows]
-        s = sigma + 1j * tc
+        sc = sigma[start:start + rows] if per_point else sigma
+        s = sc + 1j * tc
         terms = np.multiply.outer(-s, logn)
         np.exp(terms, out=terms)                    # n^(-s)
         main = terms.sum(axis=1)
@@ -273,15 +314,17 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
             main_p = -terms.sum(axis=1)
         del terms
 
+        S1 = _power_sum_bound(N, sc)
         sm1 = s - 1.0
         abs_sm1 = np.abs(sm1)
         abs_s = np.abs(s)
         nphase = np.exp(-1j * tc * lnN)
-        npow = N ** (1.0 - sigma) * nphase
-        half = 0.5 * N ** (-sigma)
+        n1s = N ** (1.0 - sc)                       # N^(1-sigma)
+        npow = n1s * nphase
+        half = 0.5 * N ** (-sc)
 
         value = main + npow / sm1 + half * nphase
-        mag = S1 + N ** (1.0 - sigma) / abs_sm1 + half
+        mag = S1 + n1s / abs_sm1 + half
         phase_floor = _PHASE_ROUNDING * _EPS * tc * lnN * S1
 
         if want_prime:
@@ -289,7 +332,7 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
                      + npow * (-lnN / sm1 - 1.0 / sm1 ** 2)
                      - lnN * half * nphase)
             magp = (lnN * S1
-                    + N ** (1.0 - sigma) * (lnN / abs_sm1 + 1.0 / abs_sm1 ** 2)
+                    + n1s * (lnN / abs_sm1 + 1.0 / abs_sm1 ** 2)
                     + lnN * half)
             phase_floor_p = phase_floor * lnN
             psum = 1.0 / s
@@ -304,15 +347,15 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
         for k in range(1, len(_BFAC) + 1):
             Tk = _BFAC[k - 1] * Q
             abs_Tk = np.abs(Tk)
-            rem = abs_Tk * (abs_s + (2 * k - 1)) / (sigma + (2 * k - 1))
+            rem = abs_Tk * (abs_s + (2 * k - 1)) / (sc + (2 * k - 1))
             floor_v, fits = budget(rem, value, mag, _SUM_SLACK, phase_floor)
             settled = rem <= floor_v
             if want_prime:
                 log_rem_p = (_LOG_ABS_BFAC[k - 1]
-                             + (1.0 - (sigma - DERIV_RADIUS) - 2 * k) * lnN
+                             + (1.0 - (sc - DERIV_RADIUS) - 2 * k) * lnN
                              + logpoly_rho
                              + np.log((abs_s + DERIV_RADIUS + 2 * k - 1)
-                                      / (sigma - DERIV_RADIUS + 2 * k - 1))
+                                      / (sc - DERIV_RADIUS + 2 * k - 1))
                              - math.log(DERIV_RADIUS))
                 rem_p = np.exp(log_rem_p)
                 floor_p, fits_p = budget(rem_p, prime, magp, _SUM_SLACK_PRIME,
@@ -323,9 +366,9 @@ def _evaluate(sigma: float, ts: np.ndarray, abs_tol: float, rel_tol: float,
                 break
             if k == len(_BFAC):
                 i = int(np.argmin(fits))
-                raise ConvergenceError(
+                raise _at_point(ConvergenceError(
                     f"tolerance unreachable: correction terms exhausted at "
-                    f"sigma={sigma!r}, t={float(tc[i])!r}, N={N}")
+                    f"{point_at(i)}, N={N}"), start + i)
 
             value = value + Tk
             mag = mag + abs_Tk
@@ -407,6 +450,34 @@ def zeta_many(sigma: float, ts: Sequence[float],
     arr = _check_heights(sigma, ts)
     values, _, bounds, _, N = _evaluate(sigma, arr, abs_tol, 0.0, False)
     return values, bounds, N
+
+
+def zeta_points(sigmas: Sequence[float], ts: Sequence[float],
+                abs_tol: float = DEFAULT_ABS_TOL, with_prime: bool = False):
+    """zeta (and zeta' if with_prime) at the points sigmas[i] + i ts[i].
+
+    One engine pass serves the batch, with sigma per point and one
+    truncation point set by max |t|, so heights should be of similar size.
+    Each point is checked as zeta, or zeta_with_prime if with_prime,
+    checks it.  Returns (values, bounds, primes, bounds_prime, terms_used)
+    with primes/bounds_prime None unless with_prime.  A DomainError or
+    ConvergenceError about one point carries its position as `index`.
+    """
+    _check_tol(abs_tol)
+    sig = np.asarray(sigmas, dtype=np.float64)
+    arr = np.asarray(ts, dtype=np.float64)
+    if sig.ndim != 1 or sig.shape != arr.shape:
+        raise DomainError("sigmas and ts must be aligned one-dimensional sequences")
+    margin = EDGE_MARGIN if with_prime else 0.0
+    for i, (sigma, t) in enumerate(zip(sig.tolist(), arr.tolist())):
+        try:
+            _check_domain(sigma, t, margin)
+        except DomainError as exc:
+            exc.index = i
+            raise
+    values, primes, bounds, bounds_p, N = _evaluate(sig, arr, abs_tol, 0.0,
+                                                    with_prime)
+    return values, bounds, primes, bounds_p, N
 
 
 def inv_abs_zeta(sigma0: float, t: float) -> float:

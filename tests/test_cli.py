@@ -273,3 +273,30 @@ def test_huge_constants_round_for_display(capsys, argv):
     assert constants["a"] > 1e299
     assert constants["a_display"] >= constants["a"]
     assert constants["b_display"] >= constants["b"]
+
+
+@pytest.mark.parametrize("argv", [["constants", "a1", "--C2", "nan"],
+                                  ["constants", "a1", "--T1", "nan"],
+                                  ["constants", "a2", "--C4", "nan"],
+                                  ["constants", "a2", "--C4", "-inf"]])
+def test_non_finite_float_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert argv[2] in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("argv", [["constants", "a1"], ["constants", "a2"],
+                                  ["optimize", "a1"], ["optimize", "a2"],
+                                  ["integrate", "envelope"],
+                                  ["mertens", "bound"], ["mertens", "derive-m"],
+                                  ["mertens", "crossover"], ["verify"]])
+def test_bare_reports_are_strict_json(capsys, argv):
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)

@@ -355,3 +355,10 @@ def test_ceil_rounding_rejects_non_finite(x):
         ceil_decimals(x, 2)
     with pytest.raises(DomainError):
         ceil_sigfigs(x, 3)
+
+
+def test_ceil_rounding_past_the_largest_float_fails_by_value():
+    with pytest.raises(DomainError, match="1.7976931348623157e\\+308"):
+        ceil_sigfigs(1.7976931348623157e308, 3)
+    with pytest.raises(DomainError, match="1.7976931348623157e\\+308"):
+        ceil_decimals(1.7976931348623157e308, -306)

@@ -203,3 +203,55 @@ def test_csv_dump_round_trips(tmp_path):
         assert float(row[0]) == rec["sigma"]
         assert float(row[2]) == rec["observed"]
         assert float(row[3]) == rec["bound"]
+
+
+def _default_tasks(samples):
+    """The tasks default_verification hands to the chunker."""
+    from nearone.verifier import VERIFY_ABS_TOL
+    tasks = []
+    for kind, region, seed, mode in (
+            ("log", LOG_REGION, 0, SigmaMode.INTERIOR_GRID),
+            ("log", LOG_REGION, 1000, SigmaMode.REGION_EDGES),
+            ("logder", LOGDER_REGION, 2000, SigmaMode.INTERIOR_GRID),
+            ("logder", LOGDER_REGION, 3000, SigmaMode.REGION_EDGES)):
+        grid = build_grid(samples // 4, region, mode, seed=seed)
+        tasks += [(kind, sigma, t, 1.0, 1.0, *region, VERIFY_ABS_TOL)
+                  for sigma, t in grid.samples()]
+    return tasks
+
+
+def test_chunks_respect_the_cap_and_cover_every_task():
+    from nearone.verifier import CHUNK_ELEMENTS, _chunks
+    from nearone.zeta import truncation_point
+    tasks = _default_tasks(400)
+    runs = _chunks(tasks)
+    assert sorted(i for run in runs for i in run) == list(range(len(tasks)))
+    assert len(runs) > 4
+    for run in runs:
+        assert len({tasks[i][0] for i in run}) == 1
+        heights = [abs(tasks[i][2]) for i in run]
+        assert heights == sorted(heights)
+        assert len(run) * truncation_point(heights[-1]) <= CHUNK_ELEMENTS
+    assert _chunks(tasks) == runs
+
+
+def test_worker_count_does_not_change_a_report_of_many_chunks():
+    rep1 = default_verification(samples=400, workers=1)
+    rep2 = default_verification(samples=400, workers=2)
+    assert rep1 == rep2
+    assert rep1["all_ok"]
+
+
+def test_failing_point_inside_a_chunk_is_named():
+    grid = SampleGrid(t_values=(1.0e4, 1.0001e4, 1.2e4),
+                      sigma_values=(0.8, 0.8, 0.8),
+                      sigma_mode=SigmaMode.INTERIOR_GRID, region=LOG_REGION)
+    # one chunk; only the highest point's rounding floor exceeds abs_tol
+    with pytest.raises(ConvergenceError,
+                       match="sample \\(sigma=0.8, t=12000.0\\)"):
+        check_log_bound(grid, DISPLAY_A1, DISPLAY_B1, abs_tol=1.05e-9)
+    tasks = [("log", sigma, t, DISPLAY_A1, DISPLAY_B1, *LOG_REGION, 1e-6)
+             for sigma, t in ((0.8, 1.0e4), (0.3, 1.0001e4), (0.8, 1.2e4))]
+    from nearone.verifier import _eval_chunk
+    with pytest.raises(DomainError, match="sample \\(sigma=0.3, t=10001.0\\)"):
+        _eval_chunk(tasks)

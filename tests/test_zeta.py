@@ -425,3 +425,58 @@ def test_against_mpmath_at_tightest_reachable_tolerance(sigma, t):
     for ev, ref in zip((value, prime), refs):
         assert ev.terms_used == _truncation_point(t)
         assert abs(ev.value - ref) <= ev.abs_error_bound <= tol
+
+
+# (sigma, t) from both verifier strips: |log zeta| (sigma in [0.72, 1.23]
+# near t = 1e4) and |zeta'/zeta| (sigma in [0.95, 1.15]), heights close
+# enough to share one truncation point as a verifier chunk does
+STRIP_POINTS = [(0.73, 10234.5), (1.22, 10500.25), (0.96, 11000.75),
+                (1.14, 11515.3), (1.0, -11800.5)]
+
+
+def test_per_point_sigma_batch_matches_scalar_calls():
+    sigmas, ts = zip(*STRIP_POINTS)
+    values, bounds, primes, bounds_p, N = zeta_engine.zeta_points(
+        sigmas, ts, abs_tol=1e-6, with_prime=True)
+    assert N == _truncation_point(max(map(abs, ts)))
+    for i, (sigma, t) in enumerate(STRIP_POINTS):
+        value, prime = zeta_with_prime(complex(sigma, t), abs_tol=1e-6)
+        assert abs(values[i] - value.value) <= bounds[i] + value.abs_error_bound
+        assert abs(primes[i] - prime.value) <= bounds_p[i] + prime.abs_error_bound
+    only_values, only_bounds, none, none_p, _ = zeta_engine.zeta_points(
+        sigmas, ts, abs_tol=1e-6)
+    assert none is None and none_p is None
+    assert np.all(np.abs(only_values - values) <= only_bounds + bounds)
+
+
+def test_per_point_sigma_batch_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    sigmas, ts = zip(*STRIP_POINTS)
+    values, bounds, primes, bounds_p, _ = zeta_engine.zeta_points(
+        sigmas, ts, abs_tol=1e-6, with_prime=True)
+    with mp.workdps(30):
+        for i, (sigma, t) in enumerate(STRIP_POINTS):
+            s = mp.mpc(repr(sigma), repr(t))
+            assert abs(values[i] - complex(mp.zeta(s))) <= bounds[i] <= 1e-6
+            assert (abs(primes[i] - complex(mp.zeta(s, derivative=1)))
+                    <= bounds_p[i] <= 1e-6)
+
+
+def test_per_point_sigma_batch_of_one_sigma_matches_zeta_many():
+    ts = np.linspace(11514.0, 11516.0, 9)
+    per_point = zeta_engine.zeta_points(np.full(9, 0.98), ts, abs_tol=1e-6)
+    shared = zeta_many(0.98, ts, abs_tol=1e-6)
+    assert np.allclose(per_point[0], shared[0], rtol=0.0, atol=1e-12)
+    assert np.all(per_point[1] <= shared[1] * (1 + 1e-12))
+
+
+def test_per_point_batch_names_the_failing_point():
+    with pytest.raises(DomainError, match="sigma=0.3") as exc:
+        zeta_engine.zeta_points([0.8, 0.3, 0.8], [1e4, 1.0001e4, 1.2e4])
+    assert exc.value.index == 1
+    with pytest.raises(ConvergenceError, match="t=12000.0") as exc:
+        zeta_engine.zeta_points([0.8, 0.8, 0.8], [1e4, 1.0001e4, 1.2e4],
+                                abs_tol=1.05e-9)
+    assert exc.value.index == 2
+    with pytest.raises(DomainError):
+        zeta_engine.zeta_points([0.8, 0.8], [1e4])
