@@ -21,7 +21,9 @@ PYTHONPATH set to it, the script first runs the workload's probe:
   entry read.
 - `headline` (written to BENCH_headline.json): the in-process seconds of
   `verify --samples 2000`, its costliest operation, over three calls of
-  `nearone.cli.main`.
+  `nearone.cli.main`, and the interpreter's peak RSS (ru_maxrss).
+- `sieve-1e8` (written to BENCH_sieve.json): the same for
+  `mertens sieve-verify --limit 100000000`.
 
 With --pairs N > 0 (default 10) it then runs the workload N times on each
 tree, `perfbench/run.py --workload W --seed i --seconds 30 --trace 0` from
@@ -114,7 +116,7 @@ json.dump(rows, sys.stdout)
 
 
 CLI_PROBE = """
-import contextlib, io, json, statistics, sys, time
+import contextlib, io, json, resource, statistics, sys, time
 import nearone.cli as cli
 
 seconds = []
@@ -126,7 +128,10 @@ for _ in range(3):
     if code != 0:
         sys.exit(f"{ARGV} exited {code}")
 json.dump({"command": " ".join(ARGV), "seconds": [round(s, 4) for s in seconds],
-           "median_s": round(statistics.median(seconds), 4)}, sys.stdout)
+           "median_s": round(statistics.median(seconds), 4),
+           "peak_rss_mb": round(
+               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)},
+          sys.stdout)
 """
 
 # per workload: the report file, the probe's key in it and the probe
@@ -135,6 +140,9 @@ WORKLOADS = {
                  f"HEIGHTS = {HEIGHTS!r}\n{ENGINE_PROBE}"),
     "headline": ("BENCH_headline.json", "verify",
                  f"ARGV = {['verify', '--samples', '2000']!r}\n{CLI_PROBE}"),
+    "sieve-1e8": ("BENCH_sieve.json", "sieve_verify",
+                  f"ARGV = {['mertens', 'sieve-verify', '--limit', '100000000']!r}"
+                  f"\n{CLI_PROBE}"),
 }
 
 

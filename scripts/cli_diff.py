@@ -41,6 +41,8 @@ COMMANDS = (
     "mertens crossover",
     "mertens derive-m",
     "mertens sieve-verify --limit 1000000",
+    # four sieve windows, the last one 5 wide
+    "mertens sieve-verify --limit 3145733",
     "profiles --family zeta",
     "profiles --family dirichlet",
     "profiles --family dedekind",
@@ -51,8 +53,9 @@ COMMANDS = (
     # the spawned worker pool
     "integrate inv-zeta --from 0 --to 100 --threads 2",
     "verify --threads 2",
-    # failure exits: a report with exit 1, then exit 1 with no stdout
+    # failure exits: reports with exit 1, then exit 1 with no stdout
     "constants a1 --T1 100",
+    "mertens sieve-verify --limit 3145733 --A 0.1 --a 0.5 --B 0 --b 0.5",
     "integrate inv-zeta --from 0 --to 40000",
     "optimize a2 --T1 4000",
 )

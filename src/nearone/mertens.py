@@ -35,10 +35,28 @@ point x* solving A x^a + B x^b = x.  The published coefficient products
 are reproduced digit for digit by carrying the derivation in decimal
 arithmetic, since their displayed forms are exact decimals.
 
-Verification.  A segmented Mobius sieve fills mu(n), the Mertens prefix
-sums M(n), and the prefix sums of mu(n)/n up to a desk-scale limit, and
-the verifier confirms the explicit bounds (and the trivial bound they
-extend) at every integer point.
+Verification.  A segmented Mobius sieve streams windows of 2^20 integers
+from 1 to a desk-scale limit, carrying only M and m = sum mu(n)/n from one
+window to the next, and the verifier confirms the explicit bounds (and the
+trivial bound they extend) at every integer point.  Memory is one window,
+whatever the limit.
+
+Rounding of m(x).  The window k = ceil(x / S), S = 2^20, covers
+lo <= n < lo + S with lo = (k-1) S + 1.  In float64 (unit roundoff
+u = 2^-53) each term t_n = fl(mu(n)/n) is off by at most u/n, the
+window's local sums c_n = fl(c_{n-1} + t_n) are formed from t_lo, and
+m(x) = fl(m(lo-1) + c_x) adds the carried sum.  A rounded sum is off by
+at most u times its size.  The exact local sums are bounded by 1 in
+window 1 (|m(x)| <= 1 for every x) and by sum_{lo <= n < lo+S} 1/n
+< 1/(k-1) beyond it, so window 1 adds at most u (S + H_S) <= u (S + 16)
+to the error, window j >= 2 at most u (S + 1)/(j - 1), and each carry
+addition at most u (1 + tiny).  The factors (1 + u)^S that compound the
+errors stay below 1 + 2^-30.  Hence
+
+    |fl m(x) - m(x)| <= E(x) = (1 + 2^-20) u (k + (S + 16)(1 + H_{k-1})),
+
+with H_j the j-th harmonic number: about 1.2e-10 on window 1 and 7.1e-10
+at x = 1e8.  The m(x) verdict adds E(x) to |m(x)|.
 """
 
 from __future__ import annotations
@@ -47,7 +65,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from decimal import Decimal
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -78,12 +96,18 @@ __all__ = [
     "mertens_from_first_principles",
     "derive_m_bound",
     "crossover_trivial",
+    "m_rounding_bound",
+    "mobius_windows",
     "sieve_mobius",
     "verify_bound_on_range",
 ]
 
+# Bounds the run time of a sieve (memory stays one window); keeping n below
+# 2^32 is what keeps the uint32 products of small primes exact.
 SIEVE_LIMIT = 200_000_000
-_SEGMENT = 1 << 20
+_WINDOW = 1 << 20
+_UNIT = 2.0 ** -53       # unit roundoff of float64
+_SCREEN_SLACK = 1e-12    # relative; scalar and array powers may round apart
 _CROSSOVER_CEILING = 2000.0  # log10 search window upper end
 
 
@@ -127,21 +151,35 @@ class MertensBoundSpec:
 
 @dataclass
 class MobiusTable:
-    """mu(n), M(n) = sum mu, and sum mu(n)/n for 1 <= n <= limit.
+    """mu(n), M(n) = sum mu and m(n) = sum mu(n)/n on the first window of [1, limit].
 
-    Arrays are indexed directly by n (entry 0 is unused).
+    The arrays cover 0 <= n <= head = min(limit, 2^20) and are indexed
+    directly by n (entry 0 is 0).  carry holds M(head) and m(head), where
+    verify_bound_on_range resumes the sieve; beyond the head nothing is
+    stored.
     """
 
     limit: int
     mu: np.ndarray        # int8
     M_prefix: np.ndarray  # int64
     m_prefix: np.ndarray  # float64
+    carry: tuple[int, float]
+
+    @property
+    def head(self) -> int:
+        return len(self.M_prefix) - 1
+
+    def _stored(self, x: int) -> int:
+        if not (0 <= x <= self.head):
+            raise DomainError(
+                f"x={x!r} lies beyond the stored head 0 <= x <= {self.head}")
+        return x
 
     def M(self, x: int) -> int:
-        return int(self.M_prefix[x])
+        return int(self.M_prefix[self._stored(x)])
 
     def m(self, x: int) -> float:
-        return float(self.m_prefix[x])
+        return float(self.m_prefix[self._stored(x)])
 
 
 def epsilon0_hypotheses(sigma0: float, C2: float, C3: float,
@@ -293,51 +331,138 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def sieve_mobius(N: int) -> MobiusTable:
-    """Segmented Mobius sieve with Mertens and mu(n)/n prefix sums.
+def m_rounding_bound(x: int) -> float:
+    """E(x), a bound on the rounding error of the streamed m(x) (module docstring).
 
-    For each prime p <= sqrt(N) the sign flips on multiples of p and the
-    tracked cofactor divides by p once; entries with a remaining cofactor
-    above 1 flip once more (exactly one prime factor exceeds sqrt(N)),
-    and multiples of p^2 are zeroed.  The mu(n)/n prefix accumulates in
-    extended precision before rounding to double.
+    It is constant on each window: k = ceil(x / 2^20) is the window of x.
+    """
+    k = (x - 1) // _WINDOW + 1
+    harmonic = math.fsum(1.0 / j for j in range(1, k))
+    return (1.0 + 2.0 ** -20) * _UNIT * (k + (_WINDOW + 16) * (1.0 + harmonic))
+
+
+def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0
+                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (lo, mu, M, m) for windows of 2^20 integers from lo up to N.
+
+    mu, M and m hold mu(n), M(n) and m(n) for lo <= n < lo + len(mu).  The
+    arguments M and m are the prefix sums at lo - 1, and each window
+    carries its last M and m to the next.  The arrays are views of buffers
+    that the next window overwrites.  lo must be 1 plus a multiple of 2^20,
+    so that m(n) has the rounding bound m_rounding_bound(n).
+
+    For each prime p <= sqrt(N) the sign flips on multiples of p, the
+    product of small prime factors gains p, and multiples of p^2 are
+    zeroed.  A squarefree n has exactly one prime factor above sqrt(N)
+    when that product is not n, and its sign flips once more.  The product
+    divides n < 2^32, so it cannot overflow uint32.
+    """
+    primes = _primes_upto(int(math.isqrt(N)))
+    squares = primes * primes
+    width = max(0, min(_WINDOW, N + 1 - lo))
+    offsets = np.arange(width, dtype=np.uint32)
+    offsets_f = offsets.astype(np.float64)
+    mu_buf = np.empty(width, dtype=np.int8)
+    prod_buf = np.empty(width, dtype=np.uint32)
+    n_buf = np.empty(width, dtype=np.uint32)
+    same_buf = np.empty(width, dtype=bool)
+    x_buf = np.empty(width, dtype=np.float64)
+    M_buf = np.empty(width, dtype=np.int64)
+    m_buf = np.empty(width, dtype=np.float64)
+    while lo <= N:
+        size = min(width, N + 1 - lo)
+        mu, prod, n = mu_buf[:size], prod_buf[:size], n_buf[:size]
+        mu.fill(1)
+        prod.fill(1)
+        for p, first, first2 in zip(primes.tolist(), ((-lo) % primes).tolist(),
+                                    ((-lo) % squares).tolist()):
+            mu[first::p] *= -1
+            prod[first::p] *= p
+            if first2 < size:
+                mu[first2::p * p] = 0
+        np.add(offsets[:size], lo, out=n)
+        sign = np.equal(prod, n, out=same_buf[:size]).view(np.int8)
+        sign <<= 1
+        sign -= 1
+        mu *= sign
+        window_M = np.cumsum(mu, dtype=np.int64, out=M_buf[:size])
+        window_M += M
+        x = np.add(offsets_f[:size], lo, out=x_buf[:size])
+        window_m = np.divide(mu, x, out=m_buf[:size])
+        np.cumsum(window_m, out=window_m)
+        window_m += m
+        yield lo, mu, window_M, window_m
+        M, m = int(window_M[-1]), float(window_m[-1])
+        lo += size
+
+
+def sieve_mobius(N: int) -> MobiusTable:
+    """Sieve the first window of [1, N] into a MobiusTable.
+
+    The table holds mu, M and m on 1 <= n <= min(N, 2^20) and the prefix
+    sums at its end, from which verify_bound_on_range streams the rest of
+    the range through mobius_windows.
     """
     if not (1 <= N <= SIEVE_LIMIT):
         raise DomainError(
             f"resource limit exceeded: need 1 <= N <= {SIEVE_LIMIT}; got {N!r}")
-    primes = _primes_upto(int(math.isqrt(N)))
-    mu = np.zeros(N + 1, dtype=np.int8)
-    M_prefix = np.zeros(N + 1, dtype=np.int64)
-    m_prefix = np.zeros(N + 1, dtype=np.float64)
-    carry_M = np.int64(0)
-    carry_m = np.float128(0.0)
+    _, *window = next(mobius_windows(N))
+    mu, M_prefix, m_prefix = (np.concatenate((np.zeros(1, a.dtype), a))
+                              for a in window)
+    return MobiusTable(limit=N, mu=mu, M_prefix=M_prefix, m_prefix=m_prefix,
+                       carry=(int(M_prefix[-1]), float(m_prefix[-1])))
 
-    for lo in range(1, N + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, N + 1)
-        seg_mu = np.ones(hi - lo, dtype=np.int8)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in primes:
-            start = ((lo + p - 1) // p) * p
-            if start >= hi:
-                continue
-            sl = slice(start - lo, hi - lo, int(p))
-            seg_mu[sl] = -seg_mu[sl]
-            rem[sl] //= p
-            p2 = int(p) * int(p)
-            start2 = ((lo + p2 - 1) // p2) * p2
-            if start2 < hi:
-                seg_mu[start2 - lo: hi - lo: p2] = 0
-        seg_mu[rem > 1] = -seg_mu[rem > 1]
-        mu[lo:hi] = seg_mu
-        M_prefix[lo:hi] = np.cumsum(seg_mu, dtype=np.int64) + carry_M
-        carry_M = M_prefix[hi - 1]
-        contrib = (seg_mu.astype(np.float128)
-                   / np.arange(lo, hi, dtype=np.float128))
-        running = np.cumsum(contrib) + carry_m
-        m_prefix[lo:hi] = running.astype(np.float64)
-        carry_m = running[-1]
 
-    return MobiusTable(limit=N, mu=mu, M_prefix=M_prefix, m_prefix=m_prefix)
+class _RangeCheck:
+    """Running verdicts and worst ratios of the bound check, one window at a time."""
+
+    def __init__(self, A: float, a_exp: float, B: float, b_exp: float,
+                 A_m: float, B_m: float) -> None:
+        self.bound_M = lambda x: A * x ** a_exp + B * x ** b_exp
+        self.bound_m = lambda x: A_m * x ** (a_exp - 1.0) + B_m * x ** (b_exp - 1.0)
+        self.violations = 0
+        self.first_violation: Optional[int] = None
+        self.max_ratio_M = 0.0
+        self.max_ratio_m = 0.0
+        self.max_ratio_trivial = 0.0
+
+    def window(self, lo: int, M: np.ndarray, m: np.ndarray) -> None:
+        """Check lo <= x < lo + len(M), pointwise unless the screen clears it.
+
+        bound_M and x increase and bound_m decreases, so the exact maxima
+        of |M| and |m| over the window, against bound_M(lo), lo and
+        bound_m(last), bound every ratio in it.  The relative slack covers
+        the scalar and array powers rounding apart.  A window that can
+        neither violate nor raise a running maximum is skipped.
+        """
+        last = lo + len(M) - 1
+        err = m_rounding_bound(last)
+        big_M = max(int(M.max()), -int(M.min()))
+        big_m = max(float(m.max()), -float(m.min()))
+        grow = 1.0 + _SCREEN_SLACK
+        ceil_M = big_M / self.bound_M(float(lo)) * grow
+        ceil_m = (big_m + err) / self.bound_m(float(last)) * grow
+        if (ceil_M < 1.0 and ceil_M <= self.max_ratio_M
+                and ceil_m < 1.0 and ceil_m <= self.max_ratio_m
+                and big_M <= lo and big_M / lo <= self.max_ratio_trivial):
+            return
+        self.pointwise(lo, M, m, err)
+
+    def pointwise(self, lo: int, M: np.ndarray, m: np.ndarray, err: float) -> None:
+        x = np.arange(lo, lo + len(M), dtype=np.float64)
+        bound_M = self.bound_M(x)
+        bound_m = self.bound_m(x)
+        abs_M = np.abs(M).astype(np.float64)
+        abs_m = np.abs(m)
+        bad = (abs_M > bound_M) | (abs_m + err > bound_m) | (abs_M > x)
+        if np.any(bad):
+            self.violations += int(np.count_nonzero(bad))
+            if self.first_violation is None:
+                self.first_violation = int(lo + int(np.argmax(bad)))
+        self.max_ratio_M = max(self.max_ratio_M, float(np.max(abs_M / bound_M)))
+        self.max_ratio_m = max(self.max_ratio_m, float(np.max(abs_m / bound_m)))
+        self.max_ratio_trivial = max(self.max_ratio_trivial,
+                                     float(np.max(abs_M / x)))
 
 
 def verify_bound_on_range(table: MobiusTable, A: float, a_exp: float,
@@ -345,41 +470,26 @@ def verify_bound_on_range(table: MobiusTable, A: float, a_exp: float,
     """Check |M(x)| <= A x^a + B x^b, the derived mu(n)/n bound, and |M(x)| <= x
     for every integer 1 <= x <= table.limit.
 
-    Returns a report dict with the violation count, the first violating x
-    (None expected), worst observed ratios, and the runtime.
+    The table's head is checked from its arrays and the rest is sieved
+    window by window.  An m(x) verdict charges the rounding bound E(x);
+    max_ratio_m is the observed |m(x)| / bound.  Returns a report dict with
+    the violation count, the first violating x (None expected), worst
+    observed ratios, and the runtime.
     """
     A_m, B_m = derive_m_bound(A, a_exp, B, b_exp)
     start = time.monotonic()
-    N = table.limit
-    violations = 0
-    first_violation = None
-    max_ratio_M = 0.0
-    max_ratio_m = 0.0
-    max_ratio_trivial = 0.0
-    step = 10_000_000
-    for lo in range(1, N + 1, step):
-        hi = min(lo + step, N + 1)
-        x = np.arange(lo, hi, dtype=np.float64)
-        bound_M = A * x ** a_exp + B * x ** b_exp
-        bound_m = A_m * x ** (a_exp - 1.0) + B_m * x ** (b_exp - 1.0)
-        abs_M = np.abs(table.M_prefix[lo:hi]).astype(np.float64)
-        abs_m = np.abs(table.m_prefix[lo:hi])
-        bad = (abs_M > bound_M) | (abs_m > bound_m) | (abs_M > x)
-        if np.any(bad):
-            violations += int(np.count_nonzero(bad))
-            if first_violation is None:
-                first_violation = int(lo + int(np.argmax(bad)))
-        max_ratio_M = max(max_ratio_M, float(np.max(abs_M / bound_M)))
-        max_ratio_m = max(max_ratio_m, float(np.max(abs_m / bound_m)))
-        max_ratio_trivial = max(max_ratio_trivial, float(np.max(abs_M / x)))
+    check = _RangeCheck(A, a_exp, B, b_exp, A_m, B_m)
+    check.window(1, table.M_prefix[1:], table.m_prefix[1:])
+    for lo, _, M, m in mobius_windows(table.limit, table.head + 1, *table.carry):
+        check.window(lo, M, m)
     return {
-        "limit": N,
+        "limit": table.limit,
         "A": A, "a_exp": a_exp, "B": B, "b_exp": b_exp,
         "A_m": A_m, "B_m": B_m,
-        "violations": violations,
-        "first_violation": first_violation,
-        "max_ratio_M": max_ratio_M,
-        "max_ratio_m": max_ratio_m,
-        "max_ratio_trivial": max_ratio_trivial,
+        "violations": check.violations,
+        "first_violation": check.first_violation,
+        "max_ratio_M": check.max_ratio_M,
+        "max_ratio_m": check.max_ratio_m,
+        "max_ratio_trivial": check.max_ratio_trivial,
         "runtime_seconds": time.monotonic() - start,
     }

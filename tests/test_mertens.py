@@ -12,6 +12,7 @@ import pytest
 
 from nearone.constants import ceil_decimals, ceil_sigfigs, loglog
 from nearone.errors import DomainError, HypothesisError, NoCrossoverError
+from nearone import mertens
 from nearone.mertens import (
     MertensBoundSpec,
     compute_epsilon0,
@@ -20,7 +21,9 @@ from nearone.mertens import (
     derive_m_bound,
     epsilon0_hypotheses,
     mertens_bound,
+    m_rounding_bound,
     mertens_from_first_principles,
+    mobius_windows,
     sieve_mobius,
     verify_bound_on_range,
 )
@@ -33,6 +36,8 @@ COEF_KAPPA_ORACLE = 555.7034124310972481672217
 LOG10_XMIN_ORACLE = 710.9859659704752510237691
 CROSSOVER_ORACLE = 714.3909528630345482130138
 REL = 1e-12
+WINDOW = 1 << 20
+N_WINDOWS = 3 * WINDOW + 5   # four sieve windows, the last one 5 wide
 
 M_KNOWN = {1: 1, 2: 0, 10: -1, 100: 1, 10**4: -23, 10**5: -48, 10**6: 212}
 MU_FIRST_TEN = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
@@ -41,6 +46,24 @@ MU_FIRST_TEN = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 @pytest.fixture(scope="module")
 def table_1e6():
     return sieve_mobius(10**6)
+
+
+@pytest.fixture(scope="module")
+def mu_windows():
+    """mu(k) for 0 <= k <= N_WINDOWS, sieved over the whole range at once:
+    every prime flips its multiples and zeroes the multiples of its square."""
+    n = N_WINDOWS
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in np.flatnonzero(is_prime).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
 
 
 def test_default_T2_matches_window_edge():
@@ -247,3 +270,149 @@ def test_bound_spec_invariants():
         MertensBoundSpec(sigma0=0.98, lam=2.0, epsilon0=0.5, kappa=0.97,
                          coef_sigma0=1.0, coef_kappa=1.0, additive_one=1.0,
                          log10_x_min=100.0)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The first x of every window that the screen sends to the pointwise check."""
+    los = []
+    pointwise = mertens._RangeCheck.pointwise
+
+    def counted(self, lo, *rest):
+        los.append(lo)
+        return pointwise(self, lo, *rest)
+
+    monkeypatch.setattr(mertens._RangeCheck, "pointwise", counted)
+    return los
+
+
+def _check(A, a, B, b):
+    """The running check of |M(x)| <= A x^a + B x^b, fed hand-made windows."""
+    return mertens._RangeCheck(A, a, B, b, *derive_m_bound(A, a, B, b))
+
+
+def test_screen_passes_a_window_that_only_raises_the_M_ratio(checked):
+    check = _check(1.0, 0.5, 100.0, 0.01)
+    check.window(1, np.array([1]), np.array([0.5]))  # trivial ratio 1
+    M = np.zeros(1000, dtype=np.int64)
+    M[-1] = 50
+    check.window(WINDOW + 1, M, np.zeros(1000))
+    assert checked == [1, WINDOW + 1]
+    assert check.violations == 0
+    assert check.max_ratio_M == pytest.approx(
+        50.0 / check.bound_M(WINDOW + 1000.0), rel=REL)
+
+
+def test_screen_passes_a_violation_below_the_running_max(checked):
+    check = _check(1.0, 0.5, 0.0, 0.5)
+    check.window(1, np.array([5]), np.array([0.5]))  # ratio 5 at x = 1
+    M = np.zeros(100_000, dtype=np.int64)
+    M[0] = 1025  # above sqrt(WINDOW + 1), below the window's last bound
+    check.window(WINDOW + 1, M, np.zeros(100_000))
+    assert checked == [1, WINDOW + 1]
+    assert (check.violations, check.first_violation) == (2, 1)
+
+
+def test_screen_passes_a_trivial_violation_under_a_loose_bound(checked):
+    check = _check(555.71, 0.99, 1.94e14, 0.98)
+    M = np.zeros(1000, dtype=np.int64)
+    M[-1] = 10**9  # |M|/x = 1e6 at x = 1000, far below the bound
+    check.window(1, M, np.full(1000, 0.5))
+    M = np.zeros(1000, dtype=np.int64)
+    M[0] = WINDOW + 2
+    check.window(WINDOW + 1, M, np.zeros(1000))
+    assert checked == [1, WINDOW + 1]
+    assert (check.violations, check.first_violation) == (2, 1000)
+
+
+def test_m_verdict_charges_the_rounding_bound():
+    check = _check(1.0, 0.5, 0.0, 0.5)  # |m(x)| <= 3 x^(-1/2)
+    check.window(1, np.array([0]), np.array([3.0 - m_rounding_bound(1) / 2]))
+    assert (check.violations, check.first_violation) == (1, 1)
+    assert check.max_ratio_m < 1.0
+
+
+def _unscreened_report(mu, A, a, B, b):
+    """Every x checked pointwise on whole-range prefix sums."""
+    x = np.arange(1, len(mu), dtype=np.float64)
+    M = np.cumsum(mu[1:])
+    m = np.cumsum(mu[1:] / x)
+    A_m, B_m = derive_m_bound(A, a, B, b)
+    window_errs = [m_rounding_bound(k * WINDOW + 1)
+                   for k in range((len(x) - 1) // WINDOW + 1)]
+    err = np.repeat(window_errs, WINDOW)[:len(x)]
+    bound_M = A * x ** a + B * x ** b
+    bound_m = A_m * x ** (a - 1.0) + B_m * x ** (b - 1.0)
+    abs_M = np.abs(M).astype(np.float64)
+    abs_m = np.abs(m)
+    bad = (abs_M > bound_M) | (abs_m + err > bound_m) | (abs_M > x)
+    ratio_M = abs_M / bound_M
+    return {
+        "violations": int(np.count_nonzero(bad)),
+        "first_violation": int(np.argmax(bad)) + 1 if bad.any() else None,
+        "max_ratio_M": float(ratio_M.max()),
+        "max_ratio_m": float(np.max(abs_m / bound_m)),
+        "max_ratio_trivial": float(np.max(abs_M / x)),
+        "argmax_M": int(np.argmax(ratio_M)) + 1,
+        "bad_windows": sorted(set(((np.flatnonzero(bad)) // WINDOW).tolist())),
+    }
+
+
+# The published bound clears the screen after the head.  The two loose
+# bounds are violated in the three full windows, not in the last 5 points
+# (|M| <= 39 there); (1, 0.3, 0, 0.3) peaks in |M| / bound past the head.
+# (1, 0.5, 100, 0.01) holds everywhere, and both its ratios peak at
+# x = 1793918, so the second window passes the screen on the running maxima.
+@pytest.mark.parametrize("bound,pointwise_windows", [
+    ((555.71, 0.99, 1.94e14, 0.98), [1]),
+    ((0.1, 0.5, 0.0, 0.5), [1, WINDOW + 1, 2 * WINDOW + 1]),
+    ((1.0, 0.3, 0.0, 0.3), [1, WINDOW + 1, 2 * WINDOW + 1]),
+    ((1.0, 0.5, 100.0, 0.01), [1, WINDOW + 1, 2 * WINDOW + 1]),
+])
+def test_streamed_check_matches_unscreened_oracle(mu_windows, checked,
+                                                  bound, pointwise_windows):
+    rep = verify_bound_on_range(sieve_mobius(N_WINDOWS), *bound)
+    want = _unscreened_report(mu_windows, *bound)
+    assert checked == pointwise_windows
+    for key in ("violations", "first_violation", "max_ratio_M",
+                "max_ratio_trivial"):
+        assert rep[key] == want[key], key
+    # the two m sums round apart by at most E each
+    A_m, B_m = derive_m_bound(*bound)
+    bound_m_end = A_m * N_WINDOWS ** (bound[1] - 1.0) + B_m * N_WINDOWS ** (bound[3] - 1.0)
+    assert abs(rep["max_ratio_m"] - want["max_ratio_m"]) <= (
+        2.0 * m_rounding_bound(N_WINDOWS) / bound_m_end)
+    assert want["bad_windows"] == ([0, 1, 2] if bound[2] == 0.0 else [])
+    if bound[0] == 1.0:
+        assert want["argmax_M"] > WINDOW
+
+
+def test_m_rounding_bound_covers_window_ends(mu_windows):
+    terms = (mu_windows[1:] / np.arange(1, N_WINDOWS + 1, dtype=np.float64)).tolist()
+    ends = [(lo + len(m) - 1, float(m[-1]))
+            for lo, _, _, m in mobius_windows(N_WINDOWS)]
+    assert [x for x, _ in ends] == [WINDOW, 2 * WINDOW, 3 * WINDOW, N_WINDOWS]
+    for x, got in ends:
+        exact = math.fsum(terms[:x])
+        # each float term lies within 2^-53/n of mu(n)/n
+        term_rounding = 2.0 ** -53 * (1.0 + math.log(x))
+        assert abs(got - exact) + term_rounding <= m_rounding_bound(x)
+
+
+def test_streamed_windows_match_the_unsegmented_sieve(mu_windows):
+    M = np.cumsum(mu_windows)
+    for lo, mu, M_window, _ in mobius_windows(N_WINDOWS):
+        hi = lo + len(mu)
+        assert np.array_equal(mu, mu_windows[lo:hi])
+        assert np.array_equal(M_window, M[lo:hi])
+
+
+def test_table_stores_only_the_head():
+    table = sieve_mobius(N_WINDOWS)
+    assert table.head == WINDOW
+    assert len(table.mu) == len(table.M_prefix) == len(table.m_prefix) == WINDOW + 1
+    assert table.carry == (table.M(WINDOW), table.m(WINDOW))
+    with pytest.raises(DomainError, match="beyond the stored head"):
+        table.M(WINDOW + 1)
+    with pytest.raises(DomainError):
+        table.m(WINDOW + 1)
