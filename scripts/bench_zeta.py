@@ -8,13 +8,18 @@ PARENT_SRC and CHANGE_SRC are directories holding the `nearone` package
 PYTHONPATH set to it, the script first runs the workload's probe:
 
 - `inv-zeta` (the default; written to BENCH_zeta.json): the zeta engine at
-  t = 1e2, 1e3, 1e4 and 3e4, as a 257-point batch `inv_abs_zeta_many(0.98,
-  ts)` over ts in [t - 10, t], the integral's path, and as the verifier's
-  path: one chunk of as many points as the verifier's cap on points x N
-  allows, heights in [t - 10, t] and sigma spread over [0.95, 1.13], with
-  the derivative at abs_tol = 1e-6.  A tree whose engine has no per-point
-  sigma batch (`zeta_points`) evaluates the chunk as the verifier then
-  did, one `zeta_with_prime` call per point.  Each row gives the
+  t = 1e2, 1e3, 1e4 and 3e4, through the integral's path `inv_abs_zeta_many
+  (0.98, ts)` on three batches: `batch`, 257 points `np.linspace(t - 10, t)`
+  (step 10/256, an exact progression); `progression`, one Romberg level of
+  the panel [t - 10, t], the K = 128 nodes t - 10 + h (1, 3, ..., 255) with
+  h = 10/256; and `descending`, the `batch` heights in descending order,
+  which the engine's rule sends to the direct (unfactored) main sum, as a
+  control.  Then through the verifier's path: one chunk of as many points
+  as the verifier's cap on points x N allows, heights in [t - 10, t] and
+  sigma spread over [0.95, 1.13], with the derivative at abs_tol = 1e-6.
+  A tree whose engine has no per-point sigma batch (`zeta_points`)
+  evaluates the chunk as the verifier then did, one `zeta_with_prime` call
+  per point.  Each row gives the
   truncation point N, the number of correction terms added and the median
   microseconds per point.  Correction terms are counted by swapping the
   engine's Bernoulli table `_BFAC` for a tuple that remembers the highest
@@ -94,19 +99,25 @@ def verifier_path(sigmas, ts):
     return points_call(sigmas, ts, abs_tol=1e-6, with_prime=True)[4]
 
 
+def batch_row(ts):
+    batch = lambda: z.inv_abs_zeta_many(0.98, ts)
+    return {"points": len(ts), "N": int(z.zeta_many(0.98, [ts.max()], 1e-6)[2]),
+            "correction_terms": terms_added(batch),
+            "us_per_point": round(median_us(batch, 7, len(ts)), 3)}
+
+
 rows = []
 for t in HEIGHTS:
     ts = np.linspace(t - 10.0, t, 257)
-    batch = lambda: z.inv_abs_zeta_many(0.98, ts)
     n_chunk = max(1, CHUNK_ELEMENTS // z.zeta_many(0.98, [t], 1e-6)[2])
     chunk_ts = np.linspace(t - 10.0, t, n_chunk)
     chunk_sigmas = np.linspace(0.95, 1.13, n_chunk)
     chunk = lambda: verifier_path(chunk_sigmas, chunk_ts)
     rows.append({
         "t": t,
-        "batch": {"points": len(ts), "N": int(z.zeta_many(0.98, ts[-1:], 1e-6)[2]),
-                  "correction_terms": terms_added(batch),
-                  "us_per_point": round(median_us(batch, 7, len(ts)), 3)},
+        "batch": batch_row(ts),
+        "progression": batch_row(t - 10.0 + 10.0 / 256 * np.arange(1, 256, 2.0)),
+        "descending": batch_row(ts[::-1]),
         "verifier": {"points": n_chunk, "N": int(chunk()),
                      "correction_terms": terms_added(chunk),
                      "us_per_point": round(median_us(chunk, 7, n_chunk), 3)},

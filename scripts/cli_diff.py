@@ -48,6 +48,8 @@ COMMANDS = (
     "profiles --family dedekind",
     "integrate inv-zeta",
     "integrate inv-zeta --from 11020 --to 11520",
+    # N = 15020, so the deepest Romberg levels split into two chunks
+    "integrate inv-zeta --from 29900 --to 30000",
     "verify",
     "verify --samples 2000",
     # the spawned worker pool

@@ -12,10 +12,14 @@ rel_tol * |R[i][i]|; that difference is reported as the error estimate.
 
 Long intervals are split into consecutive panels of fixed width (default
 10 for the reciprocal-zeta integral), each integrated by an independent
-Romberg pass.  Panels are pure, independent work units and may be farmed
-out to worker processes; the merge adds per-panel values with exact
-compensated summation (math.fsum) in ascending panel order, so the total
-is identical for every worker count and evaluation order.
+Romberg pass.  A level's new nodes a + h (1, 3, 5, ...), h = width / 2^i,
+form an exact progression when the panel edges and width are short in
+binary, as the integer edges and default width 10 are; the zeta engine
+then factors its main sum (nearone.zeta).  Panels are pure, independent
+work units and may be farmed out to worker processes; the merge adds
+per-panel values with exact compensated summation (math.fsum) in
+ascending panel order, so the total is identical for every worker count
+and evaluation order.
 
 The envelope integrand u^(a1 * loglog u / (log u)^(2 sigma0 - 1)) is
 integrated after the substitution u = e^v, which turns it into

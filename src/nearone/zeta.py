@@ -75,6 +75,31 @@ worker count.  This floor is what makes very small tolerances unreachable
 at large |t|; the engine raises ConvergenceError("tolerance unreachable
 ...") rather than returning a bound it cannot honor.
 
+Factored main sum.  A chunk of K points that share sigma may instead be
+cut into blocks of B = ceil(sqrt K) consecutive heights.  With t_h the
+head of a block and d_j = t_{h+j} - t_h, the exact identity
+
+    n^(-(sigma + i t_{h+j})) = n^(-(sigma + i t_h)) * n^(-i d_j)
+
+gives every row of the block as the head's row times the shared row of
+offset d_j, so a chunk costs ceil(K / B) + B exp rows instead of K.  Each
+row is then summed by the same pairwise row sum, one block at a time, so
+at most 2B + 1 rows are held at once.  The path is taken by one rule on
+the chunk (_block_size): sigma is shared, K >= 8, the heights ascend, every
+block has the offsets of the first, and each offset is an exact float
+difference, which Sterbenz's lemma gives when 0 < t_h and t_{h+j} <= 2 t_h.
+Romberg's node sets a + h (1, 3, 5, ...) pass it when a and h are short
+in binary and a is at least the panel width; other chunks take the direct path above and keep its bits.  Each factored
+term passes through two exps and a complex product: 5 units of eps/2 for
+the head's exp, 5 for the offset's, and 3 for the product, whose
+normwise error is at most sqrt(5) units.  That is 8 units more than the
+direct path's 5, so factored chunks charge 32 instead of 28, and 42
+instead of 38 for the derivative.  The phase charge is unchanged: the
+rounded phases -t_h log n and -d_j log n are each off by at most
+2 eps times their size, and since t_h and d_j are >= 0 their errors add
+to at most 2 eps (t_h + d_j) log n = 2 eps t log n.  This is why the
+heights must ascend.
+
 Per-point sigma.  A batch may give each point its own sigma
 (zeta_points, used by the verifier); a shared sigma stays a Python float
 throughout, so the shared-sigma paths do not touch the per-point
@@ -139,6 +164,8 @@ _EPS = math.ulp(1.0)          # 2^-52
 _PHASE_ROUNDING = 2.0
 _SUM_SLACK = 28.0
 _SUM_SLACK_PRIME = 38.0
+_FACTORED_SLACK = 4.0         # added to both on factored chunks
+_MIN_FACTORED = 8             # fewest points of a factored chunk
 _CHUNK = 1 << 21              # max elements of the (points x terms) matrix
 
 # B_{2k}/(2k)! for the 21 terms examined (at most 20 are added), exact
@@ -252,6 +279,44 @@ def _at_point(exc: Exception, index: int) -> Exception:
     return exc
 
 
+def _block_size(sigma, ts: np.ndarray) -> int:
+    """B if the main sum of the chunk sigma + i ts is factored in blocks of
+    B points (module docstring), else 0."""
+    K = len(ts)
+    if np.ndim(sigma) > 0 or K < _MIN_FACTORED:
+        return 0
+    B = math.isqrt(K - 1) + 1                  # ceil(sqrt K)
+    head = np.repeat(ts[::B], B)[:K]
+    offsets = ts[:B] - ts[0]
+    # ascending with ts[1] <= 2 ts[0] makes every head positive
+    if (np.all(ts[1:] > ts[:-1]) and np.all(ts <= 2.0 * head)
+            and np.all(ts - head == offsets[np.arange(K) % B])):
+        return B
+    return 0
+
+
+def _factored_sums(sigma: float, ts: np.ndarray, B: int, logn: np.ndarray,
+                   want_prime: bool):
+    """The main sums of _evaluate for a chunk that _block_size cuts into
+    blocks of B points: each row is its block head's row n^(-sigma - i t_h)
+    times the row n^(-i d_j) of its offset."""
+    offset_rows = np.multiply.outer(-1j * (ts[:B] - ts[0]), logn)
+    np.exp(offset_rows, out=offset_rows)        # n^(-i d_j)
+    block = np.empty_like(offset_rows)
+    main = np.empty(len(ts), dtype=np.complex128)
+    main_p = np.empty_like(main) if want_prime else None
+    for lo in range(0, len(ts), B):
+        k = min(B, len(ts) - lo)
+        head = -(sigma + 1j * ts[lo]) * logn
+        np.exp(head, out=head)                  # n^(-s_h)
+        terms = np.multiply(offset_rows[:k], head, out=block[:k])
+        main[lo:lo + k] = terms.sum(axis=1)
+        if want_prime:
+            terms *= logn
+            main_p[lo:lo + k] = -terms.sum(axis=1)
+    return main, main_p
+
+
 def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
               want_prime: bool):
     """One Euler-Maclaurin pass over a batch of points sigma + i ts.
@@ -261,7 +326,8 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     the same bits whatever else the engine is asked to do.  N is
     truncation_point(max |t|), so callers should pass heights of
     comparable magnitude.  Negative heights are evaluated at |t| and
-    conjugated.  Returns (values, primes, bounds, bounds_prime, N) with
+    conjugated.  Each chunk of at most _CHUNK matrix elements takes the
+    factored main sum if _block_size accepts it, else the direct one.  Returns (values, primes, bounds, bounds_prime, N) with
     primes/bounds_prime None unless want_prime.  Raises ConvergenceError,
     with the failing point's position as its index, if some point's
     tolerance sits below the rounding model, or if the remainder still
@@ -306,13 +372,18 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
         tc = ts[start:start + rows]
         sc = sigma[start:start + rows] if per_point else sigma
         s = sc + 1j * tc
-        terms = np.multiply.outer(-s, logn)
-        np.exp(terms, out=terms)                    # n^(-s)
-        main = terms.sum(axis=1)
-        if want_prime:
-            terms *= logn
-            main_p = -terms.sum(axis=1)
-        del terms
+        B = _block_size(sc, tc)
+        if B:
+            main, main_p = _factored_sums(sc, tc, B, logn, want_prime)
+        else:
+            terms = np.multiply.outer(-s, logn)
+            np.exp(terms, out=terms)                # n^(-s)
+            main = terms.sum(axis=1)
+            if want_prime:
+                terms *= logn
+                main_p = -terms.sum(axis=1)
+            del terms
+        extra = _FACTORED_SLACK if B else 0.0
 
         S1 = _power_sum_bound(N, sc)
         sm1 = s - 1.0
@@ -348,7 +419,8 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
             Tk = _BFAC[k - 1] * Q
             abs_Tk = np.abs(Tk)
             rem = abs_Tk * (abs_s + (2 * k - 1)) / (sc + (2 * k - 1))
-            floor_v, fits = budget(rem, value, mag, _SUM_SLACK, phase_floor)
+            floor_v, fits = budget(rem, value, mag, _SUM_SLACK + extra,
+                                    phase_floor)
             settled = rem <= floor_v
             if want_prime:
                 log_rem_p = (_LOG_ABS_BFAC[k - 1]
@@ -358,7 +430,8 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
                                       / (sc - DERIV_RADIUS + 2 * k - 1))
                              - math.log(DERIV_RADIUS))
                 rem_p = np.exp(log_rem_p)
-                floor_p, fits_p = budget(rem_p, prime, magp, _SUM_SLACK_PRIME,
+                floor_p, fits_p = budget(rem_p, prime, magp,
+                                         _SUM_SLACK_PRIME + extra,
                                          phase_floor_p)
                 fits = fits & fits_p
                 settled = settled & (rem_p <= floor_p)
@@ -444,7 +517,10 @@ def zeta_many(sigma: float, ts: Sequence[float],
 
     One truncation point serves the whole batch (set by max |t|), so this
     is intended for clustered heights such as quadrature nodes of one
-    panel.  Returns (values, abs_error_bounds, terms_used).
+    panel.  K ascending heights in blocks with equal exact offsets, such
+    as one Romberg level a + h (1, 3, 5, ...), take the factored main sum
+    of the module docstring: about 2 sqrt K rows of exps instead of K.
+    Returns (values, abs_error_bounds, terms_used).
     """
     _check_tol(abs_tol)
     arr = _check_heights(sigma, ts)
@@ -492,7 +568,11 @@ def inv_abs_zeta(sigma0: float, t: float) -> float:
 
 
 def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
-    """Vectorized inv_abs_zeta over clustered heights (one shared N)."""
+    """Vectorized inv_abs_zeta over clustered heights (one shared N).
+
+    The batch goes through the engine as in zeta_many, so a Romberg level
+    takes the factored main sum.
+    """
     if not (0.9 <= sigma0 < 1.0):
         raise DomainError(f"sigma0={sigma0!r} outside [0.9, 1.0)")
     arr = _check_heights(sigma0, ts)

@@ -359,6 +359,35 @@ def test_rounding_model_matches_numpy_row_sum():
             assert mean <= math.log2(N) + 4
 
 
+def test_factored_terms_within_the_per_term_charge():
+    # the zeta docstring charges a factored term n^(-s_h) n^(-i d_j) the
+    # direct path's 5 units of eps/2 plus 2 _FACTORED_SLACK for two exps
+    # and a complex product, 3 sigma log n for the rounded real exponent,
+    # and the phase 2 eps t log n, all relative to n^(-sigma); a
+    # one-element logn makes each main sum of _factored_sums one term
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    eps = math.ulp(1.0)
+    units = 5 + 2 * zeta_engine._FACTORED_SLACK
+    levels = [_romberg_nodes(t - 10.0, 10.0, 128) for t in (100.0, 1e4, 3e4)]
+    levels.append(15000.0 + 100.0 * np.arange(64))     # offsets up to 6300
+    with mp.workdps(30):
+        for ts in levels:
+            B = zeta_engine._block_size(0.98, ts)
+            assert B
+            for n in rng.integers(2, 15021, 12).tolist():
+                sigma = float(rng.uniform(0.4, 3.0))
+                logn = math.log(n)
+                terms, _ = zeta_engine._factored_sums(
+                    sigma, ts, B, np.array([logn]), False)
+                for t, term in zip(ts.tolist(), terms.tolist()):
+                    exact = mp.power(n, -mp.mpc(sigma, t))
+                    charge = n ** -sigma * (
+                        eps / 2 * (units + 3 * sigma * logn)
+                        + 2 * eps * t * logn)
+                    assert abs(mp.mpc(term) - exact) <= charge, (n, sigma, t)
+
+
 def test_truncation_point_never_grows():
     # every point either returns with N = max(20, min(ceil(1.1|t|),
     # 20 + ceil(|t|/2))) or stops at the rounding floor; 20 correction
@@ -480,3 +509,111 @@ def test_per_point_batch_names_the_failing_point():
     assert exc.value.index == 2
     with pytest.raises(DomainError):
         zeta_engine.zeta_points([0.8, 0.8], [1e4])
+
+
+def _romberg_nodes(a, width, K):
+    """The K new nodes a + h (1, 3, ..., 2K - 1), h = width / 2K, of one
+    Romberg level on [a, a + width]."""
+    return a + width / (2 * K) * np.arange(1, 2 * K, 2, dtype=np.float64)
+
+
+def _direct_path(monkeypatch, *args):
+    """_evaluate(*args) with the factored path's rule stubbed out."""
+    with monkeypatch.context() as m:
+        m.setattr(zeta_engine, "_block_size", lambda sigma, ts: 0)
+        return zeta_engine._evaluate(*args)
+
+
+def _factored_chunks(monkeypatch, *args):
+    """_evaluate(*args) and the lengths of the chunks it factored."""
+    lengths = []
+    plain = zeta_engine._factored_sums
+
+    def spy(sigma, ts, B, logn, want_prime):
+        lengths.append(len(ts))
+        return plain(sigma, ts, B, logn, want_prime)
+
+    with monkeypatch.context() as m:
+        m.setattr(zeta_engine, "_factored_sums", spy)
+        return zeta_engine._evaluate(*args), lengths
+
+
+def _assert_factored_matches(monkeypatch, sigma, ts, want_prime, chunks,
+                             mp_points):
+    """The factored path on (sigma, ts) factors the given chunks and agrees
+    with the direct path within both bounds, and with mpmath at mp_points."""
+    mp = pytest.importorskip("mpmath")
+    args = (sigma, ts, 1e-6, 0.0, want_prime)
+    got, lengths = _factored_chunks(monkeypatch, *args)
+    assert lengths == chunks
+    ref = _direct_path(monkeypatch, *args)
+    tracks = [(0, 2), (1, 3)][:2 if want_prime else 1]
+    for v, b in tracks:
+        assert np.all(np.abs(got[v] - ref[v]) <= got[b] + ref[b])
+        assert np.all(got[b] <= 1e-6)
+    with mp.workdps(30):
+        for i in mp_points:
+            s = mp.mpc(repr(sigma), repr(float(ts[i])))
+            assert abs(got[0][i] - complex(mp.zeta(s))) <= got[2][i]
+            if want_prime:
+                assert (abs(got[1][i] - complex(mp.zeta(s, derivative=1)))
+                        <= got[3][i])
+
+
+@pytest.mark.parametrize("t", [100.0, 1e4, 3e4])
+def test_factored_batch_matches_direct_path_and_mpmath(monkeypatch, t):
+    # 128 nodes in blocks of 12: ten full blocks and a last one of 8
+    ts = _romberg_nodes(t - 10.0, 10.0, 128)
+    assert zeta_engine._block_size(0.98, ts) == 12
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, [128],
+                             [0, 11, 12, 119, 120, 127])
+
+
+def test_factored_batch_of_full_blocks(monkeypatch):
+    ts = _romberg_nodes(9990.0, 10.0, 64)
+    assert zeta_engine._block_size(1.2, ts) == 8
+    _assert_factored_matches(monkeypatch, 1.2, ts, False, [64], [7, 63])
+
+
+def test_factored_batch_split_into_chunks(monkeypatch):
+    # N = 15020 at t = 3e4, so a 256-node level splits into 139 + 117 rows
+    ts = _romberg_nodes(29990.0, 10.0, 256)
+    assert zeta_engine._CHUNK // (_truncation_point(ts[-1]) - 1) == 139
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, [139, 117],
+                             [138, 139, 255])
+
+
+def test_factored_derivative_track(monkeypatch):
+    ts = _romberg_nodes(9990.0, 10.0, 128)
+    _assert_factored_matches(monkeypatch, 0.98, ts, True, [128], [0, 127])
+
+
+NODES = _romberg_nodes(11020.0, 10.0, 128)
+
+
+@pytest.mark.parametrize("sigma, ts", [
+    (0.98, NODES[::-1]),                              # descending
+    (0.98, -NODES[::-1]),                             # descending once folded
+    (0.98, np.linspace(11020.0, 11030.0, 100)),       # step 10/99 is inexact
+    (0.98, _romberg_nodes(0.0, 10.0, 128)),           # within a factor 2 of 0
+    (0.98, NODES[:7]),                                # fewer than 8 points
+    (np.full(128, 0.98), NODES),                      # sigma per point
+])
+def test_direct_path_inputs_keep_their_bits(monkeypatch, sigma, ts):
+    assert zeta_engine._block_size(sigma, ts) == 0
+    args = (sigma, ts, 1e-6, 0.0, True)
+    got, lengths = _factored_chunks(monkeypatch, *args)
+    assert lengths == []
+    ref = _direct_path(monkeypatch, *args)
+    assert got[4] == ref[4]
+    for a, b in zip(got[:4], ref[:4]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("fn", [zeta_many, inv_abs_zeta_many])
+def test_nan_in_a_progression_is_a_domain_error(fn):
+    ts = NODES.copy()
+    ts[40] = math.nan
+    assert zeta_engine._block_size(0.98, ts) == 0
+    with pytest.raises(DomainError, match="t=nan"):
+        fn(0.98, ts)
