@@ -13,7 +13,7 @@ PYTHONPATH set to it, the script first runs the workload's probe:
   (step 10/256, an exact progression); `progression`, one Romberg level of
   the panel [t - 10, t], the K = 128 nodes t - 10 + h (1, 3, ..., 255) with
   h = 10/256; and `descending`, the `batch` heights in descending order,
-  which the engine's rule sends to the direct (unfactored) main sum, as a
+  which the engine's rule sends to blocks of one point (unfactored), as a
   control.  Then through the verifier's path: one chunk of as many points
   as the verifier's cap on points x N allows, heights in [t - 10, t] and
   sigma spread over [0.95, 1.13], with the derivative at abs_tol = 1e-6.

@@ -48,7 +48,8 @@ COMMANDS = (
     "profiles --family dedekind",
     "integrate inv-zeta",
     "integrate inv-zeta --from 11020 --to 11520",
-    # N = 15020, so the deepest Romberg levels split into two chunks
+    # N = 15020: the deepest Romberg levels, 256 nodes in blocks of 16,
+    # are the largest factored batches of the list
     "integrate inv-zeta --from 29900 --to 30000",
     "verify",
     "verify --samples 2000",

@@ -35,7 +35,8 @@ the one a scalar loop over every candidate picks, bit for bit.
 
 A CSV trace of every visited candidate (feasible or not), with its scalar
 a, can be written for audit: 10,100 rows for a1 and 1,010,000 for a2 on
-the default grid, 8,040,000 for a2 at step 0.005.
+the default grid, 8,040,000 for a2 at step 0.005.  A step whose first scan
+would visit more than CANDIDATE_LIMIT candidates is refused up front.
 """
 
 from __future__ import annotations
@@ -67,8 +68,12 @@ from .constants import (
     region_edge,
     statement_hypotheses,
 )
-from .errors import HypothesisError
+from .errors import DomainError, HypothesisError
 from .profiles import LFunctionProfile
+
+# Most candidates the first scan may visit: 12x the 8,040,000 of a2 at step
+# 0.005.  The (C2, rho) feasibility array of a2 then stays below 4 MB.
+CANDIDATE_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,14 @@ class SearchSpec:
         if not 0 < self.grid_step <= 0.1:
             raise HypothesisError(
                 "grid-step", f"need 0 < grid_step <= 0.1, got {self.grid_step}")
+        # n C1 values, 2k C2 values at C1 = k step, n rho values for a2
+        n = 1.0 / self.grid_step
+        visits = n * (n + 1) * (n if self.target == TARGET_LOGDER else 1.0)
+        if not visits <= CANDIDATE_LIMIT:  # checked before any list is built
+            raise DomainError(
+                f"resource limit exceeded: need at most {CANDIDATE_LIMIT} "
+                f"candidates per scan; grid_step {self.grid_step!r} visits "
+                f"about {visits:.3g}")
         if self.refine_rounds < 0:
             raise HypothesisError(
                 "refine-rounds", f"need refine_rounds >= 0, got {self.refine_rounds}")

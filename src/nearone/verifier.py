@@ -39,11 +39,12 @@ the evaluator's own tolerance.
 Evaluation is batched.  The samples of all checks are sorted by (kind, |t|)
 and cut into consecutive chunks whose points times truncation point N
 (set by the chunk's largest |t|) stay within CHUNK_ELEMENTS; each chunk is
-one engine call with sigma per point, and the chunks go to the worker
-pool.  The chunks depend on the samples alone, so the report's bits do not
-depend on the worker count.  A sample's value and bound can differ in the
-last digits from a single-point call, whose N follows its own height,
-always within the two certified bounds.
+one engine call with sigma per point, and one task of the worker pool.
+The cap keeps the heights of a chunk close, since they share one N, and
+the tasks of similar cost.  The chunks depend on the samples alone, so the
+report's bits do not depend on the worker count.  A sample's value and
+bound can differ in the last digits from a single-point call, whose N
+follows its own height, always within the two certified bounds.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ T_FLOOR = 1.0e4
 T_CEILING = 3.0e4
 
 _EDGE_TOL = 1.0e-12
-# Cap on points x N per engine call, the size of its (points x terms)
-# matrix: 2 MB of complex128, which keeps the peak memory of a run near
-# that of single-point calls while amortizing the per-call overhead.
+# Cap on points x N per engine call.  The engine sums one point's row at a
+# time on these batches, so the cap bounds no memory: it keeps a chunk's
+# heights close enough to share one N and makes a chunk one pool task.
+# The chunks, and so the report's bits, follow from its value.
 CHUNK_ELEMENTS = 1 << 17
 
 

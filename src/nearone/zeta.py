@@ -75,43 +75,44 @@ worker count.  This floor is what makes very small tolerances unreachable
 at large |t|; the engine raises ConvergenceError("tolerance unreachable
 ...") rather than returning a bound it cannot honor.
 
-Factored main sum.  A chunk of K points that share sigma may instead be
-cut into blocks of B = ceil(sqrt K) consecutive heights.  With t_h the
-head of a block and d_j = t_{h+j} - t_h, the exact identity
+Main sum in blocks.  The main sum is formed one block of B consecutive
+points at a time (_main_sums), so at most 2B + 1 rows are held at once
+whatever the batch's size.  With t_h the head of a block and
+d_j = t_{h+j} - t_h, the exact identity
 
     n^(-(sigma + i t_{h+j})) = n^(-(sigma + i t_h)) * n^(-i d_j)
 
 gives every row of the block as the head's row times the shared row of
-offset d_j, so a chunk costs ceil(K / B) + B exp rows instead of K.  Each
-row is then summed by the same pairwise row sum, one block at a time, so
-at most 2B + 1 rows are held at once.  The path is taken by one rule on
-the chunk (_block_size): sigma is shared, K >= 8, the heights ascend, every
-block has the offsets of the first, and each offset is an exact float
-difference, which Sterbenz's lemma gives when 0 < t_h and t_{h+j} <= 2 t_h.
-Romberg's node sets a + h (1, 3, 5, ...) pass it when a and h are short
-in binary and a is at least the panel width; other chunks take the direct path above and keep its bits.  Each factored
-term passes through two exps and a complex product: 5 units of eps/2 for
-the head's exp, 5 for the offset's, and 3 for the product, whose
+offset d_j, so a batch of K points costs ceil(K / B) + B exp rows instead
+of K.  Each row is then summed by the same pairwise row sum.  One rule on
+the batch (_block_size) takes B = ceil(sqrt K) when sigma is shared,
+K >= 8, the heights ascend, every block has the offsets of the first, and
+each offset is an exact float difference, which Sterbenz's lemma gives
+when 0 < t_h and t_{h+j} <= 2 t_h.  Romberg's node sets a + h (1, 3, 5,
+...) pass it when a and h are short in binary and a is at least the panel
+width.  Every other batch takes B = 1: each point's row is its own head
+row, exponentiated and summed as the rounding model above describes.  With
+B > 1 each term passes through two exps and a complex product: 5 units of
+eps/2 for the head's exp, 5 for the offset's, and 3 for the product, whose
 normwise error is at most sqrt(5) units.  That is 8 units more than the
-direct path's 5, so factored chunks charge 32 instead of 28, and 42
-instead of 38 for the derivative.  The phase charge is unchanged: the
-rounded phases -t_h log n and -d_j log n are each off by at most
-2 eps times their size, and since t_h and d_j are >= 0 their errors add
-to at most 2 eps (t_h + d_j) log n = 2 eps t log n.  This is why the
-heights must ascend.
+single exp's 5, so such batches charge 32 instead of 28, and 42 instead of
+38 for the derivative.  The phase charge is unchanged: the rounded phases
+-t_h log n and -d_j log n are each off by at most 2 eps times their size,
+and since t_h and d_j are >= 0 their errors add to at most
+2 eps (t_h + d_j) log n = 2 eps t log n.  This is why the heights must
+ascend.
 
 Per-point sigma.  A batch may give each point its own sigma
 (zeta_points, used by the verifier); a shared sigma stays a Python float
-throughout, so the shared-sigma paths do not touch the per-point
+throughout, so shared-sigma batches do not touch the per-point
 arithmetic.  The model's claims hold point by point for every sigma in
-[0.4, 3].  Each point has its own row of the (points x terms) matrix and
-its own pairwise row sum, whose order depends on N alone.  S1, M, the
-phase floor, the remainder ratios and the Cauchy-circle term are
-computed from that point's sigma.  The one numerical premise, the
-n^(-sigma)-weighted mean of 3 sigma log n, was checked for every sigma
-in [0.4, 3] at each N <= 2^20.  The shared N only makes a point's sum
-longer than its own height needs, and the model charges it through
-log2 N.
+[0.4, 3].  Each point has its own row and its own pairwise row sum, whose
+order depends on N alone.  S1, M, the phase floor, the remainder ratios
+and the Cauchy-circle term are computed from that point's sigma.  The
+one numerical premise, the n^(-sigma)-weighted mean of 3 sigma log n, was
+checked for every sigma in [0.4, 3] at each N <= 2^20.  The shared N only
+makes a point's sum longer than its own height needs, and the model
+charges it through log2 N.
 
 Supported domain: sigma in [0.4, 3], |t| <= 1e5, |s - 1| >= 1e-3; the
 derivative additionally keeps a 1e-3 margin from the sigma and t edges.
@@ -164,9 +165,8 @@ _EPS = math.ulp(1.0)          # 2^-52
 _PHASE_ROUNDING = 2.0
 _SUM_SLACK = 28.0
 _SUM_SLACK_PRIME = 38.0
-_FACTORED_SLACK = 4.0         # added to both on factored chunks
-_MIN_FACTORED = 8             # fewest points of a factored chunk
-_CHUNK = 1 << 21              # max elements of the (points x terms) matrix
+_FACTORED_SLACK = 4.0         # added to both when blocks have B > 1
+_MIN_FACTORED = 8             # fewest points of a batch with B > 1
 
 # B_{2k}/(2k)! for the 21 terms examined (at most 20 are added), exact
 # rationals rounded once to double.
@@ -246,20 +246,26 @@ def _check_domain(sigma: float, t: float, margin: float = 0.0) -> None:
             f"s={complex(sigma, t)!r} within {POLE_MARGIN} of the pole at s=1")
 
 
-def _check_heights(sigma: float, ts: Sequence[float]) -> np.ndarray:
-    """Validate a batch of heights sharing sigma; return it as an array.
-
-    Only the largest |t| can exceed T_MAX and only the smallest can come
-    within POLE_MARGIN of s = 1, so those two entries are checked; argmax
-    and argmin return the first NaN, which _check_domain rejects.
+def _check_points(sigma, ts, margin: float = 0.0) -> np.ndarray:
+    """Check the batch sigma + i ts as _check_domain checks each point;
+    return ts as an array.  sigma is shared or aligned with ts.  The first
+    point that fails raises _check_domain's DomainError, with the point's
+    position as its index.
     """
     arr = np.asarray(ts, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError("ts must be one-dimensional")
-    if len(arr):
-        abs_t = np.abs(arr)
-        for i in (np.argmax(abs_t), np.argmin(abs_t)):
-            _check_domain(sigma, float(arr[i]))
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), arr.shape)
+    # _check_domain's comparisons, false wherever a coordinate is NaN
+    with np.errstate(invalid="ignore"):
+        ok = ((sig >= SIGMA_MIN + margin) & (sig <= SIGMA_MAX - margin)
+              & (np.abs(arr) <= T_MAX - margin)
+              & (np.hypot(sig - 1.0, arr) >= POLE_MARGIN))
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            _check_domain(float(sig[i]), float(arr[i]), margin)
+        except DomainError as exc:
+            raise _at_point(exc, i)
     return arr
 
 
@@ -280,7 +286,7 @@ def _at_point(exc: Exception, index: int) -> Exception:
 
 
 def _block_size(sigma, ts: np.ndarray) -> int:
-    """B if the main sum of the chunk sigma + i ts is factored in blocks of
+    """B if the main sum of the batch sigma + i ts is factored in blocks of
     B points (module docstring), else 0."""
     K = len(ts)
     if np.ndim(sigma) > 0 or K < _MIN_FACTORED:
@@ -295,21 +301,27 @@ def _block_size(sigma, ts: np.ndarray) -> int:
     return 0
 
 
-def _factored_sums(sigma: float, ts: np.ndarray, B: int, logn: np.ndarray,
-                   want_prime: bool):
-    """The main sums of _evaluate for a chunk that _block_size cuts into
-    blocks of B points: each row is its block head's row n^(-sigma - i t_h)
-    times the row n^(-i d_j) of its offset."""
-    offset_rows = np.multiply.outer(-1j * (ts[:B] - ts[0]), logn)
-    np.exp(offset_rows, out=offset_rows)        # n^(-i d_j)
-    block = np.empty_like(offset_rows)
-    main = np.empty(len(ts), dtype=np.complex128)
+def _main_sums(sigma, ts: np.ndarray, B: int, logn: np.ndarray,
+               want_prime: bool):
+    """The main sums of _evaluate, sum n^(-s) and -sum log n n^(-s) over
+    the terms logn, one block of B consecutive points at a time (module
+    docstring).  A block's head row n^(-s_h) takes one exp; for B > 1 the
+    row of point h + j is the head row times the shared row n^(-i d_j).
+    """
+    K = len(ts)
+    per_point = np.ndim(sigma) > 0
+    if B > 1:
+        offset_rows = np.multiply.outer(-1j * (ts[:B] - ts[0]), logn)
+        np.exp(offset_rows, out=offset_rows)    # n^(-i d_j)
+        block = np.empty_like(offset_rows)
+    main = np.empty(K, dtype=np.complex128)
     main_p = np.empty_like(main) if want_prime else None
-    for lo in range(0, len(ts), B):
-        k = min(B, len(ts) - lo)
-        head = -(sigma + 1j * ts[lo]) * logn
+    for lo in range(0, K, B):
+        k = min(B, K - lo)
+        head = -((sigma[lo] if per_point else sigma) + 1j * ts[lo]) * logn
         np.exp(head, out=head)                  # n^(-s_h)
-        terms = np.multiply(offset_rows[:k], head, out=block[:k])
+        terms = (np.multiply(offset_rows[:k], head, out=block[:k]) if B > 1
+                 else head[None])
         main[lo:lo + k] = terms.sum(axis=1)
         if want_prime:
             terms *= logn
@@ -326,37 +338,30 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     the same bits whatever else the engine is asked to do.  N is
     truncation_point(max |t|), so callers should pass heights of
     comparable magnitude.  Negative heights are evaluated at |t| and
-    conjugated.  Each chunk of at most _CHUNK matrix elements takes the
-    factored main sum if _block_size accepts it, else the direct one.  Returns (values, primes, bounds, bounds_prime, N) with
+    conjugated.  The main sum goes in blocks of _block_size points, or of
+    one point if it returns 0 (_main_sums); the rest is vectorized over
+    the batch.  Returns (values, primes, bounds, bounds_prime, N) with
     primes/bounds_prime None unless want_prime.  Raises ConvergenceError,
     with the failing point's position as its index, if some point's
     tolerance sits below the rounding model, or if the remainder still
     misses its budget after the last correction term.
     """
-    per_point = np.ndim(sigma) > 0
     neg = ts < 0.0
     ts = np.abs(ts)
     N = truncation_point(float(np.max(ts, initial=0.0)))
-    npts = len(ts)
     lnN = math.log(N)
     log2N = math.log2(N)
-
-    n = np.arange(1, N, dtype=np.float64)
-    logn = np.log(n)
-
-    values = np.empty(npts, dtype=np.complex128)
-    primes = np.empty(npts, dtype=np.complex128) if want_prime else None
-    bounds = np.empty(npts, dtype=np.float64)
-    bounds_p = np.empty(npts, dtype=np.float64) if want_prime else None
+    logn = np.log(np.arange(1, N, dtype=np.float64))
 
     def point_at(i):
-        """sigma, t of point i of the chunk (sc, tc), for error messages."""
-        return f"sigma={float(sc[i]) if per_point else sc!r}, t={float(tc[i])!r}"
+        """sigma, t of point i, for error messages."""
+        return (f"sigma={float(sigma[i]) if np.ndim(sigma) else sigma!r}, "
+                f"t={float(ts[i])!r}")
 
     def budget(rem, val, mag, slack, phase_floor):
-        """Rounding floor of one track of the chunk (sc, tc), and where rem
-        fits in the budget above it; ConvergenceError where the budget is
-        at or below the floor."""
+        """Rounding floor of one track, and where rem fits in the budget
+        above it; ConvergenceError where the budget is at or below the
+        floor."""
         floor = _EPS * (log2N + slack) * mag + phase_floor
         basis = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(val), ZETA_FLOOR))
         bad = basis <= floor
@@ -364,109 +369,91 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
             i = int(np.argmax(bad))
             raise _at_point(ConvergenceError(
                 f"tolerance unreachable: rounding floor {floor[i]:.3e} exceeds "
-                f"the budget {basis[i]:.3e} at {point_at(i)}"), start + i)
+                f"the budget {basis[i]:.3e} at {point_at(i)}"), i)
         return floor, rem <= basis - floor
 
-    rows = max(1, _CHUNK // max(N - 1, 1))
-    for start in range(0, npts, rows):
-        tc = ts[start:start + rows]
-        sc = sigma[start:start + rows] if per_point else sigma
-        s = sc + 1j * tc
-        B = _block_size(sc, tc)
-        if B:
-            main, main_p = _factored_sums(sc, tc, B, logn, want_prime)
-        else:
-            terms = np.multiply.outer(-s, logn)
-            np.exp(terms, out=terms)                # n^(-s)
-            main = terms.sum(axis=1)
-            if want_prime:
-                terms *= logn
-                main_p = -terms.sum(axis=1)
-            del terms
-        extra = _FACTORED_SLACK if B else 0.0
+    B = _block_size(sigma, ts) or 1
+    main, main_p = _main_sums(sigma, ts, B, logn, want_prime)
+    extra = _FACTORED_SLACK if B > 1 else 0.0
 
-        S1 = _power_sum_bound(N, sc)
-        sm1 = s - 1.0
-        abs_sm1 = np.abs(sm1)
-        abs_s = np.abs(s)
-        nphase = np.exp(-1j * tc * lnN)
-        n1s = N ** (1.0 - sc)                       # N^(1-sigma)
-        npow = n1s * nphase
-        half = 0.5 * N ** (-sc)
+    s = sigma + 1j * ts
+    S1 = _power_sum_bound(N, sigma)
+    sm1 = s - 1.0
+    abs_sm1 = np.abs(sm1)
+    abs_s = np.abs(s)
+    nphase = np.exp(-1j * ts * lnN)
+    n1s = N ** (1.0 - sigma)                    # N^(1-sigma)
+    npow = n1s * nphase
+    half = 0.5 * N ** (-sigma)
 
-        value = main + npow / sm1 + half * nphase
-        mag = S1 + n1s / abs_sm1 + half
-        phase_floor = _PHASE_ROUNDING * _EPS * tc * lnN * S1
+    value = main + npow / sm1 + half * nphase
+    mag = S1 + n1s / abs_sm1 + half
+    phase_floor = _PHASE_ROUNDING * _EPS * ts * lnN * S1
 
-        if want_prime:
-            prime = (main_p
-                     + npow * (-lnN / sm1 - 1.0 / sm1 ** 2)
-                     - lnN * half * nphase)
-            magp = (lnN * S1
-                    + n1s * (lnN / abs_sm1 + 1.0 / abs_sm1 ** 2)
-                    + lnN * half)
-            phase_floor_p = phase_floor * lnN
-            psum = 1.0 / s
-            logpoly_rho = np.log(abs_s + DERIV_RADIUS)
-
-        # Correction terms.  Q_k = N^(1-s-2k) * prod_{j<=2k-2}(s+j); at
-        # iteration k the remainder of stopping with k-1 terms is checked
-        # through T_k before T_k is added.  The loop ends once every point
-        # fits its budget and every remainder is settled at or below its
-        # rounding floor, or the last term is reached.
-        Q = npow / (N * N) * s
-        for k in range(1, len(_BFAC) + 1):
-            Tk = _BFAC[k - 1] * Q
-            abs_Tk = np.abs(Tk)
-            rem = abs_Tk * (abs_s + (2 * k - 1)) / (sc + (2 * k - 1))
-            floor_v, fits = budget(rem, value, mag, _SUM_SLACK + extra,
-                                    phase_floor)
-            settled = rem <= floor_v
-            if want_prime:
-                log_rem_p = (_LOG_ABS_BFAC[k - 1]
-                             + (1.0 - (sc - DERIV_RADIUS) - 2 * k) * lnN
-                             + logpoly_rho
-                             + np.log((abs_s + DERIV_RADIUS + 2 * k - 1)
-                                      / (sc - DERIV_RADIUS + 2 * k - 1))
-                             - math.log(DERIV_RADIUS))
-                rem_p = np.exp(log_rem_p)
-                floor_p, fits_p = budget(rem_p, prime, magp,
-                                         _SUM_SLACK_PRIME + extra,
-                                         phase_floor_p)
-                fits = fits & fits_p
-                settled = settled & (rem_p <= floor_p)
-            if np.all(fits) and (np.all(settled) or k == len(_BFAC)):
-                break
-            if k == len(_BFAC):
-                i = int(np.argmin(fits))
-                raise _at_point(ConvergenceError(
-                    f"tolerance unreachable: correction terms exhausted at "
-                    f"{point_at(i)}, N={N}"), start + i)
-
-            value = value + Tk
-            mag = mag + abs_Tk
-            f1 = s + (2 * k - 1)
-            f2 = s + 2 * k
-            if want_prime:
-                Tkp = Tk * (psum - lnN)
-                prime = prime + Tkp
-                magp = magp + np.abs(Tkp)
-                psum = psum + 1.0 / f1 + 1.0 / f2
-                logpoly_rho = (logpoly_rho
-                               + np.log(abs_s + DERIV_RADIUS + 2 * k - 1)
-                               + np.log(abs_s + DERIV_RADIUS + 2 * k))
-            Q = Q * f1 * f2 / (N * N)
-
-        values[start:start + rows] = value
-        bounds[start:start + rows] = rem + floor_v
-        if want_prime:
-            primes[start:start + rows] = prime
-            bounds_p[start:start + rows] = rem_p + floor_p
-
-    values = np.where(neg, np.conj(values), values)
     if want_prime:
-        primes = np.where(neg, np.conj(primes), primes)
-    return values, primes, bounds, bounds_p, N
+        prime = (main_p
+                 + npow * (-lnN / sm1 - 1.0 / sm1 ** 2)
+                 - lnN * half * nphase)
+        magp = (lnN * S1
+                + n1s * (lnN / abs_sm1 + 1.0 / abs_sm1 ** 2)
+                + lnN * half)
+        phase_floor_p = phase_floor * lnN
+        psum = 1.0 / s
+        logpoly_rho = np.log(abs_s + DERIV_RADIUS)
+
+    # Correction terms.  Q_k = N^(1-s-2k) * prod_{j<=2k-2}(s+j); at
+    # iteration k the remainder of stopping with k-1 terms is checked
+    # through T_k before T_k is added.  The loop ends once every point
+    # fits its budget and every remainder is settled at or below its
+    # rounding floor, or the last term is reached.
+    Q = npow / (N * N) * s
+    for k in range(1, len(_BFAC) + 1):
+        Tk = _BFAC[k - 1] * Q
+        abs_Tk = np.abs(Tk)
+        rem = abs_Tk * (abs_s + (2 * k - 1)) / (sigma + (2 * k - 1))
+        floor_v, fits = budget(rem, value, mag, _SUM_SLACK + extra,
+                                phase_floor)
+        settled = rem <= floor_v
+        if want_prime:
+            log_rem_p = (_LOG_ABS_BFAC[k - 1]
+                         + (1.0 - (sigma - DERIV_RADIUS) - 2 * k) * lnN
+                         + logpoly_rho
+                         + np.log((abs_s + DERIV_RADIUS + 2 * k - 1)
+                                  / (sigma - DERIV_RADIUS + 2 * k - 1))
+                         - math.log(DERIV_RADIUS))
+            rem_p = np.exp(log_rem_p)
+            floor_p, fits_p = budget(rem_p, prime, magp,
+                                     _SUM_SLACK_PRIME + extra,
+                                     phase_floor_p)
+            fits = fits & fits_p
+            settled = settled & (rem_p <= floor_p)
+        if np.all(fits) and (np.all(settled) or k == len(_BFAC)):
+            break
+        if k == len(_BFAC):
+            i = int(np.argmin(fits))
+            raise _at_point(ConvergenceError(
+                f"tolerance unreachable: correction terms exhausted at "
+                f"{point_at(i)}, N={N}"), i)
+
+        value = value + Tk
+        mag = mag + abs_Tk
+        f1 = s + (2 * k - 1)
+        f2 = s + 2 * k
+        if want_prime:
+            Tkp = Tk * (psum - lnN)
+            prime = prime + Tkp
+            magp = magp + np.abs(Tkp)
+            psum = psum + 1.0 / f1 + 1.0 / f2
+            logpoly_rho = (logpoly_rho
+                           + np.log(abs_s + DERIV_RADIUS + 2 * k - 1)
+                           + np.log(abs_s + DERIV_RADIUS + 2 * k))
+        Q = Q * f1 * f2 / (N * N)
+
+    values = np.where(neg, np.conj(value), value)
+    if not want_prime:
+        return values, None, rem + floor_v, None, N
+    primes = np.where(neg, np.conj(prime), prime)
+    return values, primes, rem + floor_v, rem_p + floor_p, N
 
 
 def _eval_scalar(sigma: float, t: float, abs_tol: float, want_prime: bool):
@@ -523,7 +510,7 @@ def zeta_many(sigma: float, ts: Sequence[float],
     Returns (values, abs_error_bounds, terms_used).
     """
     _check_tol(abs_tol)
-    arr = _check_heights(sigma, ts)
+    arr = _check_points(sigma, ts)
     values, _, bounds, _, N = _evaluate(sigma, arr, abs_tol, 0.0, False)
     return values, bounds, N
 
@@ -544,13 +531,7 @@ def zeta_points(sigmas: Sequence[float], ts: Sequence[float],
     arr = np.asarray(ts, dtype=np.float64)
     if sig.ndim != 1 or sig.shape != arr.shape:
         raise DomainError("sigmas and ts must be aligned one-dimensional sequences")
-    margin = EDGE_MARGIN if with_prime else 0.0
-    for i, (sigma, t) in enumerate(zip(sig.tolist(), arr.tolist())):
-        try:
-            _check_domain(sigma, t, margin)
-        except DomainError as exc:
-            exc.index = i
-            raise
+    _check_points(sig, arr, EDGE_MARGIN if with_prime else 0.0)
     values, primes, bounds, bounds_p, N = _evaluate(sig, arr, abs_tol, 0.0,
                                                     with_prime)
     return values, bounds, primes, bounds_p, N
@@ -575,7 +556,7 @@ def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
     """
     if not (0.9 <= sigma0 < 1.0):
         raise DomainError(f"sigma0={sigma0!r} outside [0.9, 1.0)")
-    arr = _check_heights(sigma0, ts)
+    arr = _check_points(sigma0, ts)
     values, _, bounds, _, _ = _evaluate(sigma0, arr, 0.0, INV_REL_TOL, False)
     abs_v = np.abs(values)
     bad = abs_v - bounds < ZETA_FLOOR

@@ -256,6 +256,7 @@ def test_constants_overflowing_edge_fails_c2_range(capsys):
       "--panel-width", "1e-300"], "resource limit exceeded"),
     (["integrate", "envelope", "--panel-width-v", "1e-300"],
      "resource limit exceeded"),
+    (["optimize", "a2", "--grid-step", "1e-5"], "resource limit exceeded"),
 ])
 def test_out_of_range_input_fails_by_name(capsys, argv, message):
     assert main(argv) == 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -26,7 +27,7 @@ from nearone.constants import (
     loglog,
 )
 from nearone.defaults import CONSTANT_PARAMS
-from nearone.errors import HypothesisError
+from nearone.errors import DomainError, HypothesisError
 from nearone.optimizer import SearchSpec, _decimal_range, minimize
 from nearone.profiles import profile_dedekind, profile_dirichlet, profile_zeta
 
@@ -138,6 +139,24 @@ def test_spec_validation():
         zeta_spec(TARGET_LOG, grid_step=0.5)
     with pytest.raises(HypothesisError):
         zeta_spec(TARGET_LOG, refine_rounds=-1)
+
+
+@pytest.mark.parametrize("target, step", [(TARGET_LOGDER, 1e-5),
+                                          (TARGET_LOGDER, 0.002),
+                                          (TARGET_LOG, 1e-5)])
+def test_grid_too_fine_is_refused_before_any_work(target, step):
+    # a2 at step 1e-5 would need a 149 GiB T1-floor array
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="resource limit exceeded"):
+        minimize(zeta_spec(target, grid_step=step))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_candidate_limit_leaves_room_for_the_grids_in_use():
+    # a2 at step 0.005 is the largest grid in use: 8,040,000 candidates
+    assert optimizer.CANDIDATE_LIMIT >= 10 * 8_040_000
+    zeta_spec(TARGET_LOGDER, grid_step=0.0022)
+    zeta_spec(TARGET_LOG, grid_step=0.00011)
 
 
 # --- Oracle: the scan as a per-candidate scalar loop -------------------------

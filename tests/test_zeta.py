@@ -247,15 +247,18 @@ def test_bound_honesty_random_sample():
 @pytest.mark.parametrize("fn, sigma", [(zeta_many, 0.9), (inv_abs_zeta_many, 0.98)])
 def test_batch_rejects_last_height_above_t_max_and_nan(fn, sigma):
     from nearone.zeta import T_MAX
-    with pytest.raises(DomainError, match=repr(T_MAX + 1.0)):
+    with pytest.raises(DomainError, match=repr(T_MAX + 1.0)) as info:
         fn(sigma, [9.0e4, 9.5e4, T_MAX + 1.0])
-    with pytest.raises(DomainError, match="t=nan"):
+    assert info.value.index == 2
+    with pytest.raises(DomainError, match="t=nan") as info:
         fn(sigma, [10.0, math.nan, 20.0])
+    assert info.value.index == 1
 
 
 def test_batch_rejects_point_near_pole_in_the_middle():
-    with pytest.raises(DomainError, match="pole"):
+    with pytest.raises(DomainError, match="pole") as info:
         zeta_many(1.0, [5.0, -5e-4, 3.0])
+    assert info.value.index == 1
 
 
 _BITS_SCRIPT = """
@@ -360,11 +363,11 @@ def test_rounding_model_matches_numpy_row_sum():
 
 
 def test_factored_terms_within_the_per_term_charge():
-    # the zeta docstring charges a factored term n^(-s_h) n^(-i d_j) the
-    # direct path's 5 units of eps/2 plus 2 _FACTORED_SLACK for two exps
+    # the zeta docstring charges a factored term n^(-s_h) n^(-i d_j) a
+    # single exp's 5 units of eps/2 plus 2 _FACTORED_SLACK for two exps
     # and a complex product, 3 sigma log n for the rounded real exponent,
     # and the phase 2 eps t log n, all relative to n^(-sigma); a
-    # one-element logn makes each main sum of _factored_sums one term
+    # one-element logn makes each main sum of _main_sums one term
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
     eps = math.ulp(1.0)
@@ -378,7 +381,7 @@ def test_factored_terms_within_the_per_term_charge():
             for n in rng.integers(2, 15021, 12).tolist():
                 sigma = float(rng.uniform(0.4, 3.0))
                 logn = math.log(n)
-                terms, _ = zeta_engine._factored_sums(
+                terms, _ = zeta_engine._main_sums(
                     sigma, ts, B, np.array([logn]), False)
                 for t, term in zip(ts.tolist(), terms.tolist()):
                     exact = mp.power(n, -mp.mpc(sigma, t))
@@ -518,34 +521,38 @@ def _romberg_nodes(a, width, K):
 
 
 def _direct_path(monkeypatch, *args):
-    """_evaluate(*args) with the factored path's rule stubbed out."""
+    """_evaluate(*args) with _block_size stubbed to 0, so every block of
+    the main sum is one point."""
     with monkeypatch.context() as m:
         m.setattr(zeta_engine, "_block_size", lambda sigma, ts: 0)
         return zeta_engine._evaluate(*args)
 
 
-def _factored_chunks(monkeypatch, *args):
-    """_evaluate(*args) and the lengths of the chunks it factored."""
-    lengths = []
-    plain = zeta_engine._factored_sums
+def _main_sum_calls(monkeypatch, *args):
+    """_evaluate(*args) and, per call of _main_sums, the points, the block
+    size B and the two main sums it returned."""
+    calls = []
+    plain = zeta_engine._main_sums
 
     def spy(sigma, ts, B, logn, want_prime):
-        lengths.append(len(ts))
-        return plain(sigma, ts, B, logn, want_prime)
+        main, main_p = plain(sigma, ts, B, logn, want_prime)
+        calls.append((len(ts), B, main, main_p))
+        return main, main_p
 
     with monkeypatch.context() as m:
-        m.setattr(zeta_engine, "_factored_sums", spy)
-        return zeta_engine._evaluate(*args), lengths
+        m.setattr(zeta_engine, "_main_sums", spy)
+        return zeta_engine._evaluate(*args), calls
 
 
-def _assert_factored_matches(monkeypatch, sigma, ts, want_prime, chunks,
+def _assert_factored_matches(monkeypatch, sigma, ts, want_prime, blocks,
                              mp_points):
-    """The factored path on (sigma, ts) factors the given chunks and agrees
-    with the direct path within both bounds, and with mpmath at mp_points."""
+    """(sigma, ts) goes through the main sum in one call with blocks of
+    the given size, and agrees with blocks of one point within both
+    bounds, and with mpmath at mp_points."""
     mp = pytest.importorskip("mpmath")
     args = (sigma, ts, 1e-6, 0.0, want_prime)
-    got, lengths = _factored_chunks(monkeypatch, *args)
-    assert lengths == chunks
+    got, calls = _main_sum_calls(monkeypatch, *args)
+    assert [call[:2] for call in calls] == [(len(ts), blocks)]
     ref = _direct_path(monkeypatch, *args)
     tracks = [(0, 2), (1, 3)][:2 if want_prime else 1]
     for v, b in tracks:
@@ -565,27 +572,27 @@ def test_factored_batch_matches_direct_path_and_mpmath(monkeypatch, t):
     # 128 nodes in blocks of 12: ten full blocks and a last one of 8
     ts = _romberg_nodes(t - 10.0, 10.0, 128)
     assert zeta_engine._block_size(0.98, ts) == 12
-    _assert_factored_matches(monkeypatch, 0.98, ts, False, [128],
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, 12,
                              [0, 11, 12, 119, 120, 127])
 
 
 def test_factored_batch_of_full_blocks(monkeypatch):
     ts = _romberg_nodes(9990.0, 10.0, 64)
     assert zeta_engine._block_size(1.2, ts) == 8
-    _assert_factored_matches(monkeypatch, 1.2, ts, False, [64], [7, 63])
+    _assert_factored_matches(monkeypatch, 1.2, ts, False, 8, [7, 63])
 
 
-def test_factored_batch_split_into_chunks(monkeypatch):
-    # N = 15020 at t = 3e4, so a 256-node level splits into 139 + 117 rows
+def test_factored_level_of_256_nodes(monkeypatch):
+    # N = 15020 at t = 3e4; the whole level is one batch in 16 blocks of 16
     ts = _romberg_nodes(29990.0, 10.0, 256)
-    assert zeta_engine._CHUNK // (_truncation_point(ts[-1]) - 1) == 139
-    _assert_factored_matches(monkeypatch, 0.98, ts, False, [139, 117],
-                             [138, 139, 255])
+    assert _truncation_point(ts[-1]) == 15020
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, 16,
+                             [0, 15, 16, 255])
 
 
 def test_factored_derivative_track(monkeypatch):
     ts = _romberg_nodes(9990.0, 10.0, 128)
-    _assert_factored_matches(monkeypatch, 0.98, ts, True, [128], [0, 127])
+    _assert_factored_matches(monkeypatch, 0.98, ts, True, 12, [0, 127])
 
 
 NODES = _romberg_nodes(11020.0, 10.0, 128)
@@ -598,16 +605,25 @@ NODES = _romberg_nodes(11020.0, 10.0, 128)
     (0.98, _romberg_nodes(0.0, 10.0, 128)),           # within a factor 2 of 0
     (0.98, NODES[:7]),                                # fewer than 8 points
     (np.full(128, 0.98), NODES),                      # sigma per point
+    (np.linspace(0.95, 1.13, 128), NODES),            # as a verifier chunk
 ])
 def test_direct_path_inputs_keep_their_bits(monkeypatch, sigma, ts):
+    # blocks of one point give the main sums of the (points x terms)
+    # matrix n^(-s), bit for bit, with and without the derivative track
     assert zeta_engine._block_size(sigma, ts) == 0
-    args = (sigma, ts, 1e-6, 0.0, True)
-    got, lengths = _factored_chunks(monkeypatch, *args)
-    assert lengths == []
-    ref = _direct_path(monkeypatch, *args)
-    assert got[4] == ref[4]
-    for a, b in zip(got[:4], ref[:4]):
-        assert np.array_equal(a, b)
+    logn = np.log(np.arange(1, _truncation_point(np.abs(ts).max()),
+                            dtype=np.float64))
+    terms = np.exp(np.multiply.outer(-(sigma + 1j * np.abs(ts)), logn))
+    for want_prime in (False, True):
+        _, calls = _main_sum_calls(monkeypatch, sigma, ts, 1e-6, 0.0,
+                                   want_prime)
+        [(K, B, main, main_p)] = calls
+        assert (K, B) == (len(ts), 1)
+        assert main.tobytes() == terms.sum(axis=1).tobytes()
+        if want_prime:
+            assert main_p.tobytes() == (-(terms * logn).sum(axis=1)).tobytes()
+        else:
+            assert main_p is None
 
 
 @pytest.mark.parametrize("fn", [zeta_many, inv_abs_zeta_many])
@@ -615,5 +631,6 @@ def test_nan_in_a_progression_is_a_domain_error(fn):
     ts = NODES.copy()
     ts[40] = math.nan
     assert zeta_engine._block_size(0.98, ts) == 0
-    with pytest.raises(DomainError, match="t=nan"):
+    with pytest.raises(DomainError, match="t=nan") as info:
         fn(0.98, ts)
+    assert info.value.index == 40
