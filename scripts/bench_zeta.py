@@ -16,19 +16,20 @@ PYTHONPATH set to it, the script first runs the workload's probe:
   which the engine's rule sends to blocks of one point (unfactored), as a
   control.  Then through the verifier's path: one chunk of as many points
   as the verifier's cap on points x N allows, heights in [t - 10, t] and
-  sigma spread over [0.95, 1.13], with the derivative at abs_tol = 1e-6.
-  A tree whose engine has no per-point sigma batch (`zeta_points`)
-  evaluates the chunk as the verifier then did, one `zeta_with_prime` call
-  per point.  Each row gives the
-  truncation point N, the number of correction terms added and the median
-  microseconds per point.  Correction terms are counted by swapping the
-  engine's Bernoulli table `_BFAC` for a tuple that remembers the highest
-  entry read.
+  sigma spread over [0.95, 1.13] (`zeta_points`), with the derivative at
+  abs_tol = 1e-6.  Each row gives the truncation point N, the number of
+  correction terms added and microseconds per point, the median of 7 calls.
+  Correction terms are counted by swapping the engine's Bernoulli table
+  `_BFAC` for a tuple that remembers the highest entry read.
 - `headline` (written to BENCH_headline.json): the in-process seconds of
   `verify --samples 2000`, its costliest operation, over three calls of
   `nearone.cli.main`, and the interpreter's peak RSS (ru_maxrss).
 - `sieve-1e8` (written to BENCH_sieve.json): the same for
   `mertens sieve-verify --limit 100000000`.
+
+Each probe runs PROBE_ROUNDS times per tree, alternating which tree goes
+first, and every float it reports is the median of its rounds' values, so a
+busy stretch of a shared host skews one round, not a whole row.
 
 With --pairs N > 0 (default 10) it then runs the workload N times on each
 tree, `perfbench/run.py --workload W --seed i --seconds 30 --trace 0` from
@@ -53,6 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HEIGHTS = (1e2, 1e3, 1e4, 3e4)
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 RUN_SECONDS = 30         # the benchmark's run length (BENCHMARK.json)
+PROBE_ROUNDS = 3
 
 ENGINE_PROBE = """
 import json, statistics, sys, time
@@ -88,20 +90,11 @@ def terms_added(fn):
 
 
 CHUNK_ELEMENTS = 1 << 17       # nearone.verifier.CHUNK_ELEMENTS
-points_call = getattr(z, "zeta_points", None)
-
-
-def verifier_path(sigmas, ts):
-    # evaluate the chunk as the verifier does; return its truncation point N
-    if points_call is None:
-        return max(z.zeta_with_prime(complex(s, t), abs_tol=1e-6)[0].terms_used
-                   for s, t in zip(sigmas, ts))
-    return points_call(sigmas, ts, abs_tol=1e-6, with_prime=True)[4]
 
 
 def batch_row(ts):
     batch = lambda: z.inv_abs_zeta_many(0.98, ts)
-    return {"points": len(ts), "N": int(z.zeta_many(0.98, [ts.max()], 1e-6)[2]),
+    return {"points": len(ts), "N": z.truncation_point(ts.max()),
             "correction_terms": terms_added(batch),
             "us_per_point": round(median_us(batch, 7, len(ts)), 3)}
 
@@ -109,10 +102,11 @@ def batch_row(ts):
 rows = []
 for t in HEIGHTS:
     ts = np.linspace(t - 10.0, t, 257)
-    n_chunk = max(1, CHUNK_ELEMENTS // z.zeta_many(0.98, [t], 1e-6)[2])
+    n_chunk = max(1, CHUNK_ELEMENTS // z.truncation_point(t))
     chunk_ts = np.linspace(t - 10.0, t, n_chunk)
     chunk_sigmas = np.linspace(0.95, 1.13, n_chunk)
-    chunk = lambda: verifier_path(chunk_sigmas, chunk_ts)
+    chunk = lambda: z.zeta_points(chunk_sigmas, chunk_ts, abs_tol=1e-6,
+                                  with_prime=True)[4]
     rows.append({
         "t": t,
         "batch": batch_row(ts),
@@ -162,6 +156,26 @@ def probe(src: Path, code: str):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def median_leaves(results: list):
+    """One probe result from several rounds': each float is their median;
+    every other entry is taken from the first round."""
+    first = results[0]
+    if isinstance(first, dict):
+        return {k: median_leaves([r[k] for r in results]) for k in first}
+    if isinstance(first, list):
+        return [median_leaves(list(col)) for col in zip(*results)]
+    return statistics.median(results) if isinstance(first, float) else first
+
+
+def probe_rounds(trees: dict, code: str) -> dict:
+    """Each tree's probe, PROBE_ROUNDS times, alternating which goes first."""
+    results = {side: [] for side in trees}
+    for i in range(PROBE_ROUNDS):
+        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+            results[side].append(probe(trees[side], code))
+    return {side: median_leaves(runs) for side, runs in results.items()}
 
 
 def workload_run(src: Path, workload: str, seed: int) -> dict:
@@ -218,7 +232,7 @@ def main(argv: list[str]) -> int:
     report = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        probe_key: {side: probe(src, probe_code) for side, src in trees.items()},
+        probe_key: probe_rounds(trees, probe_code),
     }
     if args.pairs > 0:
         report[args.workload.replace("-", "_")] = workload_pairs(

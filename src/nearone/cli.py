@@ -34,7 +34,6 @@ count.  Workers are spawned processes, so each starts from a fresh import.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -74,7 +73,7 @@ from .profiles import (
     rademacher_prefactor_dirichlet,
 )
 from .quadrature import integrate_envelope, integrate_inv_abs_zeta
-from .verifier import default_verification
+from .verifier import default_verification, dump_samples_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -332,16 +331,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         **result,
     }
     if args.csv is not None:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "sigma_mode", "sigma", "t",
-                             "observed", "bound", "ratio"])
-            for check in report["checks"]:
-                for r in check["records"]:
-                    writer.writerow([check["check"], check["sigma_mode"],
-                                     repr(r["sigma"]), repr(r["t"]),
-                                     repr(r["observed"]), repr(r["bound"]),
-                                     repr(r["ratio"])])
+        dump_samples_csv(result, args.csv)
     if not report["all_ok"]:
         print(f"error: bound-violation: {report['total_violations']} bound "
               f"and {report['elementary_violations']} elementary violations",

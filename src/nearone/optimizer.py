@@ -11,9 +11,9 @@ candidate.  The winner is the lexicographically smallest tuple
 objective is flat in C1, and the smallest admissible C1 is reported.
 
 Optional halving refinement re-scans a +-2-step box around the incumbent
-at half the step, any number of rounds; candidate coordinates are always
-exact decimals, so reported optima print as round grid values.  The
-reported optimum is re-validated through compute_a1 / compute_a2, so it
+at half the step, while the step stays >= MIN_STEP; candidate coordinates
+are always exact decimals, so reported optima print as round grid values.
+The reported optimum is re-validated through compute_a1 / compute_a2, so it
 satisfies the full hypothesis list by construction.
 
 A scan is NumPy work in one block per C1.  The T1-floor feasibility of a
@@ -74,6 +74,11 @@ from .profiles import LFunctionProfile
 # Most candidates the first scan may visit: 12x the 8,040,000 of a2 at step
 # 0.005.  The (C2, rho) feasibility array of a2 then stays below 4 MB.
 CANDIDATE_LIMIT = 100_000_000
+# Finest step a refinement round may reach.  _decimal_range admits grid
+# values up to 1e-15 past the box to absorb the rounding of exact decimals,
+# so finer steps put candidates outside it (C2 > 2 C1 after 45 rounds from
+# 0.01) and then run out of distinct floats, each round's box doubling.
+MIN_STEP = 4e-15
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,12 @@ class SearchSpec:
         if self.refine_rounds < 0:
             raise HypothesisError(
                 "refine-rounds", f"need refine_rounds >= 0, got {self.refine_rounds}")
+        finest = math.ldexp(self.grid_step, -self.refine_rounds)
+        if not finest >= MIN_STEP:
+            raise DomainError(
+                f"resource limit exceeded: refinement steps must stay >= "
+                f"{MIN_STEP}; {self.refine_rounds} rounds from grid_step "
+                f"{self.grid_step!r} reach {finest:.3g}")
 
 
 def _decimal_range(step: Decimal, lo: float, hi: float) -> list[float]:

@@ -247,11 +247,6 @@ def _eval_chunk(chunk: list) -> list[dict]:
     return records
 
 
-def _eval_sample(task: tuple) -> dict:
-    """The record of one sample: _eval_chunk on a chunk of one."""
-    return _eval_chunk([task])[0]
-
-
 def _chunks(tasks: list) -> list[list[int]]:
     """Task positions sorted by (kind, |t|) and cut into consecutive runs.
 
@@ -389,12 +384,17 @@ def default_verification(samples: int = VERIFY_SAMPLES,
     }
 
 
-def dump_samples_csv(report: dict, path: str) -> None:
-    """Write the per-sample records of one check report as CSV."""
+def dump_samples_csv(result: dict, path: str) -> None:
+    """Write the per-sample records of every check in a verification result
+    (default_verification's) as CSV: check, sigma_mode, sigma, t, observed,
+    bound, ratio, floats as repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sigma", "t", "observed", "bound", "ratio"])
-        for r in report["records"]:
-            writer.writerow([repr(r["sigma"]), repr(r["t"]),
-                             repr(r["observed"]), repr(r["bound"]),
-                             repr(r["ratio"])])
+        writer.writerow(["check", "sigma_mode", "sigma", "t",
+                         "observed", "bound", "ratio"])
+        for check in result["checks"]:
+            for r in check["records"]:
+                writer.writerow([check["check"], check["sigma_mode"],
+                                 repr(r["sigma"]), repr(r["t"]),
+                                 repr(r["observed"]), repr(r["bound"]),
+                                 repr(r["ratio"])])

@@ -102,17 +102,21 @@ and since t_h and d_j are >= 0 their errors add to at most
 2 eps (t_h + d_j) log n = 2 eps t log n.  This is why the heights must
 ascend.
 
-Per-point sigma.  A batch may give each point its own sigma
-(zeta_points, used by the verifier); a shared sigma stays a Python float
-throughout, so shared-sigma batches do not touch the per-point
-arithmetic.  The model's claims hold point by point for every sigma in
-[0.4, 3].  Each point has its own row and its own pairwise row sum, whose
-order depends on N alone.  S1, M, the phase floor, the remainder ratios
-and the Cauchy-circle term are computed from that point's sigma.  The
-one numerical premise, the n^(-sigma)-weighted mean of 3 sigma log n, was
-checked for every sigma in [0.4, 3] at each N <= 2^20.  The shared N only
-makes a point's sum longer than its own height needs, and the model
-charges it through log2 N.
+Entry points.  zeta and zeta_with_prime evaluate one point, zeta_points
+is the one batch entry and inv_abs_zeta_many feeds the reciprocal
+integral; all run the one pass _evaluate.
+
+Per-point sigma.  zeta_points takes sigma as a float shared by every point
+or as a sequence aligned with the heights (the verifier's chunks).  A
+shared sigma stays a Python float throughout, so shared-sigma batches do
+not touch the per-point arithmetic.  The model's claims hold point by
+point for every sigma in [0.4, 3].  Each point has its own row and its own
+pairwise row sum, whose order depends on N alone.  S1, M, the phase floor,
+the remainder ratios and the Cauchy-circle term are computed from that
+point's sigma.  The one numerical premise, the n^(-sigma)-weighted mean of
+3 sigma log n, was checked for every sigma in [0.4, 3] at each N <= 2^20.
+The shared N only makes a point's sum longer than its own height needs,
+and the model charges it through log2 N.
 
 Supported domain: sigma in [0.4, 3], |t| <= 1e5, |s - 1| >= 1e-3; the
 derivative additionally keeps a 1e-3 margin from the sigma and t edges.
@@ -133,15 +137,11 @@ from .bernoulli import BERNOULLI_EVEN
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "ComplexPoint",
     "EvaluatedValue",
     "zeta",
-    "zeta_prime",
     "zeta_with_prime",
-    "zeta_many",
     "zeta_points",
     "truncation_point",
-    "inv_abs_zeta",
     "inv_abs_zeta_many",
     "SIGMA_MIN",
     "SIGMA_MAX",
@@ -154,7 +154,7 @@ SIGMA_MIN = 0.4
 SIGMA_MAX = 3.0
 T_MAX = 1.0e5
 POLE_MARGIN = 1.0e-3
-EDGE_MARGIN = 1.0e-3          # extra boundary distance required by zeta_prime
+EDGE_MARGIN = 1.0e-3          # extra boundary distance required for zeta'
 DERIV_RADIUS = 5.0e-4         # Cauchy circle radius; < EDGE_MARGIN by design
 MIN_ABS_TOL = 1.0e-13
 DEFAULT_ABS_TOL = 1.0e-10
@@ -175,22 +175,6 @@ _BFAC = tuple(
     for k, (num, den) in enumerate(BERNOULLI_EVEN[:21], start=1)
 )
 _LOG_ABS_BFAC = tuple(math.log(abs(b)) for b in _BFAC)
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point s = sigma + it of the complex plane."""
-
-    sigma: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
-            raise DomainError("ComplexPoint requires finite coordinates")
-
-    @property
-    def s(self) -> complex:
-        return complex(self.sigma, self.t)
 
 
 @dataclass(frozen=True)
@@ -223,13 +207,6 @@ def _power_sum_bound(N: int, a):
     near = np.abs(a - 1.0) < 1.0e-12
     d = np.where(near, 1.0, 1.0 - a)
     return np.where(near, 1.0 + math.log(N), 1.0 + (N ** d - 1.0) / d)
-
-
-def _coerce_point(s: Union[ComplexPoint, complex, float]) -> tuple[float, float]:
-    if isinstance(s, ComplexPoint):
-        return float(s.sigma), float(s.t)
-    z = complex(s)
-    return z.real, z.imag
 
 
 def _check_domain(sigma: float, t: float, margin: float = 0.0) -> None:
@@ -456,103 +433,78 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     return values, primes, rem + floor_v, rem_p + floor_p, N
 
 
-def _eval_scalar(sigma: float, t: float, abs_tol: float, want_prime: bool):
-    """[zeta] or [zeta, zeta'] at sigma + it, as EvaluatedValues."""
+def _scalar(s: Union[complex, float], abs_tol: float, want_prime: bool):
+    """[zeta] or [zeta, zeta'] at the point s, as EvaluatedValues."""
+    _check_tol(abs_tol)
+    z = complex(s)
+    _check_domain(z.real, z.imag, EDGE_MARGIN if want_prime else 0.0)
     values, primes, bounds, bounds_p, N = _evaluate(
-        sigma, np.array([t]), abs_tol, 0.0, want_prime)
+        z.real, np.array([z.imag]), abs_tol, 0.0, want_prime)
     tracks = [(values, bounds), (primes, bounds_p)][:2 if want_prime else 1]
     return [EvaluatedValue(complex(v[0]), float(b[0]), N) for v, b in tracks]
 
 
-def zeta(s: Union[ComplexPoint, complex, float],
+def zeta(s: Union[complex, float],
          abs_tol: float = DEFAULT_ABS_TOL) -> EvaluatedValue:
     """Evaluate zeta(s) with |value - zeta(s)| <= abs_error_bound <= abs_tol.
 
     Raises DomainError outside the supported strip and ConvergenceError
     when abs_tol sits below the attainable rounding floor.
     """
-    _check_tol(abs_tol)
-    sigma, t = _coerce_point(s)
-    _check_domain(sigma, t)
-    return _eval_scalar(sigma, t, abs_tol, False)[0]
+    return _scalar(s, abs_tol, False)[0]
 
 
-def zeta_prime(s: Union[ComplexPoint, complex, float],
-               abs_tol: float = DEFAULT_ABS_TOL) -> EvaluatedValue:
-    """Evaluate zeta'(s) with |value - zeta'(s)| <= abs_error_bound <= abs_tol.
-
-    Requires s at distance >= 1e-3 from the strip boundary so the Cauchy
-    circle of radius 5e-4 used by the remainder bound stays inside.
-    """
-    return zeta_with_prime(s, abs_tol)[1]
-
-
-def zeta_with_prime(s: Union[ComplexPoint, complex, float],
+def zeta_with_prime(s: Union[complex, float],
                     abs_tol: float = DEFAULT_ABS_TOL
                     ) -> tuple[EvaluatedValue, EvaluatedValue]:
-    """Evaluate zeta(s) and zeta'(s) together, sharing the main sum."""
-    _check_tol(abs_tol)
-    sigma, t = _coerce_point(s)
-    _check_domain(sigma, t, margin=EDGE_MARGIN)
-    value, prime = _eval_scalar(sigma, t, abs_tol, True)
-    return value, prime
+    """Evaluate zeta(s) and zeta'(s) together, sharing the main sum.
 
-
-def zeta_many(sigma: float, ts: Sequence[float],
-              abs_tol: float = DEFAULT_ABS_TOL) -> tuple[np.ndarray, np.ndarray, int]:
-    """Evaluate zeta(sigma + it) for a batch of heights of similar size.
-
-    One truncation point serves the whole batch (set by max |t|), so this
-    is intended for clustered heights such as quadrature nodes of one
-    panel.  K ascending heights in blocks with equal exact offsets, such
-    as one Romberg level a + h (1, 3, 5, ...), take the factored main sum
-    of the module docstring: about 2 sqrt K rows of exps instead of K.
-    Returns (values, abs_error_bounds, terms_used).
+    Both satisfy |value - exact| <= abs_error_bound <= abs_tol.  s must lie
+    at distance >= 1e-3 from the strip boundary so the Cauchy circle of
+    radius 5e-4 used by the derivative's remainder bound stays inside.
     """
-    _check_tol(abs_tol)
-    arr = _check_points(sigma, ts)
-    values, _, bounds, _, N = _evaluate(sigma, arr, abs_tol, 0.0, False)
-    return values, bounds, N
+    return tuple(_scalar(s, abs_tol, True))
 
 
-def zeta_points(sigmas: Sequence[float], ts: Sequence[float],
+def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
                 abs_tol: float = DEFAULT_ABS_TOL, with_prime: bool = False):
-    """zeta (and zeta' if with_prime) at the points sigmas[i] + i ts[i].
+    """zeta (and zeta' if with_prime) at the points sigma + i ts.
 
-    One engine pass serves the batch, with sigma per point and one
-    truncation point set by max |t|, so heights should be of similar size.
-    Each point is checked as zeta, or zeta_with_prime if with_prime,
-    checks it.  Returns (values, bounds, primes, bounds_prime, terms_used)
-    with primes/bounds_prime None unless with_prime.  A DomainError or
+    sigma is a float shared by every point or a sequence aligned with ts.
+    One engine pass serves the batch, with one truncation point set by
+    max |t|, so heights should be of similar size.  K ascending heights in
+    blocks with equal exact offsets, such as one Romberg level
+    a + h (1, 3, 5, ...) at a shared sigma, take the factored main sum of
+    the module docstring: about 2 sqrt K rows of exps instead of K.  Each
+    point is checked as zeta, or zeta_with_prime if with_prime, checks it.
+    Returns (values, bounds, primes, bounds_prime, terms_used) with
+    primes/bounds_prime None unless with_prime.  A DomainError or
     ConvergenceError about one point carries its position as `index`.
     """
     _check_tol(abs_tol)
-    sig = np.asarray(sigmas, dtype=np.float64)
-    arr = np.asarray(ts, dtype=np.float64)
-    if sig.ndim != 1 or sig.shape != arr.shape:
-        raise DomainError("sigmas and ts must be aligned one-dimensional sequences")
-    _check_points(sig, arr, EDGE_MARGIN if with_prime else 0.0)
-    values, primes, bounds, bounds_p, N = _evaluate(sig, arr, abs_tol, 0.0,
+    if np.ndim(sigma) == 0:
+        sigma = float(sigma)
+    else:
+        sigma = np.asarray(sigma, dtype=np.float64)
+        if sigma.ndim != 1 or sigma.shape != np.shape(ts):
+            raise DomainError(
+                "sigmas and ts must be aligned one-dimensional sequences")
+    arr = _check_points(sigma, ts, EDGE_MARGIN if with_prime else 0.0)
+    values, primes, bounds, bounds_p, N = _evaluate(sigma, arr, abs_tol, 0.0,
                                                     with_prime)
     return values, bounds, primes, bounds_p, N
 
 
-def inv_abs_zeta(sigma0: float, t: float) -> float:
-    """Return 1/|zeta(sigma0 + it)| with relative error <= 1e-8.
+def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
+    """1/|zeta(sigma0 + it)| at each height t of ts, relative error <= 1e-8.
 
     sigma0 must lie in [0.9, 1.0); t of either sign is accepted since
-    |zeta| is even in t.  Raises DomainError if |zeta| falls below the
-    1e-3 guard (cannot happen for sigma0 in this range at moderate t, but
+    |zeta| is even in t.  One engine pass with one truncation point serves
+    the batch, so heights should be clustered, as the nodes of one
+    quadrature panel are; a Romberg level takes the factored main sum (see
+    zeta_points).  Raises DomainError if some |zeta| falls below the 1e-3
+    guard (cannot happen for sigma0 in this range at moderate t, but
     checked unconditionally) and propagates engine errors.
-    """
-    return float(inv_abs_zeta_many(sigma0, [t])[0])
-
-
-def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
-    """Vectorized inv_abs_zeta over clustered heights (one shared N).
-
-    The batch goes through the engine as in zeta_many, so a Romberg level
-    takes the factored main sum.
     """
     if not (0.9 <= sigma0 < 1.0):
         raise DomainError(f"sigma0={sigma0!r} outside [0.9, 1.0)")

@@ -35,7 +35,7 @@ from nearone.optimizer import SearchSpec, minimize
 from nearone.profiles import profile_dedekind, profile_zeta
 from nearone.quadrature import integrate_envelope, integrate_inv_abs_zeta, romberg
 from nearone.verifier import default_verification
-from nearone.zeta import zeta, zeta_many
+from nearone.zeta import zeta
 
 FIRST_ZERO_T = 14.1347251417346937904572519836
 

@@ -257,6 +257,8 @@ def test_constants_overflowing_edge_fails_c2_range(capsys):
     (["integrate", "envelope", "--panel-width-v", "1e-300"],
      "resource limit exceeded"),
     (["optimize", "a2", "--grid-step", "1e-5"], "resource limit exceeded"),
+    (["optimize", "a1", "--refine-rounds", "46"], "resource limit exceeded"),
+    (["optimize", "a2", "--refine-rounds", "60"], "resource limit exceeded"),
 ])
 def test_out_of_range_input_fails_by_name(capsys, argv, message):
     assert main(argv) == 1

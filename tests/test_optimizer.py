@@ -159,6 +159,29 @@ def test_candidate_limit_leaves_room_for_the_grids_in_use():
     zeta_spec(TARGET_LOG, grid_step=0.00011)
 
 
+@pytest.mark.parametrize("target, rounds", [(TARGET_LOG, 46),
+                                            (TARGET_LOGDER, 60),
+                                            (TARGET_LOG, 10 ** 20)])
+def test_refinement_too_deep_is_refused_before_any_work(target, rounds):
+    # below MIN_STEP the 1e-15 slack of _decimal_range admits C2 > 2 C1
+    # (46 rounds) and each round's box doubles (60 rounds)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="resource limit exceeded"):
+        minimize(zeta_spec(target, refine_rounds=rounds))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("target", [TARGET_LOG, TARGET_LOGDER])
+def test_deepest_refinement_allowed_passes_every_hypothesis(target):
+    # 41 rounds from 0.01 is the deepest allowed; minimize re-validates
+    # the optimum through compute_a1 / compute_a2
+    assert math.ldexp(0.01, -42) < optimizer.MIN_STEP <= math.ldexp(0.01, -41)
+    params, bc = minimize(zeta_spec(target, refine_rounds=41))
+    assert params.C2 <= 2 * params.C1
+    assert bc.a == pytest.approx(ZETA_A1 if target == TARGET_LOG else ZETA_A2,
+                                 rel=1e-4)
+
+
 # --- Oracle: the scan as a per-candidate scalar loop -------------------------
 
 ORACLE_PROFILES = {

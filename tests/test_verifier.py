@@ -20,7 +20,7 @@ from nearone.verifier import (
     SigmaMode,
     T_CEILING,
     T_FLOOR,
-    _eval_sample,
+    _eval_chunk,
     _halton,
     build_grid,
     check_log_bound,
@@ -130,8 +130,8 @@ def test_conjugate_sample_gives_identical_observed():
                 LOGDER_REGION[0], LOGDER_REGION[1], LOGDER_REGION[2], 1e-6)
     task_neg = ("logder", 1.0, -12345.0, DISPLAY_A2, DISPLAY_B2,
                 LOGDER_REGION[0], LOGDER_REGION[1], LOGDER_REGION[2], 1e-6)
-    rec_pos = _eval_sample(task_pos)
-    rec_neg = _eval_sample(task_neg)
+    rec_pos = _eval_chunk([task_pos])[0]
+    rec_neg = _eval_chunk([task_neg])[0]
     assert rec_neg["observed"] == rec_pos["observed"]
     assert rec_neg["bound"] == rec_pos["bound"]
 
@@ -194,15 +194,19 @@ def test_csv_dump_round_trips(tmp_path):
     grid = build_grid(6, LOG_REGION, SigmaMode.INTERIOR_GRID, seed=2)
     rep = check_log_bound(grid, DISPLAY_A1, DISPLAY_B1)
     path = tmp_path / "samples.csv"
-    dump_samples_csv(rep, str(path))
+    dump_samples_csv({"checks": [rep]}, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["sigma", "t", "observed", "bound", "ratio"]
+    assert rows[0] == ["check", "sigma_mode", "sigma", "t", "observed",
+                       "bound", "ratio"]
     assert len(rows) == 7
     for row, rec in zip(rows[1:], rep["records"]):
-        assert float(row[0]) == rec["sigma"]
-        assert float(row[2]) == rec["observed"]
-        assert float(row[3]) == rec["bound"]
+        assert row[:2] == ["log-zeta", "interior-grid"]
+        assert float(row[2]) == rec["sigma"]
+        assert float(row[3]) == rec["t"]
+        assert float(row[4]) == rec["observed"]
+        assert float(row[5]) == rec["bound"]
+        assert float(row[6]) == rec["ratio"]
 
 
 def _default_tasks(samples):

@@ -16,13 +16,10 @@ import pytest
 import nearone.zeta as zeta_engine
 from nearone.errors import ConvergenceError, DomainError
 from nearone.zeta import (
-    ComplexPoint,
     EvaluatedValue,
-    inv_abs_zeta,
     inv_abs_zeta_many,
     zeta,
-    zeta_many,
-    zeta_prime,
+    zeta_points,
     zeta_with_prime,
 )
 
@@ -80,7 +77,7 @@ def test_zeta_two_matches_pi_squared_over_six():
 
 @pytest.mark.parametrize("sigma,t,tol,ref", ZETA_CASES)
 def test_zeta_spot_values(sigma, t, tol, ref):
-    ev = zeta(ComplexPoint(sigma, t), abs_tol=tol)
+    ev = zeta(complex(sigma, t), abs_tol=tol)
     err = abs(ev.value - ref)
     assert err <= ev.abs_error_bound
     assert ev.abs_error_bound <= tol
@@ -89,7 +86,7 @@ def test_zeta_spot_values(sigma, t, tol, ref):
 
 @pytest.mark.parametrize("sigma,t,tol,ref", ZP_CASES)
 def test_zeta_prime_spot_values(sigma, t, tol, ref):
-    ev = zeta_prime(ComplexPoint(sigma, t), abs_tol=tol)
+    _, ev = zeta_with_prime(complex(sigma, t), abs_tol=tol)
     err = abs(ev.value - ref)
     assert err <= ev.abs_error_bound
     assert ev.abs_error_bound <= tol
@@ -106,15 +103,13 @@ def test_zeta_prime_central_difference():
     hi = zeta(s + h, abs_tol=1e-10).value
     lo = zeta(s - h, abs_tol=1e-10).value
     central = (hi - lo) / (2 * h)
-    ev = zeta_prime(s, abs_tol=1e-8)
+    _, ev = zeta_with_prime(s, abs_tol=1e-8)
     assert abs(ev.value - central) < 1e-6
 
 
 def test_zeta_with_prime_consistent_with_separate_calls():
-    s = ComplexPoint(0.9, 300.5)
+    s = complex(0.9, 300.5)
     ev_v, ev_p = zeta_with_prime(s, abs_tol=1e-8)
-    # the prime path shares the exact code path of zeta_prime
-    assert ev_p.value == zeta_prime(s, abs_tol=1e-8).value
     # the value may carry extra correction terms; agree within bounds
     ev = zeta(s, abs_tol=1e-8)
     assert abs(ev_v.value - ev.value) <= ev_v.abs_error_bound + ev.abs_error_bound
@@ -132,8 +127,8 @@ def test_conjugate_symmetry():
         up = zeta(complex(sigma, t), abs_tol=tol)
         down = zeta(complex(sigma, -t), abs_tol=tol)
         assert abs(down.value - up.value.conjugate()) <= 2 * tol
-        pu = zeta_prime(complex(sigma, t), abs_tol=1e-7)
-        pd = zeta_prime(complex(sigma, -t), abs_tol=1e-7)
+        _, pu = zeta_with_prime(complex(sigma, t), abs_tol=1e-7)
+        _, pd = zeta_with_prime(complex(sigma, -t), abs_tol=1e-7)
         assert pd.value == pu.value.conjugate()
 
 
@@ -148,7 +143,7 @@ def test_dirichlet_series_agreement_at_sigma_25():
 
 
 def test_run_to_run_determinism():
-    s = ComplexPoint(0.77, 4321.25)
+    s = complex(0.77, 4321.25)
     a = zeta(s, abs_tol=1e-8)
     b = zeta(s, abs_tol=1e-8)
     assert a.value == b.value
@@ -169,15 +164,15 @@ def test_domain_rejections():
         zeta(complex(0.9995, 0.0))
     with pytest.raises(DomainError):
         zeta(2.0 + 0.0j, abs_tol=5e-14)
-    with pytest.raises(DomainError):
-        ComplexPoint(math.nan, 0.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        zeta(complex(math.nan, 0.0))
 
 
 def test_zeta_prime_requires_boundary_margin():
     with pytest.raises(DomainError):
-        zeta_prime(complex(0.4005, 5.0))
+        zeta_with_prime(complex(0.4005, 5.0))
     with pytest.raises(DomainError):
-        zeta_prime(complex(3.0, 5.0))
+        zeta_with_prime(complex(3.0, 5.0))
     zeta(complex(3.0, 5.0))  # plain zeta accepts the closed edge
 
 
@@ -186,37 +181,43 @@ def test_tolerance_unreachable_at_large_height():
         zeta(complex(0.98, 11520.0), abs_tol=1e-12)
 
 
+def _inv_abs_zeta(sigma0, t):
+    """1/|zeta(sigma0 + it)| from a batch of one height."""
+    return float(inv_abs_zeta_many(sigma0, [t])[0])
+
+
 def test_inv_abs_zeta_against_oracle():
-    got = inv_abs_zeta(0.98, 0.0)
+    got = _inv_abs_zeta(0.98, 0.0)
     assert abs(got - INV_098_0) / INV_098_0 <= 1e-8
-    got25 = inv_abs_zeta(0.98, 25.0)
+    got25 = _inv_abs_zeta(0.98, 25.0)
     assert abs(got25 - 1.0 / ZETA_098_25_ABS) * ZETA_098_25_ABS <= 1e-8
-    assert inv_abs_zeta(0.98, -25.0) == inv_abs_zeta(0.98, 25.0)
+    assert _inv_abs_zeta(0.98, -25.0) == _inv_abs_zeta(0.98, 25.0)
 
 
 def test_inv_abs_zeta_rejects_sigma0_outside_range():
     with pytest.raises(DomainError):
-        inv_abs_zeta(0.89, 10.0)
+        _inv_abs_zeta(0.89, 10.0)
     with pytest.raises(DomainError):
-        inv_abs_zeta(1.0, 10.0)
+        _inv_abs_zeta(1.0, 10.0)
 
 
 def test_inv_abs_zeta_many_matches_scalar():
     ts = np.array([0.0, 25.0, 100.0])
     batch = inv_abs_zeta_many(0.98, ts)
-    singles = np.array([inv_abs_zeta(0.98, float(t)) for t in ts])
+    singles = np.array([_inv_abs_zeta(0.98, float(t)) for t in ts])
     assert np.allclose(batch, singles, rtol=3e-8, atol=0.0)
 
 
-def test_zeta_many_within_bounds_of_scalar():
+def test_shared_sigma_batch_within_bounds_of_scalar():
     ts = np.array([10.0, 250.5, 993.25])
-    vals, bounds, terms = zeta_many(0.9, ts, abs_tol=1e-9)
+    vals, bounds, none, none_p, terms = zeta_points(0.9, ts, abs_tol=1e-9)
+    assert none is None and none_p is None
     assert terms >= _truncation_point(ts.max())
     for v, b, t in zip(vals, bounds, ts):
         ev = zeta(complex(0.9, float(t)), abs_tol=1e-9)
         assert abs(v - ev.value) <= b + ev.abs_error_bound
     with pytest.raises(DomainError):
-        zeta_many(0.9, np.array([[1.0, 2.0]]))
+        zeta_points(0.9, np.array([[1.0, 2.0]]))
 
 
 def test_evaluated_value_invariants():
@@ -244,7 +245,7 @@ def test_bound_honesty_random_sample():
         checked += 1
 
 
-@pytest.mark.parametrize("fn, sigma", [(zeta_many, 0.9), (inv_abs_zeta_many, 0.98)])
+@pytest.mark.parametrize("fn, sigma", [(zeta_points, 0.9), (inv_abs_zeta_many, 0.98)])
 def test_batch_rejects_last_height_above_t_max_and_nan(fn, sigma):
     from nearone.zeta import T_MAX
     with pytest.raises(DomainError, match=repr(T_MAX + 1.0)) as info:
@@ -257,7 +258,7 @@ def test_batch_rejects_last_height_above_t_max_and_nan(fn, sigma):
 
 def test_batch_rejects_point_near_pole_in_the_middle():
     with pytest.raises(DomainError, match="pole") as info:
-        zeta_many(1.0, [5.0, -5e-4, 3.0])
+        zeta_points(1.0, [5.0, -5e-4, 3.0])
     assert info.value.index == 1
 
 
@@ -494,12 +495,26 @@ def test_per_point_sigma_batch_against_mpmath():
                     <= bounds_p[i] <= 1e-6)
 
 
-def test_per_point_sigma_batch_of_one_sigma_matches_zeta_many():
+def test_per_point_sigma_batch_of_one_sigma_matches_shared_sigma():
     ts = np.linspace(11514.0, 11516.0, 9)
     per_point = zeta_engine.zeta_points(np.full(9, 0.98), ts, abs_tol=1e-6)
-    shared = zeta_many(0.98, ts, abs_tol=1e-6)
+    shared = zeta_engine.zeta_points(0.98, ts, abs_tol=1e-6)
     assert np.allclose(per_point[0], shared[0], rtol=0.0, atol=1e-12)
     assert np.all(per_point[1] <= shared[1] * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("sigma, t", [(2.0, 0.0), (0.98, -100.0),
+                                      (0.45, 34.0), (1.14, 11515.3)])
+def test_scalar_calls_equal_a_batch_of_one(sigma, t):
+    # zeta and zeta_with_prime are the float-sigma batch of one, bit for bit
+    values, bounds, primes, bounds_p, N = zeta_points(sigma, [t], abs_tol=1e-6,
+                                                      with_prime=True)
+    value, prime = zeta_with_prime(complex(sigma, t), abs_tol=1e-6)
+    assert value == EvaluatedValue(complex(values[0]), float(bounds[0]), N)
+    assert prime == EvaluatedValue(complex(primes[0]), float(bounds_p[0]), N)
+    values, bounds, _, _, N = zeta_points(sigma, [t], abs_tol=1e-6)
+    assert zeta(complex(sigma, t), abs_tol=1e-6) == EvaluatedValue(
+        complex(values[0]), float(bounds[0]), N)
 
 
 def test_per_point_batch_names_the_failing_point():
@@ -626,7 +641,7 @@ def test_direct_path_inputs_keep_their_bits(monkeypatch, sigma, ts):
             assert main_p is None
 
 
-@pytest.mark.parametrize("fn", [zeta_many, inv_abs_zeta_many])
+@pytest.mark.parametrize("fn", [zeta_points, inv_abs_zeta_many])
 def test_nan_in_a_progression_is_a_domain_error(fn):
     ts = NODES.copy()
     ts[40] = math.nan
