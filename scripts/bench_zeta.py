@@ -4,8 +4,9 @@
 Usage: python scripts/bench_zeta.py PARENT_SRC CHANGE_SRC [--workload W] [--pairs N]
 
 PARENT_SRC and CHANGE_SRC are directories holding the `nearone` package
-(the `src/` of two checkouts).  For each tree, in a fresh interpreter with
-PYTHONPATH set to it, the script first runs the workload's probe:
+(the `src/` of two checkouts).  The script starts one probe interpreter per
+tree, with PYTHONPATH set to it, and asks both for each row of the
+workload's probe in turn, so the two trees time a row back to back:
 
 - `inv-zeta` (the default; written to BENCH_zeta.json): the zeta engine at
   t = 1e2, 1e3, 1e4 and 3e4, through the integral's path `inv_abs_zeta_many
@@ -17,19 +18,22 @@ PYTHONPATH set to it, the script first runs the workload's probe:
   control.  Then through the verifier's path: one chunk of as many points
   as the verifier's cap on points x N allows, heights in [t - 10, t] and
   sigma spread over [0.95, 1.13] (`zeta_points`), with the derivative at
-  abs_tol = 1e-6.  Each row gives the truncation point N, the number of
-  correction terms added and microseconds per point, the median of 7 calls.
-  Correction terms are counted by swapping the engine's Bernoulli table
-  `_BFAC` for a tuple that remembers the highest entry read.
+  abs_tol = 1e-6.  Last, `level-run`: one Romberg level over a run of 50
+  adjacent panels of width 10 from 11020, 128 new nodes each (K = 6400),
+  the integrand call that `integrate inv-zeta --from 11020 --to 11520`
+  makes at its deepest common level.  Each row gives the truncation point
+  N, the number of correction terms added and microseconds per point, the
+  median of 7 calls.  Correction terms are counted by swapping the engine's
+  Bernoulli table `_BFAC` for a tuple that remembers the highest entry read.
 - `headline` (written to BENCH_headline.json): the in-process seconds of
   `verify --samples 2000`, its costliest operation, over three calls of
   `nearone.cli.main`, and the interpreter's peak RSS (ru_maxrss).
 - `sieve-1e8` (written to BENCH_sieve.json): the same for
   `mertens sieve-verify --limit 100000000`.
 
-Each probe runs PROBE_ROUNDS times per tree, alternating which tree goes
+Every row runs PROBE_ROUNDS times per tree, alternating which tree goes
 first, and every float it reports is the median of its rounds' values, so a
-busy stretch of a shared host skews one round, not a whole row.
+busy stretch of a shared host skews one pair of timings, not a whole tree.
 
 With --pairs N > 0 (default 10) it then runs the workload N times on each
 tree, `perfbench/run.py --workload W --seed i --seconds 30 --trace 0` from
@@ -56,8 +60,16 @@ METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 RUN_SECONDS = 30         # the benchmark's run length (BENCHMARK.json)
 PROBE_ROUNDS = 3
 
+# A probe defines ROWS, row name -> function returning that row's JSON
+# object; it prints the names, then answers one row per line of stdin.
+SERVE = """
+print(json.dumps(list(ROWS)), flush=True)
+for line in sys.stdin:
+    print(json.dumps(ROWS[line.strip()]()), flush=True)
+"""
+
 ENGINE_PROBE = """
-import json, statistics, sys, time
+import functools, json, statistics, sys, time
 import numpy as np
 import nearone.zeta as z
 
@@ -90,6 +102,7 @@ def terms_added(fn):
 
 
 CHUNK_ELEMENTS = 1 << 17       # nearone.verifier.CHUNK_ELEMENTS
+LEVEL = 10.0 / 256 * np.arange(1, 256, 2.0)     # a level's offsets in a panel
 
 
 def batch_row(ts):
@@ -99,24 +112,26 @@ def batch_row(ts):
             "us_per_point": round(median_us(batch, 7, len(ts)), 3)}
 
 
-rows = []
-for t in HEIGHTS:
-    ts = np.linspace(t - 10.0, t, 257)
+def verifier_row(t):
     n_chunk = max(1, CHUNK_ELEMENTS // z.truncation_point(t))
     chunk_ts = np.linspace(t - 10.0, t, n_chunk)
     chunk_sigmas = np.linspace(0.95, 1.13, n_chunk)
     chunk = lambda: z.zeta_points(chunk_sigmas, chunk_ts, abs_tol=1e-6,
                                   with_prime=True)[4]
-    rows.append({
-        "t": t,
-        "batch": batch_row(ts),
-        "progression": batch_row(t - 10.0 + 10.0 / 256 * np.arange(1, 256, 2.0)),
-        "descending": batch_row(ts[::-1]),
-        "verifier": {"points": n_chunk, "N": int(chunk()),
-                     "correction_terms": terms_added(chunk),
-                     "us_per_point": round(median_us(chunk, 7, n_chunk), 3)},
-    })
-json.dump(rows, sys.stdout)
+    return {"points": n_chunk, "N": int(chunk()),
+            "correction_terms": terms_added(chunk),
+            "us_per_point": round(median_us(chunk, 7, n_chunk), 3)}
+
+
+ROWS = {}
+for t in HEIGHTS:
+    ts = np.linspace(t - 10.0, t, 257)
+    ROWS[f"batch t={t:g}"] = functools.partial(batch_row, ts)
+    ROWS[f"progression t={t:g}"] = functools.partial(batch_row, t - 10.0 + LEVEL)
+    ROWS[f"descending t={t:g}"] = functools.partial(batch_row, ts[::-1])
+    ROWS[f"verifier t={t:g}"] = functools.partial(verifier_row, t)
+ROWS["level-run"] = functools.partial(
+    batch_row, (11020.0 + 10.0 * np.arange(50)[:, None] + LEVEL).ravel())
 """
 
 
@@ -124,38 +139,35 @@ CLI_PROBE = """
 import contextlib, io, json, resource, statistics, sys, time
 import nearone.cli as cli
 
-seconds = []
-for _ in range(3):
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(ARGV)
-    seconds.append(time.perf_counter() - start)
-    if code != 0:
-        sys.exit(f"{ARGV} exited {code}")
-json.dump({"command": " ".join(ARGV), "seconds": [round(s, 4) for s in seconds],
-           "median_s": round(statistics.median(seconds), 4),
-           "peak_rss_mb": round(
-               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)},
-          sys.stdout)
+
+def command_row():
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(ARGV)
+        seconds.append(time.perf_counter() - start)
+        if code != 0:
+            sys.exit(f"{ARGV} exited {code}")
+    return {"command": " ".join(ARGV), "seconds": [round(s, 4) for s in seconds],
+            "median_s": round(statistics.median(seconds), 4),
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+ROWS = {"command": command_row}
 """
 
 # per workload: the report file, the probe's key in it and the probe
 WORKLOADS = {
     "inv-zeta": ("BENCH_zeta.json", "engine",
-                 f"HEIGHTS = {HEIGHTS!r}\n{ENGINE_PROBE}"),
+                 f"HEIGHTS = {HEIGHTS!r}\n{ENGINE_PROBE}{SERVE}"),
     "headline": ("BENCH_headline.json", "verify",
-                 f"ARGV = {['verify', '--samples', '2000']!r}\n{CLI_PROBE}"),
+                 f"ARGV = {['verify', '--samples', '2000']!r}\n{CLI_PROBE}{SERVE}"),
     "sieve-1e8": ("BENCH_sieve.json", "sieve_verify",
                   f"ARGV = {['mertens', 'sieve-verify', '--limit', '100000000']!r}"
-                  f"\n{CLI_PROBE}"),
+                  f"\n{CLI_PROBE}{SERVE}"),
 }
-
-
-def probe(src: Path, code: str):
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
 
 
 def median_leaves(results: list):
@@ -170,12 +182,31 @@ def median_leaves(results: list):
 
 
 def probe_rounds(trees: dict, code: str) -> dict:
-    """Each tree's probe, PROBE_ROUNDS times, alternating which goes first."""
-    results = {side: [] for side in trees}
-    for i in range(PROBE_ROUNDS):
-        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
-            results[side].append(probe(trees[side], code))
-    return {side: median_leaves(runs) for side, runs in results.items()}
+    """Every row of the probe, PROBE_ROUNDS times per tree: one probe
+    process per tree, the two trees timing each row back to back, and
+    alternating which goes first."""
+    procs = {side: subprocess.Popen(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for side, src in trees.items()}
+    try:
+        rows = [json.loads(proc.stdout.readline()) for proc in procs.values()][0]
+        results = {side: {row: [] for row in rows} for side in trees}
+        for i in range(PROBE_ROUNDS):
+            for row in rows:
+                for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+                    procs[side].stdin.write(row + "\n")
+                    procs[side].stdin.flush()
+                    line = procs[side].stdout.readline()
+                    if not line:
+                        raise SystemExit(f"{side} probe stopped at row {row!r}")
+                    results[side][row].append(json.loads(line))
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    return {side: {row: median_leaves(runs) for row, runs in by_row.items()}
+            for side, by_row in results.items()}
 
 
 def workload_run(src: Path, workload: str, seed: int) -> dict:

@@ -48,13 +48,15 @@ COMMANDS = (
     "profiles --family dedekind",
     "integrate inv-zeta",
     "integrate inv-zeta --from 11020 --to 11520",
-    # N = 15020: the deepest Romberg levels, 256 nodes in blocks of 16,
-    # are the largest factored batches of the list
+    # N = 15020, the largest of the list: levels of up to 10 panels x 128
+    # nodes in blocks of 16
     "integrate inv-zeta --from 29900 --to 30000",
     "verify",
     "verify --samples 2000",
-    # the spawned worker pool
+    # 10 panels make one group of panels, run without a worker pool; 128
+    # panels make two groups, one per spawned worker
     "integrate inv-zeta --from 0 --to 100 --threads 2",
+    "integrate inv-zeta --from 10000 --to 11280 --threads 2",
     "verify --threads 2",
     # failure exits: reports with exit 1, then exit 1 with no stdout
     "constants a1 --T1 100",

@@ -11,15 +11,35 @@ iteration stops when successive diagonal entries differ by at most
 rel_tol * |R[i][i]|; that difference is reported as the error estimate.
 
 Long intervals are split into consecutive panels of fixed width (default
-10 for the reciprocal-zeta integral), each integrated by an independent
-Romberg pass.  A level's new nodes a + h (1, 3, 5, ...), h = width / 2^i,
-form an exact progression when the panel edges and width are short in
-binary, as the integer edges and default width 10 are; the zeta engine
-then factors its main sum (nearone.zeta).  Panels are pure, independent
-work units and may be farmed out to worker processes; the merge adds
-per-panel values with exact compensated summation (math.fsum) in
-ascending panel order, so the total is identical for every worker count
-and evaluation order.
+10 for the reciprocal-zeta integral), each with its own Romberg tableau,
+convergence test and evaluation count.  The panels are integrated in
+fixed groups of GROUP_PANELS = 64 consecutive panels, and a group
+advances all of its open panels one level at a time (_romberg_panels):
+
+- Level 0 evaluates the group's edges in one call.  Adjacent panels share
+  an edge, so it is evaluated once, but each panel still counts both of
+  its ends among its evaluations.
+- Level i >= 1 makes one integrand call per run: a maximal run of
+  adjacent open panels of equal width.  With h = width / 2^i, the run's
+  new nodes a_k + h (1, 3, 5, ...) over its panels' left edges a_k form
+  one progression of step 2h, exact when the edges and width are short
+  in binary, as the integer edges and default width 10 are; the zeta
+  engine then factors its main sum over the whole run (nearone.zeta).
+
+Each panel's nodes, trapezoid sum and tableau are computed with the same
+arithmetic in the same order as a lone panel's, and a panel leaves its
+run once it converges, so an integrand that maps each abscissa on its own,
+such as the envelope's, gives the lone panels' results bit for bit.  The
+zeta engine's values depend on the batch, through its truncation point
+and block heads, but only within its error bound.  A panel still open
+after max_levels raises ConvergenceError naming its interval.  romberg()
+is the one-panel call of the same driver.
+
+The groups, not the panels, are the work units farmed out to worker
+processes.  They are fixed by the panel index alone, so every integrand
+call, and hence every bit of every panel's result, is the same for every
+worker count; the merge adds per-panel values with exact compensated
+summation (math.fsum) in ascending panel order.
 
 The envelope integrand u^(a1 * loglog u / (log u)^(2 sigma0 - 1)) is
 integrated after the substitution u = e^v, which turns it into
@@ -64,6 +84,8 @@ T_CEILING = 3.0e4
 LO_FLOOR_ENVELOPE = math.exp(2.0)
 # Most panels one integral may split into; the defaults use 1152 and 16.
 PANEL_LIMIT = 100_000
+# Consecutive panels integrated together, a level at a time, per task.
+GROUP_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -89,7 +111,7 @@ def romberg(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Converged when successive diagonal entries differ by at most
     rel_tol * |value|; the last diagonal difference is the error estimate.
     Raises ConvergenceError("non-convergent ...") if max_levels is reached
-    first.
+    first.  This is the one-panel call of _romberg_panels.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b; got [{a!r}, {b!r}]")
@@ -99,34 +121,65 @@ def romberg(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         raise DomainError(
             f"max_levels must lie in [{MIN_LEVELS}, {MAX_LEVELS_CAP}]; "
             f"got {max_levels!r}")
+    return _romberg_panels(f, [a, b], rel_tol, max_levels)[0]
 
-    width = b - a
-    ends = np.asarray(f(np.array([a, b], dtype=np.float64)), dtype=np.float64)
-    if ends.shape != (2,) or not np.all(np.isfinite(ends)):
-        raise DomainError("integrand must map a length-2 array to finite values")
-    evaluations = 2
-    rows = [[width * float(ends[0] + ends[1]) / 2.0]]
+
+def _romberg_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
+                    rel_tol: float, max_levels: int) -> list[QuadratureResult]:
+    """Romberg on each panel [edges[k], edges[k+1]], all panels a level at
+    a time (module docstring); one result per panel.
+
+    Raises ConvergenceError naming the first panel still open after
+    max_levels levels.
+    """
+    xs = np.asarray(edges, dtype=np.float64)
+    ends = np.asarray(f(xs), dtype=np.float64)
+    if ends.shape != xs.shape or not np.all(np.isfinite(ends)):
+        raise DomainError("integrand must map the panel edges to finite values")
+    widths = [b - a for a, b in zip(edges, edges[1:])]
+    # each panel's last tableau row R[i-1][0..i-1] and diagonal difference
+    rows = [[w * float(ends[k] + ends[k + 1]) / 2.0]
+            for k, w in enumerate(widths)]
+    diffs = [math.inf] * len(widths)
+    results: list[Optional[QuadratureResult]] = [None] * len(widths)
+    open_panels = list(range(len(widths)))
 
     for i in range(1, max_levels + 1):
-        h = width / 2.0 ** i
-        mids = a + h * np.arange(1, 2 ** i, 2, dtype=np.float64)
-        vals = np.asarray(f(mids), dtype=np.float64)
-        if vals.shape != mids.shape or not np.all(np.isfinite(vals)):
-            raise DomainError("integrand returned a malformed or non-finite batch")
-        evaluations += len(mids)
-        trap = rows[-1][0] / 2.0 + h * float(np.sum(vals))
-        row = [trap]
-        for j in range(1, i + 1):
-            row.append(row[j - 1]
-                       + (row[j - 1] - rows[-1][j - 1]) / (4.0 ** j - 1.0))
-        diff = abs(row[i] - rows[-1][i - 1])
-        rows.append(row)
-        if diff <= rel_tol * abs(row[i]):
-            return QuadratureResult(row[i], diff, 1, evaluations)
+        m = 2 ** (i - 1)                        # new nodes per panel
+        runs = [[open_panels[0]]]
+        for k in open_panels[1:]:
+            if k == runs[-1][-1] + 1 and widths[k] == widths[runs[-1][0]]:
+                runs[-1].append(k)
+            else:
+                runs.append([k])
+        for run in runs:
+            h = widths[run[0]] / 2.0 ** i
+            offsets = h * np.arange(1, 2 ** i, 2, dtype=np.float64)
+            mids = (xs[run][:, None] + offsets).ravel()
+            vals = np.asarray(f(mids), dtype=np.float64)
+            if vals.shape != mids.shape or not np.all(np.isfinite(vals)):
+                raise DomainError(
+                    "integrand returned a malformed or non-finite batch")
+            for r, k in enumerate(run):
+                prev = rows[k]
+                trap = prev[0] / 2.0 + h * float(np.sum(vals[r * m:(r + 1) * m]))
+                row = [trap]
+                for j in range(1, i + 1):
+                    row.append(row[j - 1]
+                               + (row[j - 1] - prev[j - 1]) / (4.0 ** j - 1.0))
+                diffs[k] = abs(row[i] - prev[i - 1])
+                rows[k] = row
+                if diffs[k] <= rel_tol * abs(row[i]):
+                    # both ends and 2^i - 1 interior nodes
+                    results[k] = QuadratureResult(row[i], diffs[k], 1, 2 ** i + 1)
+        open_panels = [k for k in open_panels if results[k] is None]
+        if not open_panels:
+            return results
 
+    k = open_panels[0]
     raise ConvergenceError(
-        f"non-convergent on [{a!r}, {b!r}] after {max_levels} levels; "
-        f"last diagonal difference {diff:.3e}")
+        f"non-convergent on [{edges[k]!r}, {edges[k + 1]!r}] after "
+        f"{max_levels} levels; last diagonal difference {diffs[k]:.3e}")
 
 
 def _envelope_log_space(expo: float, a1: float, vs: np.ndarray) -> np.ndarray:
@@ -155,17 +208,19 @@ def _panel_edges(lo: float, hi: float, width: float) -> list[float]:
     return edges
 
 
-def _eval_panel(task) -> QuadratureResult:
-    return romberg(*task)
+def _eval_group(task) -> list[QuadratureResult]:
+    return _romberg_panels(*task)
 
 
 def _run_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
                 rel_tol: float, max_levels: int, workers: int,
                 trace_path: Optional[str]) -> QuadratureResult:
-    """Romberg on each panel [edges[k], edges[k+1]]; f must pickle."""
-    tasks = [(f, edges[k], edges[k + 1], rel_tol, max_levels)
-             for k in range(len(edges) - 1)]
-    results = parallel_map(_eval_panel, tasks, workers)
+    """Romberg on each panel [edges[k], edges[k+1]], GROUP_PANELS panels
+    to a task; f must pickle."""
+    tasks = [(f, edges[g:g + GROUP_PANELS + 1], rel_tol, max_levels)
+             for g in range(0, len(edges) - 1, GROUP_PANELS)]
+    results = [r for group in parallel_map(_eval_group, tasks, workers)
+               for r in group]
     value = math.fsum(r.value for r in results)
     err = math.fsum(r.error_estimate for r in results)
     evals = sum(r.evaluations for r in results)
@@ -173,10 +228,10 @@ def _run_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lo", "hi", "value", "error_estimate", "evaluations"])
-            for task, r in zip(tasks, results):
-                writer.writerow([repr(task[1]), repr(task[2]), repr(r.value),
+            for lo, hi, r in zip(edges, edges[1:], results):
+                writer.writerow([repr(lo), repr(hi), repr(r.value),
                                  repr(r.error_estimate), r.evaluations])
-    return QuadratureResult(value, err, len(tasks), evals)
+    return QuadratureResult(value, err, len(results), evals)
 
 
 def integrate_inv_abs_zeta(sigma0: float, lo: float, hi: float,

@@ -27,14 +27,17 @@ more than 9 times smaller than the one before while |s| + 2k < 2N,
 which holds for k <= 10 everywhere and for k <= 19 when t > 33.  The
 engine adds correction terms until every point's remainder estimate is
 at or below its rounding floor (below), or until the terms run out, and
-stops early only if every point's remainder plus floor fits its budget.
-Unless the terms run out, a reported bound is therefore at most twice the rounding
-floor and does not depend on abs_tol once abs_tol is reachable: abs_tol
-only decides whether the result is accepted.  At most 14 terms were used
-over 14 values of sigma in [0.401, 2.999], 201 heights in [0, 1e5] and
-abs_tol from 1e-13 to 1e-6.  If the remainder after 20 terms still
-misses its budget, the engine raises ConvergenceError naming sigma, t
-and N.
+stops at the first such term where every point's remainder plus floor
+fits its budget.  Unless the terms run out, a reported bound is therefore
+at most twice the rounding floor, and every abs_tol at or above the bound
+returned at the first settled term returns the same bits: abs_tol only
+decides whether that result is accepted.  A smaller reachable abs_tol
+adds terms past it.  The default, defaults.ZETA_ABS_TOL = 1e-6, sits
+above the rounding floor of zeta and zeta' for every sigma of the strip
+and |t| <= 3e4.  At most 14 terms were used over 14 values of sigma in
+[0.401, 2.999], 201 heights in [0, 1e5] and abs_tol from 1e-13 to 1e-6.
+If the remainder after 20 terms still misses its budget, the engine
+raises ConvergenceError naming sigma, t and N.
 
 Derivative.  zeta'(s) is evaluated by differentiating every piece term by
 term: the main sum acquires -log n weights, the two tail terms are
@@ -77,21 +80,25 @@ at large |t|; the engine raises ConvergenceError("tolerance unreachable
 
 Main sum in blocks.  The main sum is formed one block of B consecutive
 points at a time (_main_sums), so at most 2B + 1 rows are held at once
-whatever the batch's size.  With t_h the head of a block and
+whatever the batch's size; B is at most 16, so that is at most 33 rows of
+N terms (3.1 MB at N = 5780, t = 11520), for a Romberg level of one panel
+or of a run of 64 panels alike.  With t_h the head of a block and
 d_j = t_{h+j} - t_h, the exact identity
 
     n^(-(sigma + i t_{h+j})) = n^(-(sigma + i t_h)) * n^(-i d_j)
 
 gives every row of the block as the head's row times the shared row of
 offset d_j, so a batch of K points costs ceil(K / B) + B exp rows instead
-of K.  Each row is then summed by the same pairwise row sum.  One rule on
-the batch (_block_size) takes B = ceil(sqrt K) when sigma is shared,
-K >= 8, the heights ascend, every block has the offsets of the first, and
-each offset is an exact float difference, which Sterbenz's lemma gives
-when 0 < t_h and t_{h+j} <= 2 t_h.  Romberg's node sets a + h (1, 3, 5,
-...) pass it when a and h are short in binary and a is at least the panel
-width.  Every other batch takes B = 1: each point's row is its own head
-row, exponentiated and summed as the rounding model above describes.  With
+of K.  Each row is then summed by the same pairwise row sum.  One rule
+on the batch (_block_size) takes B = min(ceil(sqrt K), 16) when sigma is
+shared, K >= 8, the heights ascend, every block has the offsets of the
+first, and each offset is an exact float difference, which Sterbenz's
+lemma gives when 0 < t_h and t_{h+j} <= 2 t_h.  A Romberg level's new
+nodes a_k + h (1, 3, 5, ...) over a run of adjacent panels of equal width
+(nearone.quadrature) pass it when the edges and h are short in binary and
+the run starts at least 16 panel widths above 0.  Every other batch takes
+B = 1: each point's row is its own head row, exponentiated and summed as
+the rounding model above describes.  With
 B > 1 each term passes through two exps and a complex product: 5 units of
 eps/2 for the head's exp, 5 for the offset's, and 3 for the product, whose
 normwise error is at most sqrt(5) units.  That is 8 units more than the
@@ -134,6 +141,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .bernoulli import BERNOULLI_EVEN
+from .defaults import ZETA_ABS_TOL
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -157,7 +165,6 @@ POLE_MARGIN = 1.0e-3
 EDGE_MARGIN = 1.0e-3          # extra boundary distance required for zeta'
 DERIV_RADIUS = 5.0e-4         # Cauchy circle radius; < EDGE_MARGIN by design
 MIN_ABS_TOL = 1.0e-13
-DEFAULT_ABS_TOL = 1.0e-10
 ZETA_FLOOR = 1.0e-3           # |zeta| guard for the reciprocal integrand
 INV_REL_TOL = 9.0e-9          # internal target giving 1/|zeta| rel err <= 1e-8
 
@@ -167,6 +174,7 @@ _SUM_SLACK = 28.0
 _SUM_SLACK_PRIME = 38.0
 _FACTORED_SLACK = 4.0         # added to both when blocks have B > 1
 _MIN_FACTORED = 8             # fewest points of a batch with B > 1
+_MAX_BLOCK = 16               # largest B: at most 33 rows of N terms held
 
 # B_{2k}/(2k)! for the 21 terms examined (at most 20 are added), exact
 # rationals rounded once to double.
@@ -268,7 +276,7 @@ def _block_size(sigma, ts: np.ndarray) -> int:
     K = len(ts)
     if np.ndim(sigma) > 0 or K < _MIN_FACTORED:
         return 0
-    B = math.isqrt(K - 1) + 1                  # ceil(sqrt K)
+    B = min(math.isqrt(K - 1) + 1, _MAX_BLOCK)  # ceil(sqrt K), capped
     head = np.repeat(ts[::B], B)[:K]
     offsets = ts[:B] - ts[0]
     # ascending with ts[1] <= 2 ts[0] makes every head positive
@@ -445,7 +453,7 @@ def _scalar(s: Union[complex, float], abs_tol: float, want_prime: bool):
 
 
 def zeta(s: Union[complex, float],
-         abs_tol: float = DEFAULT_ABS_TOL) -> EvaluatedValue:
+         abs_tol: float = ZETA_ABS_TOL) -> EvaluatedValue:
     """Evaluate zeta(s) with |value - zeta(s)| <= abs_error_bound <= abs_tol.
 
     Raises DomainError outside the supported strip and ConvergenceError
@@ -455,7 +463,7 @@ def zeta(s: Union[complex, float],
 
 
 def zeta_with_prime(s: Union[complex, float],
-                    abs_tol: float = DEFAULT_ABS_TOL
+                    abs_tol: float = ZETA_ABS_TOL
                     ) -> tuple[EvaluatedValue, EvaluatedValue]:
     """Evaluate zeta(s) and zeta'(s) together, sharing the main sum.
 
@@ -467,7 +475,7 @@ def zeta_with_prime(s: Union[complex, float],
 
 
 def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
-                abs_tol: float = DEFAULT_ABS_TOL, with_prime: bool = False):
+                abs_tol: float = ZETA_ABS_TOL, with_prime: bool = False):
     """zeta (and zeta' if with_prime) at the points sigma + i ts.
 
     sigma is a float shared by every point or a sequence aligned with ts.
@@ -475,8 +483,9 @@ def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
     max |t|, so heights should be of similar size.  K ascending heights in
     blocks with equal exact offsets, such as one Romberg level
     a + h (1, 3, 5, ...) at a shared sigma, take the factored main sum of
-    the module docstring: about 2 sqrt K rows of exps instead of K.  Each
-    point is checked as zeta, or zeta_with_prime if with_prime, checks it.
+    the module docstring: K/B + B rows of exps instead of K, with
+    B = ceil(sqrt K) up to K = 256 and B = 16 above.  Each point is
+    checked as zeta, or zeta_with_prime if with_prime, checks it.
     Returns (values, bounds, primes, bounds_prime, terms_used) with
     primes/bounds_prime None unless with_prime.  A DomainError or
     ConvergenceError about one point carries its position as `index`.

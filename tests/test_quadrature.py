@@ -11,11 +11,14 @@ import math
 import numpy as np
 import pytest
 
+import nearone.zeta as zeta_engine
 from nearone.errors import ConvergenceError, DomainError
 from nearone.quadrature import (
+    GROUP_PANELS,
     PANEL_LIMIT,
     QuadratureResult,
     _panel_edges,
+    _romberg_panels,
     envelope_integrand_log_space,
     integrate_envelope,
     integrate_inv_abs_zeta,
@@ -182,3 +185,77 @@ def test_panel_count_is_capped_before_any_list_is_built():
         integrate_inv_abs_zeta(0.98, 0.0, 100.0, panel_width=5e-324)
     with pytest.raises(DomainError, match="resource limit exceeded"):
         integrate_envelope(0.98, 5.44, 11520.0, 2.6e7, panel_width_v=1e-300)
+
+
+def _runs_per_level(levels):
+    """Per Romberg level i >= 1, the number of maximal runs of adjacent
+    panels that take at least i levels, given each panel's level count."""
+    counts = []
+    for i in range(1, max(levels) + 1):
+        open_panels = [lv >= i for lv in levels]
+        counts.append(sum(now and not before for before, now
+                          in zip([False] + open_panels, open_panels)))
+    return counts
+
+
+@pytest.mark.parametrize("lo, hi", [(11020.0, 11520.0), (29900.0, 30000.0)])
+def test_one_factored_engine_call_per_run_and_level(monkeypatch, tmp_path,
+                                                    lo, hi):
+    calls = []
+    plain = zeta_engine._main_sums
+
+    def spy(sigma, ts, B, logn, want_prime):
+        calls.append((len(ts), B))
+        return plain(sigma, ts, B, logn, want_prime)
+
+    monkeypatch.setattr(zeta_engine, "_main_sums", spy)
+    path = tmp_path / "panels.csv"
+    r = integrate_inv_abs_zeta(0.98, lo, hi, trace_path=str(path))
+    with open(path, newline="") as fh:
+        evals = [int(row[4]) for row in list(csv.reader(fh))[1:]]
+    # a panel that stops at level L took 2 + (2^L - 1) evaluations
+    levels = [int(math.log2(e - 1)) for e in evals]
+    assert [2 + 2 ** lv - 1 for lv in levels] == evals
+    assert sum(evals) == r.evaluations
+    # the edges once, then one call per run and level
+    assert len(calls) == 1 + sum(_runs_per_level(levels))
+    assert len(calls) < r.panels * max(levels)
+    assert calls[0][0] == r.panels + 1
+    assert all(B > 1 for K, B in calls if K >= 8)
+
+
+def test_worker_count_does_not_change_bits_across_groups(tmp_path):
+    # 160 panels of width 1.25: three groups of 64, 64 and 32 panels
+    assert len(_panel_edges(1000.0, 1200.0, 1.25)) - 1 > 2 * GROUP_PANELS
+    paths = [tmp_path / f"w{w}.csv" for w in (1, 2)]
+    serial, parallel = (
+        integrate_inv_abs_zeta(0.98, 1000.0, 1200.0, panel_width=1.25,
+                               workers=w, trace_path=str(path))
+        for w, path in zip((1, 2), paths))
+    assert serial.panels == 160
+    assert parallel == serial
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_grouped_panels_equal_lone_panels_bit_for_bit():
+    # an integrand evaluated point by point: panels that converge at
+    # different levels split the runs, as does the wider last panel, yet
+    # every panel keeps a lone panel's bits and evaluation count
+    g = envelope_integrand_log_space(0.98, 5.44)
+    f = lambda vs: g(vs) * (1.0 + np.cos(vs ** 2))
+    edges = [2.5 + 0.25 * k for k in range(23)] + [8.4]
+    grouped = _romberg_panels(f, edges, 1e-10, 16)
+    lone = [romberg(f, a, b, 1e-10) for a, b in zip(edges, edges[1:])]
+    assert grouped == lone
+    assert [r.evaluations for r in lone][7:12] == [33, 65, 65, 33, 65]
+
+
+def test_non_convergent_panel_inside_a_group_is_named():
+    # panel [3.0, 4.0] oscillates; its neighbours are linear and converge
+    # at level 1, so the failing panel runs on alone to max_levels
+    def f(x):
+        return np.where((x > 3.0) & (x < 4.0), np.sin(40.0 * x), x)
+
+    with pytest.raises(ConvergenceError,
+                       match=r"non-convergent on \[3\.0, 4\.0\] after 3 levels"):
+        _romberg_panels(f, [float(k) for k in range(9)], 1e-12, 3)

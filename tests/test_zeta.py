@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import nearone.zeta as zeta_engine
+from nearone.defaults import ZETA_ABS_TOL
 from nearone.errors import ConvergenceError, DomainError
 from nearone.zeta import (
     EvaluatedValue,
@@ -439,6 +440,48 @@ def test_bounds_do_not_depend_on_a_reachable_tolerance(sigma, t):
     assert loose == tight
 
 
+def test_default_tolerance_is_reachable_up_to_t_3e4():
+    # the old default 1e-10 failed here: floors 3.9e-10 and 1.5e-9
+    for t in (1e4, 3e4):
+        ev = zeta(complex(0.98, t))
+        assert ev.abs_error_bound <= ZETA_ABS_TOL
+        assert all(e.abs_error_bound <= ZETA_ABS_TOL
+                   for e in zeta_with_prime(complex(0.98, t)))
+    # every sigma of the strip, zeta' at its margin, up to t = 3e4
+    for t in (0.5, 33.0, 1e3, 1e4, 2e4, 3e4):
+        for sigma in (0.4, 0.9, 1.5, 3.0):
+            zeta(complex(sigma, t))
+        for sigma in (0.401, 0.9, 1.5, 2.999):
+            zeta_with_prime(complex(sigma, t))
+
+
+@pytest.mark.parametrize("fn", [zeta, zeta_with_prime])
+def test_default_tolerance_keeps_the_bits_the_old_default_accepted(fn):
+    # the engine stops at the first settled correction term that fits the
+    # budget, so where the default's bounds fit within the old default
+    # 1e-10 that call returns the same bits; where they do not, the old
+    # call added terms past the settled one and agrees within both bounds
+    same = 0
+    for sigma in (0.401, 0.7, 0.98, 1.3, 2.0, 2.799):
+        for t in (0.5, 20.0, 300.0, 2496.6, 1e4, 14439.1, 3e4):
+            new = fn(complex(sigma, t))
+            new = new if isinstance(new, tuple) else (new,)
+            try:
+                old = fn(complex(sigma, t), abs_tol=1e-10)
+            except ConvergenceError:
+                assert any(e.abs_error_bound > 1e-10 for e in new)
+                continue
+            old = old if isinstance(old, tuple) else (old,)
+            if all(e.abs_error_bound <= 1e-10 for e in new):
+                assert old == new
+                same += 1
+            else:
+                for o, n in zip(old, new):
+                    assert abs(o.value - n.value) <= (o.abs_error_bound
+                                                      + n.abs_error_bound)
+    assert same >= 15
+
+
 @pytest.mark.parametrize("sigma", [0.45, 1.2, 2.9])
 @pytest.mark.parametrize("t", [34.0, 60.0, 350.0, 2000.0])
 def test_against_mpmath_at_tightest_reachable_tolerance(sigma, t):
@@ -603,6 +646,26 @@ def test_factored_level_of_256_nodes(monkeypatch):
     assert _truncation_point(ts[-1]) == 15020
     _assert_factored_matches(monkeypatch, 0.98, ts, False, 16,
                              [0, 15, 16, 255])
+
+
+def test_level_of_a_run_of_panels_takes_blocks_of_16(monkeypatch):
+    # one Romberg level over 50 adjacent panels of width 10: 50 x 128
+    # nodes, one progression of step 10/128; B stops at 16, so the main
+    # sum holds 33 rows whatever K is
+    a = 11020.0 + 10.0 * np.arange(50)
+    ts = (a[:, None] + 10.0 / 256 * np.arange(1, 256, 2.0)).ravel()
+    assert np.all(np.diff(ts) == 10.0 / 128)
+    assert zeta_engine._block_size(0.98, ts) == 16
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, 16,
+                             [0, 15, 16, 6383, 6384, 6399])
+
+
+def test_block_size_is_capped_above_256_points():
+    # ceil(sqrt K) up to K = 256, so no batch of at most 256 points moves
+    ts = 11020.0 + 10.0 / 256 * np.arange(1024.0)
+    assert [zeta_engine._block_size(0.98, ts[:K])
+            for K in (8, 9, 10, 255, 256, 257, 290, 1024)] == [
+                3, 3, 4, 16, 16, 16, 16, 16]
 
 
 def test_factored_derivative_track(monkeypatch):
