@@ -4,9 +4,8 @@
 Usage: python scripts/bench_zeta.py PARENT_SRC CHANGE_SRC [--workload W] [--pairs N]
 
 PARENT_SRC and CHANGE_SRC are directories holding the `nearone` package
-(the `src/` of two checkouts).  The script starts one probe interpreter per
-tree, with PYTHONPATH set to it, and asks both for each row of the
-workload's probe in turn, so the two trees time a row back to back:
+(the `src/` of two checkouts).  The script first runs the workload's probe
+in interpreters with PYTHONPATH set to each tree:
 
 - `inv-zeta` (the default; written to BENCH_zeta.json): the zeta engine at
   t = 1e2, 1e3, 1e4 and 3e4, through the integral's path `inv_abs_zeta_many
@@ -25,15 +24,18 @@ workload's probe in turn, so the two trees time a row back to back:
   N, the number of correction terms added and microseconds per point, the
   median of 7 calls.  Correction terms are counted by swapping the engine's
   Bernoulli table `_BFAC` for a tuple that remembers the highest entry read.
+  The engine probe starts one interpreter per tree and asks both for each
+  row in turn, so the two trees time a row back to back.
 - `headline` (written to BENCH_headline.json): the in-process seconds of
   `verify --samples 2000`, its costliest operation, over three calls of
   `nearone.cli.main`, and the interpreter's peak RSS (ru_maxrss).
 - `sieve-1e8` (written to BENCH_sieve.json): the same for
-  `mertens sieve-verify --limit 100000000`.
+  `mertens sieve-verify --limit 100000000`.  The two command probes run in
+  a fresh interpreter per round, so the peak RSS is one round's.
 
-Every row runs PROBE_ROUNDS times per tree, alternating which tree goes
+Every probe runs PROBE_ROUNDS times per tree, alternating which tree goes
 first, and every float it reports is the median of its rounds' values, so a
-busy stretch of a shared host skews one pair of timings, not a whole tree.
+busy stretch of a shared host skews one round, not a whole tree.
 
 With --pairs N > 0 (default 10) it then runs the workload N times on each
 tree, `perfbench/run.py --workload W --seed i --seconds 30 --trace 0` from
@@ -139,35 +141,27 @@ CLI_PROBE = """
 import contextlib, io, json, resource, statistics, sys, time
 import nearone.cli as cli
 
-
-def command_row():
-    seconds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(ARGV)
-        seconds.append(time.perf_counter() - start)
-        if code != 0:
-            sys.exit(f"{ARGV} exited {code}")
-    return {"command": " ".join(ARGV), "seconds": [round(s, 4) for s in seconds],
-            "median_s": round(statistics.median(seconds), 4),
-            "peak_rss_mb": round(
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
-
-
-ROWS = {"command": command_row}
+seconds = []
+for _ in range(3):
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(ARGV)
+    seconds.append(time.perf_counter() - start)
+    if code != 0:
+        sys.exit(f"{ARGV} exited {code}")
+json.dump({"command": " ".join(ARGV), "seconds": [round(s, 4) for s in seconds],
+           "median_s": round(statistics.median(seconds), 4),
+           "peak_rss_mb": round(
+               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)},
+          sys.stdout)
 """
 
-# per workload: the report file, the probe's key in it and the probe
-WORKLOADS = {
-    "inv-zeta": ("BENCH_zeta.json", "engine",
-                 f"HEIGHTS = {HEIGHTS!r}\n{ENGINE_PROBE}{SERVE}"),
-    "headline": ("BENCH_headline.json", "verify",
-                 f"ARGV = {['verify', '--samples', '2000']!r}\n{CLI_PROBE}{SERVE}"),
-    "sieve-1e8": ("BENCH_sieve.json", "sieve_verify",
-                  f"ARGV = {['mertens', 'sieve-verify', '--limit', '100000000']!r}"
-                  f"\n{CLI_PROBE}{SERVE}"),
-}
+
+def probe(src: Path, code: str):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def median_leaves(results: list):
@@ -182,7 +176,17 @@ def median_leaves(results: list):
 
 
 def probe_rounds(trees: dict, code: str) -> dict:
-    """Every row of the probe, PROBE_ROUNDS times per tree: one probe
+    """Each tree's probe, PROBE_ROUNDS times in a fresh interpreter,
+    alternating which goes first."""
+    results = {side: [] for side in trees}
+    for i in range(PROBE_ROUNDS):
+        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+            results[side].append(probe(trees[side], code))
+    return {side: median_leaves(runs) for side, runs in results.items()}
+
+
+def row_rounds(trees: dict, code: str) -> dict:
+    """Every row of a SERVE probe, PROBE_ROUNDS times per tree: one probe
     process per tree, the two trees timing each row back to back, and
     alternating which goes first."""
     procs = {side: subprocess.Popen(
@@ -207,6 +211,19 @@ def probe_rounds(trees: dict, code: str) -> dict:
             proc.wait()
     return {side: {row: median_leaves(runs) for row, runs in by_row.items()}
             for side, by_row in results.items()}
+
+
+# per workload: the report file, the probe's key in it, how the probe
+# runs and its code
+WORKLOADS = {
+    "inv-zeta": ("BENCH_zeta.json", "engine", row_rounds,
+                 f"HEIGHTS = {HEIGHTS!r}\n{ENGINE_PROBE}{SERVE}"),
+    "headline": ("BENCH_headline.json", "verify", probe_rounds,
+                 f"ARGV = {['verify', '--samples', '2000']!r}\n{CLI_PROBE}"),
+    "sieve-1e8": ("BENCH_sieve.json", "sieve_verify", probe_rounds,
+                  f"ARGV = {['mertens', 'sieve-verify', '--limit', '100000000']!r}"
+                  f"\n{CLI_PROBE}"),
+}
 
 
 def workload_run(src: Path, workload: str, seed: int) -> dict:
@@ -259,11 +276,11 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
-    out_name, probe_key, probe_code = WORKLOADS[args.workload]
+    out_name, probe_key, rounds, probe_code = WORKLOADS[args.workload]
     report = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        probe_key: probe_rounds(trees, probe_code),
+        probe_key: rounds(trees, probe_code),
     }
     if args.pairs > 0:
         report[args.workload.replace("-", "_")] = workload_pairs(

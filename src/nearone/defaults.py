@@ -68,11 +68,11 @@ INTEGRALS = {
     "envelope": (INV_ZETA_HEIGHT, MERTENS_T1, ENVELOPE_REL_TOL),
 }
 
-# Empirical verifier: sample budget and engine tolerance.
-VERIFY_SAMPLES = 400
-VERIFY_ABS_TOL = 1.0e-6
-
 # Default abs_tol of the zeta engine's entry points.  It sits above the
 # rounding floor of zeta and zeta' for every sigma of the engine's strip
 # and |t| <= 3e4; the highest, 6.5e-7, is zeta' at sigma = 0.401, t = 3e4.
 ZETA_ABS_TOL = 1.0e-6
+
+# Empirical verifier: sample budget and engine tolerance.
+VERIFY_SAMPLES = 400
+VERIFY_ABS_TOL = ZETA_ABS_TOL

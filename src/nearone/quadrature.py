@@ -25,6 +25,10 @@ advances all of its open panels one level at a time (_romberg_panels):
   one progression of step 2h, exact when the edges and width are short
   in binary, as the integer edges and default width 10 are; the zeta
   engine then factors its main sum over the whole run (nearone.zeta).
+  A run of more than CALL_NODES = 8192 new nodes is passed in calls of
+  8192 consecutive nodes, each again a progression, so one call holds
+  at most 8192 points however deep the level and however many panels
+  stay open; the split depends on the level and the run alone.
 
 Each panel's nodes, trapezoid sum and tableau are computed with the same
 arithmetic in the same order as a lone panel's, and a panel leaves its
@@ -32,8 +36,10 @@ run once it converges, so an integrand that maps each abscissa on its own,
 such as the envelope's, gives the lone panels' results bit for bit.  The
 zeta engine's values depend on the batch, through its truncation point
 and block heads, but only within its error bound.  A panel still open
-after max_levels raises ConvergenceError naming its interval.  romberg()
-is the one-panel call of the same driver.
+after max_levels raises ConvergenceError naming its interval, once the
+whole group has run its levels.  The driver checks rel_tol > 0 and
+MIN_LEVELS <= max_levels <= MAX_LEVELS_CAP, whatever the entry point.
+romberg() is the one-panel call of the same driver.
 
 The groups, not the panels, are the work units farmed out to worker
 processes.  They are fixed by the panel index alone, so every integrand
@@ -86,6 +92,9 @@ LO_FLOOR_ENVELOPE = math.exp(2.0)
 PANEL_LIMIT = 100_000
 # Consecutive panels integrated together, a level at a time, per task.
 GROUP_PANELS = 64
+# Most abscissae per integrand call; a power of two, so that a level's
+# calls split a run only between panels, or a deep panel into equal parts.
+CALL_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -115,13 +124,20 @@ def romberg(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b; got [{a!r}, {b!r}]")
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive; got {rel_tol!r}")
-    if not (MIN_LEVELS <= max_levels <= MAX_LEVELS_CAP):
-        raise DomainError(
-            f"max_levels must lie in [{MIN_LEVELS}, {MAX_LEVELS_CAP}]; "
-            f"got {max_levels!r}")
     return _romberg_panels(f, [a, b], rel_tol, max_levels)[0]
+
+
+def _values(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """f at the abscissae xs, at most CALL_NODES of them to a call."""
+    parts = []
+    for start in range(0, xs.size, CALL_NODES):
+        chunk = xs[start:start + CALL_NODES]
+        vals = np.asarray(f(chunk), dtype=np.float64)
+        if vals.shape != chunk.shape or not np.all(np.isfinite(vals)):
+            raise DomainError(
+                "integrand returned a malformed or non-finite batch")
+        parts.append(vals)
+    return np.concatenate(parts)
 
 
 def _romberg_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
@@ -132,10 +148,14 @@ def _romberg_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
     Raises ConvergenceError naming the first panel still open after
     max_levels levels.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise DomainError(f"rel_tol must be positive; got {rel_tol!r}")
+    if not (MIN_LEVELS <= max_levels <= MAX_LEVELS_CAP):
+        raise DomainError(
+            f"max_levels must lie in [{MIN_LEVELS}, {MAX_LEVELS_CAP}]; "
+            f"got {max_levels!r}")
     xs = np.asarray(edges, dtype=np.float64)
-    ends = np.asarray(f(xs), dtype=np.float64)
-    if ends.shape != xs.shape or not np.all(np.isfinite(ends)):
-        raise DomainError("integrand must map the panel edges to finite values")
+    ends = _values(f, xs)
     widths = [b - a for a, b in zip(edges, edges[1:])]
     # each panel's last tableau row R[i-1][0..i-1] and diagonal difference
     rows = [[w * float(ends[k] + ends[k + 1]) / 2.0]
@@ -155,11 +175,7 @@ def _romberg_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
         for run in runs:
             h = widths[run[0]] / 2.0 ** i
             offsets = h * np.arange(1, 2 ** i, 2, dtype=np.float64)
-            mids = (xs[run][:, None] + offsets).ravel()
-            vals = np.asarray(f(mids), dtype=np.float64)
-            if vals.shape != mids.shape or not np.all(np.isfinite(vals)):
-                raise DomainError(
-                    "integrand returned a malformed or non-finite batch")
+            vals = _values(f, (xs[run][:, None] + offsets).ravel())
             for r, k in enumerate(run):
                 prev = rows[k]
                 trap = prev[0] / 2.0 + h * float(np.sum(vals[r * m:(r + 1) * m]))

@@ -133,6 +133,13 @@ def test_integrate_nonconvergence_exits_two(capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
+def test_integrate_bad_max_levels_exits_one(capsys):
+    code = main(["integrate", "inv-zeta", "--from", "0", "--to", "10",
+                 "--max-levels", "2"])
+    assert code == 1
+    assert "max_levels" in capsys.readouterr().err
+
+
 def test_mertens_bound_bare_reproduces_published(capsys):
     code, rep = run_cli(capsys, ["mertens", "bound"])
     assert code == 0

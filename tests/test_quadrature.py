@@ -14,6 +14,7 @@ import pytest
 import nearone.zeta as zeta_engine
 from nearone.errors import ConvergenceError, DomainError
 from nearone.quadrature import (
+    CALL_NODES,
     GROUP_PANELS,
     PANEL_LIMIT,
     QuadratureResult,
@@ -187,15 +188,20 @@ def test_panel_count_is_capped_before_any_list_is_built():
         integrate_envelope(0.98, 5.44, 11520.0, 2.6e7, panel_width_v=1e-300)
 
 
-def _runs_per_level(levels):
-    """Per Romberg level i >= 1, the number of maximal runs of adjacent
-    panels that take at least i levels, given each panel's level count."""
-    counts = []
+def _level_calls(levels):
+    """Integrand calls of one group after its edges, given each panel's
+    level count: per level i >= 1, one per CALL_NODES new nodes of each
+    maximal run of adjacent panels that take at least i levels."""
+    calls = 0
     for i in range(1, max(levels) + 1):
-        open_panels = [lv >= i for lv in levels]
-        counts.append(sum(now and not before for before, now
-                          in zip([False] + open_panels, open_panels)))
-    return counts
+        run = 0
+        for lv in levels + [0]:
+            if lv >= i:
+                run += 1
+            elif run:
+                calls += -(-run * 2 ** (i - 1) // CALL_NODES)
+                run = 0
+    return calls
 
 
 @pytest.mark.parametrize("lo, hi", [(11020.0, 11520.0), (29900.0, 30000.0)])
@@ -217,8 +223,10 @@ def test_one_factored_engine_call_per_run_and_level(monkeypatch, tmp_path,
     levels = [int(math.log2(e - 1)) for e in evals]
     assert [2 + 2 ** lv - 1 for lv in levels] == evals
     assert sum(evals) == r.evaluations
-    # the edges once, then one call per run and level
-    assert len(calls) == 1 + sum(_runs_per_level(levels))
+    # one group: the edges once, then one call per run and level (and
+    # per CALL_NODES nodes of it)
+    assert r.panels <= GROUP_PANELS
+    assert len(calls) == 1 + _level_calls(levels)
     assert len(calls) < r.panels * max(levels)
     assert calls[0][0] == r.panels + 1
     assert all(B > 1 for K, B in calls if K >= 8)
@@ -259,3 +267,37 @@ def test_non_convergent_panel_inside_a_group_is_named():
     with pytest.raises(ConvergenceError,
                        match=r"non-convergent on \[3\.0, 4\.0\] after 3 levels"):
         _romberg_panels(f, [float(k) for k in range(9)], 1e-12, 3)
+
+
+def test_integrals_check_rel_tol_and_max_levels():
+    # the checks sit in the one driver, so the integrals run them too
+    for kwargs in ({"max_levels": 25}, {"max_levels": 2}, {"max_levels": 0},
+                   {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": math.nan}):
+        with pytest.raises(DomainError):
+            integrate_inv_abs_zeta(0.98, 0.0, 10.0, **kwargs)
+        with pytest.raises(DomainError):
+            integrate_envelope(0.98, 5.44, 11520.0, 2.6e7, **kwargs)
+
+
+def test_integrand_calls_are_capped_at_call_nodes(monkeypatch):
+    # kinks in every panel: none of the 64 converges, so every level
+    # runs over the whole group, up to 64 x 2^15 new nodes at level 16
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sqrt(np.abs(np.sin(300.0 * x)))
+
+    edges = [float(k) for k in range(GROUP_PANELS + 1)]
+    with pytest.raises(ConvergenceError,
+                       match=r"non-convergent on \[0\.0, 1\.0\] after 16 levels"):
+        _romberg_panels(f, edges, 1e-12, 16)
+    assert max(sizes) == CALL_NODES
+    assert sum(sizes) == GROUP_PANELS * 2 ** 16 + 1
+
+    # the cap only splits the calls: a pointwise integrand keeps its bits
+    g = envelope_integrand_log_space(0.98, 5.44)
+    edges = [2.5 + 0.25 * k for k in range(23)] + [8.4]
+    capped = _romberg_panels(g, edges, 1e-13, 16)
+    monkeypatch.setattr("nearone.quadrature.CALL_NODES", 4)
+    assert _romberg_panels(g, edges, 1e-13, 16) == capped
