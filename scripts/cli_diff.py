@@ -56,6 +56,8 @@ COMMANDS = (
     # 10 panels make one group of panels, run without a worker pool; 128
     # panels make two groups, one per spawned worker
     "integrate inv-zeta --from 0 --to 100 --threads 2",
+    # one group of 64 panels from t = 0, factored down to its first level
+    "integrate inv-zeta --from 0 --to 640",
     "integrate inv-zeta --from 10000 --to 11280 --threads 2",
     "verify --threads 2",
     # failure exits: reports with exit 1, then exit 1 with no stdout

@@ -191,14 +191,6 @@ def minimize(spec: SearchSpec,
     shift = ROOM[spec.target]["shift"]
 
     trace = _Trace(trace_path)
-    b_cache: dict[float, float] = {}
-
-    def b_of(c1: float) -> float:
-        b = b_cache.get(c1)
-        if b is None:
-            b = compute_b1(prof, c1, spec.C3, b_T1, spec.T2)
-            b_cache[c1] = b
-        return b
 
     # A cell's edge and a through the constants formulas: on floats for the
     # recheck and the trace, on arrays of cells with _exp for the screen.
@@ -246,7 +238,7 @@ def minimize(spec: SearchSpec,
         c4 = c4_of(c2, np.broadcast_to(rhos, feasible.shape)[feasible])
         r = rate(c2, spec.C3, ll_b)
         for c1 in _decimal_range(step, *c1_box):
-            b = b_of(c1)
+            b = compute_b1(prof, c1, spec.C3, b_T1, spec.T2)
             hi = min(c2_box[1], 2 * c1)  # as _decimal_range bounds the C2 grid
             n = (0 if hi < c2_box[0]
                  else int(np.searchsorted(c2_grid, hi + 1e-15, side="right")))

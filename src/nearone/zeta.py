@@ -8,7 +8,8 @@ N >= 2 gives the exact decomposition
 
     T_k(s, N) = B_{2k}/(2k)! * N^(1-s-2k) * prod_{j=0}^{2k-2} (s+j),
 
-with B_{2k} the Bernoulli numbers (see nearone.bernoulli).  The remainder
+with B_{2k} the Bernoulli numbers, computed exactly at import from their
+recurrence (_bernoulli) and rounded once to double.  The remainder
 after K correction terms obeys the classical estimate, valid for
 sigma > -(2K+1):
 
@@ -92,26 +93,27 @@ offset d_j, so a batch of K points costs ceil(K / B) + B exp rows instead
 of K.  Each row is then summed by the same pairwise row sum.  One rule
 on the batch (_block_size) takes B = min(ceil(sqrt K), 16) when sigma is
 shared, K >= 8, the heights ascend, every block has the offsets of the
-first, and each offset is an exact float difference, which Sterbenz's
-lemma gives when 0 < t_h and t_{h+j} <= 2 t_h.  A Romberg level's new
-nodes a_k + h (1, 3, 5, ...) over a run of adjacent panels of equal width
-(nearone.quadrature) pass it when the edges and h are short in binary and
-the run starts at least 16 panel widths above 0.  Every other batch takes
-B = 1: each point's row is its own head row, exponentiated and summed as
-the rounding model above describes.  With
-B > 1 each term passes through two exps and a complex product: 5 units of
-eps/2 for the head's exp, 5 for the offset's, and 3 for the product, whose
-normwise error is at most sqrt(5) units.  That is 8 units more than the
-single exp's 5, so such batches charge 32 instead of 28, and 42 instead of
-38 for the derivative.  The phase charge is unchanged: the rounded phases
--t_h log n and -d_j log n are each off by at most 2 eps times their size,
-and since t_h and d_j are >= 0 their errors add to at most
-2 eps (t_h + d_j) log n = 2 eps t log n.  This is why the heights must
-ascend.
+first, and each offset t_{h+j} - t_h is an exact float difference, which
+an error-free TwoSum of t_{h+j} and -t_h checks point by point.  A Romberg
+level's new nodes a_k + h (1, 3, 5, ...) over a run of adjacent panels of
+equal width (nearone.quadrature) pass it when the edges and h are short in
+binary, a run that starts at t = 0 included.  Every other batch, such as a
+progression whose step is not binary-exact, takes B = 1: each point's row
+is its own head row, exponentiated and summed as the rounding model above
+describes.  With B > 1 each term passes through two exps and a complex
+product: 5 units of eps/2 for the head's exp, 5 for the offset's, and 3
+for the product, whose normwise error is at most sqrt(5) units.  That is
+8 units more than the single exp's 5, so such batches charge 32 instead
+of 28, and 42 instead of 38 for the derivative.  The phase charge is
+unchanged: the rounded phases -t_h log n and -d_j log n are each off by
+at most 2 eps times their size, and since t_h and d_j are >= 0 their
+errors add to at most 2 eps (t_h + d_j) log n = 2 eps t log n.  This is
+why the heights must ascend; they are folded to |t| first, so every head
+is >= 0.
 
-Entry points.  zeta and zeta_with_prime evaluate one point, zeta_points
-is the one batch entry and inv_abs_zeta_many feeds the reciprocal
-integral; all run the one pass _evaluate.
+Entry points.  zeta_points is the one batch entry; zeta and
+zeta_with_prime are its float-sigma batch of one, and inv_abs_zeta_many
+feeds the reciprocal integral.  All run the one pass _evaluate.
 
 Per-point sigma.  zeta_points takes sigma as a float shared by every point
 or as a sequence aligned with the heights (the verifier's chunks).  A
@@ -140,7 +142,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bernoulli import BERNOULLI_EVEN
 from .defaults import ZETA_ABS_TOL
 from .errors import ConvergenceError, DomainError
 
@@ -176,12 +177,22 @@ _FACTORED_SLACK = 4.0         # added to both when blocks have B > 1
 _MIN_FACTORED = 8             # fewest points of a batch with B > 1
 _MAX_BLOCK = 16               # largest B: at most 33 rows of N terms held
 
+
+def _bernoulli(m_max: int) -> list[Fraction]:
+    """B_0 .. B_{m_max} as exact fractions, from the recurrence
+    sum_{j=0}^{m} C(m+1, j) B_j = 0; B_m = 0 for odd m >= 3, so those
+    terms of the sum are skipped."""
+    B = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, m_max + 1):
+        B.append(Fraction(0) if m % 2 else -sum(
+            math.comb(m + 1, j) * B[j] for j in range(m) if B[j]) / (m + 1))
+    return B
+
+
 # B_{2k}/(2k)! for the 21 terms examined (at most 20 are added), exact
 # rationals rounded once to double.
-_BFAC = tuple(
-    float(Fraction(num, den) / math.factorial(2 * k))
-    for k, (num, den) in enumerate(BERNOULLI_EVEN[:21], start=1)
-)
+_BFAC = tuple(float(b / math.factorial(2 * k))
+              for k, b in enumerate(_bernoulli(42)[2::2], start=1))
 _LOG_ABS_BFAC = tuple(math.log(abs(b)) for b in _BFAC)
 
 
@@ -278,10 +289,13 @@ def _block_size(sigma, ts: np.ndarray) -> int:
         return 0
     B = min(math.isqrt(K - 1) + 1, _MAX_BLOCK)  # ceil(sqrt K), capped
     head = np.repeat(ts[::B], B)[:K]
-    offsets = ts[:B] - ts[0]
-    # ascending with ts[1] <= 2 ts[0] makes every head positive
-    if (np.all(ts[1:] > ts[:-1]) and np.all(ts <= 2.0 * head)
-            and np.all(ts - head == offsets[np.arange(K) % B])):
+    d = ts - head
+    # TwoSum of ts and -head: err is the rounding error of d
+    back = d + head
+    err = (ts - back) - (head + (d - back))
+    # ascending from ts[0] >= 0, so every head is >= 0
+    if (ts[0] >= 0.0 and np.all(ts[1:] > ts[:-1]) and np.all(err == 0.0)
+            and np.all(d == d[np.arange(K) % B])):
         return B
     return 0
 
@@ -325,7 +339,7 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     comparable magnitude.  Negative heights are evaluated at |t| and
     conjugated.  The main sum goes in blocks of _block_size points, or of
     one point if it returns 0 (_main_sums); the rest is vectorized over
-    the batch.  Returns (values, primes, bounds, bounds_prime, N) with
+    the batch.  Returns (values, bounds, primes, bounds_prime, N) with
     primes/bounds_prime None unless want_prime.  Raises ConvergenceError,
     with the failing point's position as its index, if some point's
     tolerance sits below the rounding model, or if the remainder still
@@ -436,18 +450,17 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
 
     values = np.where(neg, np.conj(value), value)
     if not want_prime:
-        return values, None, rem + floor_v, None, N
+        return values, rem + floor_v, None, None, N
     primes = np.where(neg, np.conj(prime), prime)
-    return values, primes, rem + floor_v, rem_p + floor_p, N
+    return values, rem + floor_v, primes, rem_p + floor_p, N
 
 
 def _scalar(s: Union[complex, float], abs_tol: float, want_prime: bool):
-    """[zeta] or [zeta, zeta'] at the point s, as EvaluatedValues."""
-    _check_tol(abs_tol)
+    """[zeta] or [zeta, zeta'] at the point s, as EvaluatedValues: the
+    float-sigma batch of one."""
     z = complex(s)
-    _check_domain(z.real, z.imag, EDGE_MARGIN if want_prime else 0.0)
-    values, primes, bounds, bounds_p, N = _evaluate(
-        z.real, np.array([z.imag]), abs_tol, 0.0, want_prime)
+    values, bounds, primes, bounds_p, N = zeta_points(z.real, [z.imag],
+                                                      abs_tol, want_prime)
     tracks = [(values, bounds), (primes, bounds_p)][:2 if want_prime else 1]
     return [EvaluatedValue(complex(v[0]), float(b[0]), N) for v, b in tracks]
 
@@ -484,11 +497,12 @@ def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
     blocks with equal exact offsets, such as one Romberg level
     a + h (1, 3, 5, ...) at a shared sigma, take the factored main sum of
     the module docstring: K/B + B rows of exps instead of K, with
-    B = ceil(sqrt K) up to K = 256 and B = 16 above.  Each point is
-    checked as zeta, or zeta_with_prime if with_prime, checks it.
-    Returns (values, bounds, primes, bounds_prime, terms_used) with
-    primes/bounds_prime None unless with_prime.  A DomainError or
-    ConvergenceError about one point carries its position as `index`.
+    B = ceil(sqrt K) up to K = 256 and B = 16 above.  Each point must lie
+    in the supported domain, with the derivative's edge margin if
+    with_prime.  Returns (values, bounds, primes, bounds_prime,
+    terms_used) with primes/bounds_prime None unless with_prime.  A
+    DomainError or ConvergenceError about one point carries its position
+    as `index`.
     """
     _check_tol(abs_tol)
     if np.ndim(sigma) == 0:
@@ -499,9 +513,7 @@ def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
             raise DomainError(
                 "sigmas and ts must be aligned one-dimensional sequences")
     arr = _check_points(sigma, ts, EDGE_MARGIN if with_prime else 0.0)
-    values, primes, bounds, bounds_p, N = _evaluate(sigma, arr, abs_tol, 0.0,
-                                                    with_prime)
-    return values, bounds, primes, bounds_p, N
+    return _evaluate(sigma, arr, abs_tol, 0.0, with_prime)
 
 
 def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
@@ -518,7 +530,7 @@ def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
     if not (0.9 <= sigma0 < 1.0):
         raise DomainError(f"sigma0={sigma0!r} outside [0.9, 1.0)")
     arr = _check_points(sigma0, ts)
-    values, _, bounds, _, _ = _evaluate(sigma0, arr, 0.0, INV_REL_TOL, False)
+    values, bounds, _, _, _ = _evaluate(sigma0, arr, 0.0, INV_REL_TOL, False)
     abs_v = np.abs(values)
     bad = abs_v - bounds < ZETA_FLOOR
     if np.any(bad):

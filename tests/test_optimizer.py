@@ -240,13 +240,11 @@ def _reference_minimize(spec, trace_path=None):
     every compute_b1 call in order)."""
     deriv = spec.target == TARGET_LOGDER
     b_T1 = spec.T1 - 1 if deriv else spec.T1
-    b_cache, b_calls = {}, []
+    b_calls = []
 
     def b_of(c1):
-        if c1 not in b_cache:
-            b_calls.append(c1)
-            b_cache[c1] = compute_b1(spec.profile, c1, spec.C3, b_T1, spec.T2)
-        return b_cache[c1]
+        b_calls.append(c1)
+        return compute_b1(spec.profile, c1, spec.C3, b_T1, spec.T2)
 
     with open(trace_path or os.devnull, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -353,6 +351,8 @@ def test_screen_error_never_decides_feasibility(monkeypatch, tmp_path, target,
 @pytest.mark.parametrize("refine_rounds", [0, 2])
 @pytest.mark.parametrize("target", [TARGET_LOG, TARGET_LOGDER])
 def test_b_constant_computed_once_per_c1(monkeypatch, target, refine_rounds):
+    # once per C1 of each scan; a refinement round computes b again for a
+    # C1 an earlier round visited
     spec = zeta_spec(target, grid_step=0.05, refine_rounds=refine_rounds)
     *_, ref_calls = _reference_minimize(spec)
     calls = []

@@ -204,7 +204,8 @@ def _level_calls(levels):
     return calls
 
 
-@pytest.mark.parametrize("lo, hi", [(11020.0, 11520.0), (29900.0, 30000.0)])
+@pytest.mark.parametrize("lo, hi", [(11020.0, 11520.0), (29900.0, 30000.0),
+                                    (0.0, 640.0)])
 def test_one_factored_engine_call_per_run_and_level(monkeypatch, tmp_path,
                                                     lo, hi):
     calls = []

@@ -9,6 +9,7 @@ abs_error_bound.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -430,6 +431,21 @@ def test_two_correction_terms_to_spare(monkeypatch):
     test_truncation_point_never_grows()
 
 
+def test_bernoulli_recurrence_leading_values():
+    B = zeta_engine._bernoulli(12)
+    assert (B[2], B[4], B[12]) == (Fraction(1, 6), Fraction(-1, 30),
+                                   Fraction(-691, 2730))
+
+
+def test_bfac_matches_mpmath_bernoulli():
+    # B_{2k}/(2k)! from an independent evaluator, correctly rounded once
+    mp = pytest.importorskip("mpmath")
+    assert len(zeta_engine._BFAC) == 21
+    with mp.workprec(300):
+        for k, b in enumerate(zeta_engine._BFAC, start=1):
+            assert b == float(mp.bernoulli(2 * k) / mp.factorial(2 * k)), k
+
+
 @pytest.mark.parametrize("sigma, t", [(0.98, 11515.3), (0.72, 29876.5),
                                       (1.02, 10234.5), (0.75, 20000.25)])
 def test_bounds_do_not_depend_on_a_reachable_tolerance(sigma, t):
@@ -612,16 +628,16 @@ def _assert_factored_matches(monkeypatch, sigma, ts, want_prime, blocks,
     got, calls = _main_sum_calls(monkeypatch, *args)
     assert [call[:2] for call in calls] == [(len(ts), blocks)]
     ref = _direct_path(monkeypatch, *args)
-    tracks = [(0, 2), (1, 3)][:2 if want_prime else 1]
+    tracks = [(0, 1), (2, 3)][:2 if want_prime else 1]
     for v, b in tracks:
         assert np.all(np.abs(got[v] - ref[v]) <= got[b] + ref[b])
         assert np.all(got[b] <= 1e-6)
     with mp.workdps(30):
         for i in mp_points:
             s = mp.mpc(repr(sigma), repr(float(ts[i])))
-            assert abs(got[0][i] - complex(mp.zeta(s))) <= got[2][i]
+            assert abs(got[0][i] - complex(mp.zeta(s))) <= got[1][i]
             if want_prime:
-                assert (abs(got[1][i] - complex(mp.zeta(s, derivative=1)))
+                assert (abs(got[2][i] - complex(mp.zeta(s, derivative=1)))
                         <= got[3][i])
 
 
@@ -674,13 +690,27 @@ def test_factored_derivative_track(monkeypatch):
 
 
 NODES = _romberg_nodes(11020.0, 10.0, 128)
+# an exact progression from t = 0 whose first point moves off 0 by less
+# than half an ulp of the step: every rounded offset is the step's
+# multiple, but the first block's true offsets are 2^-60 short of it
+FROM_ZERO = 10.0 / 128 * np.arange(128.0)
+OFF_ZERO = np.concatenate(([2.0 ** -60], FROM_ZERO[1:]))
+
+
+def test_block_size_checks_each_offset_is_exact():
+    # a progression from 0 factors, although its heads are below half
+    # of its heights; one inexact offset makes the whole batch direct
+    assert zeta_engine._block_size(0.98, FROM_ZERO) == 12
+    assert zeta_engine._block_size(0.98, _romberg_nodes(0.0, 10.0, 128)) == 12
+    assert np.all(OFF_ZERO[:12] - OFF_ZERO[0] == FROM_ZERO[:12])
+    assert zeta_engine._block_size(0.98, OFF_ZERO) == 0
 
 
 @pytest.mark.parametrize("sigma, ts", [
     (0.98, NODES[::-1]),                              # descending
     (0.98, -NODES[::-1]),                             # descending once folded
     (0.98, np.linspace(11020.0, 11030.0, 100)),       # step 10/99 is inexact
-    (0.98, _romberg_nodes(0.0, 10.0, 128)),           # within a factor 2 of 0
+    (0.98, OFF_ZERO),                                 # one inexact offset
     (0.98, NODES[:7]),                                # fewer than 8 points
     (np.full(128, 0.98), NODES),                      # sigma per point
     (np.linspace(0.95, 1.13, 128), NODES),            # as a verifier chunk
