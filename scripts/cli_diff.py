@@ -43,6 +43,9 @@ COMMANDS = (
     "mertens sieve-verify --limit 1000000",
     # four sieve windows, the last one 5 wide
     "mertens sieve-verify --limit 3145733",
+    # windows 1 to 3 checked pointwise; the last, 5 wide, cleared from its
+    # carries on the running maxima
+    "mertens sieve-verify --limit 3145733 --A 1.0 --a 0.5 --B 100 --b 0.01",
     "profiles --family zeta",
     "profiles --family dirichlet",
     "profiles --family dedekind",

@@ -38,8 +38,12 @@ arithmetic, since their displayed forms are exact decimals.
 Verification.  A segmented Mobius sieve streams windows of 2^20 integers
 from 1 to a desk-scale limit, carrying only M and m = sum mu(n)/n from one
 window to the next, and the verifier confirms the explicit bounds (and the
-trivial bound they extend) at every integer point.  Memory is one window,
-whatever the limit.
+trivial bound they extend) at every integer point.  Each window after the
+first is screened from its carries alone, since |M(x)| <= |M(lo-1)| + the
+count of n in the window with mu(n) != 0, and |m(x)| <= |m(lo-1)| + S/lo.
+A window this clears only advances the carries.  Any other gets its prefix
+sums, and a second screen on their exact maxima decides whether it is
+checked pointwise.  Memory is one window, whatever the limit.
 
 Rounding of m(x).  The window k = ceil(x / S), S = 2^20, covers
 lo <= n < lo + S with lo = (k-1) S + 1.  In float64 (unit roundoff
@@ -57,6 +61,13 @@ errors stay below 1 + 2^-30.  Hence
 
 with H_j the j-th harmonic number: about 1.2e-10 on window 1 and 7.1e-10
 at x = 1e8.  The m(x) verdict adds E(x) to |m(x)|.
+
+A window k >= 2 cleared from its carries hands on fl(m(lo-1) + c) with c
+the pairwise sum of its terms, not a running sum.  Any order of summing S
+terms errs by at most gamma_{S-1} sum |t_n|, gamma_j = j u / (1 - j u),
+and sum |t_n| < 1/(k-1), so that carry keeps within the same
+u (S + 1)/(k - 1) and E(x) still covers every later m(x).  Window 1, where
+only the running sums are bounded by 1, is never screened this way.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from decimal import Decimal
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -103,9 +114,11 @@ __all__ = [
 ]
 
 # Bounds the run time of a sieve (memory stays one window); keeping n below
-# 2^32 is what keeps the uint32 products of small primes exact.
+# 2^31 is what keeps the signed int32 products of small primes exact.
 SIEVE_LIMIT = 200_000_000
 _WINDOW = 1 << 20
+_PRESIEVE = (2, 3, 5, 7, 11, 13)  # copied into each window as one pattern
+_SLICE = 1 << 16         # points per pass of the pointwise check
 _UNIT = 2.0 ** -53       # unit roundoff of float64
 _SCREEN_SLACK = 1e-12    # relative; scalar and array powers may round apart
 _CROSSOVER_CEILING = 2000.0  # log10 search window upper end
@@ -341,7 +354,8 @@ def m_rounding_bound(x: int) -> float:
     return (1.0 + 2.0 ** -20) * _UNIT * (k + (_WINDOW + 16) * (1.0 + harmonic))
 
 
-def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0
+def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0,
+                   screen: Optional[Callable[[int, int, int, float, int], bool]] = None
                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (lo, mu, M, m) for windows of 2^20 integers from lo up to N.
 
@@ -351,48 +365,66 @@ def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0
     that the next window overwrites.  lo must be 1 plus a multiple of 2^20,
     so that m(n) has the rounding bound m_rounding_bound(n).
 
-    For each prime p <= sqrt(N) the sign flips on multiples of p, the
-    product of small prime factors gains p, and multiples of p^2 are
-    zeroed.  A squarefree n has exactly one prime factor above sqrt(N)
-    when that product is not n, and its sign flips once more.  The product
-    divides n < 2^32, so it cannot overflow uint32.
+    Each window holds a signed int32 product of small prime factors.  It
+    starts as a copy of the pattern of the primes up to 13; each further
+    prime p <= sqrt(N) multiplies its multiples by -p, and the multiples of
+    every p^2 are zeroed.  A squarefree n has exactly one prime factor
+    above sqrt(N) when |product| is not n, so mu(n) is the product's sign,
+    negated there.  |product| divides n <= N < 2^31, so it cannot overflow.
+
+    screen(lo, size, M, m, nonzero), given the carries at lo - 1 and the
+    count of n in the window with mu(n) != 0, may clear any window but the
+    first: it is then not yielded, and only its carries advance, M by the
+    int64 sum of mu and m by the pairwise float sum of mu(n)/n.
     """
+    if N >= 2 ** 31:
+        raise DomainError(f"N={N!r} reaches 2^31, past the int32 products")
     primes = _primes_upto(int(math.isqrt(N)))
+    sieved = primes[primes > _PRESIEVE[-1]]
     squares = primes * primes
     width = max(0, min(_WINDOW, N + 1 - lo))
-    offsets = np.arange(width, dtype=np.uint32)
-    offsets_f = offsets.astype(np.float64)
+    period = math.prod(_PRESIEVE)
+    pattern = np.ones(period + width, dtype=np.int32)  # entry j: n = j (mod period)
+    for p in _PRESIEVE:
+        pattern[::p] *= -p
+    offsets = np.arange(width, dtype=np.int32)
+    prod_buf = np.empty(width, dtype=np.int32)
+    flip_buf = np.empty(width, dtype=bool)
     mu_buf = np.empty(width, dtype=np.int8)
-    prod_buf = np.empty(width, dtype=np.uint32)
-    n_buf = np.empty(width, dtype=np.uint32)
-    same_buf = np.empty(width, dtype=bool)
-    x_buf = np.empty(width, dtype=np.float64)
     M_buf = np.empty(width, dtype=np.int64)
     m_buf = np.empty(width, dtype=np.float64)
     while lo <= N:
         size = min(width, N + 1 - lo)
-        mu, prod, n = mu_buf[:size], prod_buf[:size], n_buf[:size]
-        mu.fill(1)
-        prod.fill(1)
-        for p, first, first2 in zip(primes.tolist(), ((-lo) % primes).tolist(),
-                                    ((-lo) % squares).tolist()):
-            mu[first::p] *= -1
-            prod[first::p] *= p
-            if first2 < size:
-                mu[first2::p * p] = 0
-        np.add(offsets[:size], lo, out=n)
-        sign = np.equal(prod, n, out=same_buf[:size]).view(np.int8)
-        sign <<= 1
-        sign -= 1
+        prod = prod_buf[:size]
+        prod[:] = pattern[lo % period:][:size]
+        for p, first in zip(sieved.tolist(), ((-lo) % sieved).tolist()):
+            multiples = prod[first::p]
+            np.multiply(multiples, -p, out=multiples)  # cheaper call than *=
+        for q, first in zip(squares.tolist(), ((-lo) % squares).tolist()):
+            if first < size:
+                prod[first::q] = 0
+        mu = np.sign(prod, out=mu_buf[:size], casting="unsafe")
+        np.abs(prod, out=prod)
+        prod -= offsets[:size]  # |product| - (n - lo), which is lo where |product| = n
+        sign = np.not_equal(prod, lo, out=flip_buf[:size]).view(np.int8)
+        sign *= -2
+        sign += 1
         mu *= sign
-        window_M = np.cumsum(mu, dtype=np.int64, out=M_buf[:size])
-        window_M += M
-        x = np.add(offsets_f[:size], lo, out=x_buf[:size])
-        window_m = np.divide(mu, x, out=m_buf[:size])
-        np.cumsum(window_m, out=window_m)
-        window_m += m
-        yield lo, mu, window_M, window_m
-        M, m = int(window_M[-1]), float(window_m[-1])
+        terms = np.add(offsets[:size], lo, out=m_buf[:size], dtype=np.float64)
+        np.divide(mu, terms, out=terms)
+        if (lo > 1 and screen is not None
+                and screen(lo, size, M, m, int(np.count_nonzero(mu)))):
+            M += int(mu.sum(dtype=np.int64))
+            m += float(terms.sum())
+        else:
+            window_M = M_buf[:size]
+            window_M[:] = mu  # cast here: cumsum would cast into a temporary
+            window_M[0] += M
+            np.cumsum(window_M, out=window_M)
+            window_m = np.cumsum(terms, out=terms)
+            window_m += m
+            yield lo, mu, window_M, window_m
+            M, m = int(window_M[-1]), float(window_m[-1])
         lo += size
 
 
@@ -431,24 +463,51 @@ class _RangeCheck:
 
         bound_M and x increase and bound_m decreases, so the exact maxima
         of |M| and |m| over the window, against bound_M(lo), lo and
-        bound_m(last), bound every ratio in it.  The relative slack covers
-        the scalar and array powers rounding apart.  A window that can
-        neither violate nor raise a running maximum is skipped.
+        bound_m(last), bound every ratio in it.
         """
         last = lo + len(M) - 1
         err = m_rounding_bound(last)
         big_M = max(int(M.max()), -int(M.min()))
         big_m = max(float(m.max()), -float(m.min()))
+        if not self._clears(lo, last, big_M, big_m, err):
+            self.pointwise(lo, M, m, err)
+
+    def carries_clear(self, lo: int, size: int, M: int, m: float,
+                      nonzero: int) -> bool:
+        """Whether the screen clears lo <= x < lo + size from the carries alone.
+
+        M and m are the carries at lo - 1, and nonzero counts the n in the
+        window with mu(n) != 0.  Then |M(x)| <= |M(lo - 1)| + nonzero, and
+        |fl m(x)| <= |fl m(lo - 1)| + size/lo + 2 E(last), since each term
+        is at most 1/lo and each rounded sum is within E of its exact value.
+        These bound the window's maxima, so a window they clear is one the
+        exact screen of window() clears too.
+        """
+        last = lo + size - 1
+        err = m_rounding_bound(last)
+        return self._clears(lo, last, abs(M) + nonzero,
+                            abs(m) + size / lo + 2.0 * err, err)
+
+    def _clears(self, lo: int, last: int, big_M: int, big_m: float,
+                err: float) -> bool:
+        """Whether a window whose |M| and |m| stay within big_M and big_m can
+        neither violate nor raise a running maximum.  The relative slack
+        covers the scalar and array powers rounding apart."""
         grow = 1.0 + _SCREEN_SLACK
         ceil_M = big_M / self.bound_M(float(lo)) * grow
         ceil_m = (big_m + err) / self.bound_m(float(last)) * grow
-        if (ceil_M < 1.0 and ceil_M <= self.max_ratio_M
+        return (ceil_M < 1.0 and ceil_M <= self.max_ratio_M
                 and ceil_m < 1.0 and ceil_m <= self.max_ratio_m
-                and big_M <= lo and big_M / lo <= self.max_ratio_trivial):
-            return
-        self.pointwise(lo, M, m, err)
+                and big_M <= lo and big_M / lo <= self.max_ratio_trivial)
 
     def pointwise(self, lo: int, M: np.ndarray, m: np.ndarray, err: float) -> None:
+        """Check every x of the window, in slices of _SLICE points so that
+        the bound arrays stay small."""
+        for start in range(0, len(M), _SLICE):
+            stop = start + _SLICE
+            self._slice(lo + start, M[start:stop], m[start:stop], err)
+
+    def _slice(self, lo: int, M: np.ndarray, m: np.ndarray, err: float) -> None:
         x = np.arange(lo, lo + len(M), dtype=np.float64)
         bound_M = self.bound_M(x)
         bound_m = self.bound_m(x)
@@ -480,7 +539,8 @@ def verify_bound_on_range(table: MobiusTable, A: float, a_exp: float,
     start = time.monotonic()
     check = _RangeCheck(A, a_exp, B, b_exp, A_m, B_m)
     check.window(1, table.M_prefix[1:], table.m_prefix[1:])
-    for lo, _, M, m in mobius_windows(table.limit, table.head + 1, *table.carry):
+    for lo, _, M, m in mobius_windows(table.limit, table.head + 1, *table.carry,
+                                      screen=check.carries_clear):
         check.window(lo, M, m)
     return {
         "limit": table.limit,

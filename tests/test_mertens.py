@@ -259,6 +259,8 @@ def test_sieve_resource_limits():
         sieve_mobius(200_000_001)
     with pytest.raises(DomainError):
         sieve_mobius(0)
+    with pytest.raises(DomainError, match="2\\^31"):
+        next(mobius_windows(2 ** 31, 2 ** 31 - WINDOW + 1))
 
 
 def test_bound_spec_invariants():
@@ -284,6 +286,21 @@ def checked(monkeypatch):
 
     monkeypatch.setattr(mertens._RangeCheck, "pointwise", counted)
     return los
+
+
+@pytest.fixture
+def carry_screens(monkeypatch):
+    """(lo, M, m, cleared) of every window offered to the screen on the carries."""
+    calls = []
+    carries_clear = mertens._RangeCheck.carries_clear
+
+    def recorded(self, lo, size, M, m, nonzero):
+        cleared = carries_clear(self, lo, size, M, m, nonzero)
+        calls.append((lo, M, m, cleared))
+        return cleared
+
+    monkeypatch.setattr(mertens._RangeCheck, "carries_clear", recorded)
+    return calls
 
 
 def _check(A, a, B, b):
@@ -325,6 +342,24 @@ def test_screen_passes_a_trivial_violation_under_a_loose_bound(checked):
     assert (check.violations, check.first_violation) == (2, 1000)
 
 
+def test_exact_screen_and_pointwise_check_follow_the_carry_screen(checked):
+    """The carry bound |M| <= |M(lo-1)| + #{mu(n) != 0} is looser than the
+    window's exact maxima: of two windows it cannot clear, the exact screen
+    clears one and sends the other to the pointwise check."""
+    check = _check(1.0, 0.5, 100.0, 0.01)
+    check.window(1, np.array([1]), np.array([0.5]))  # ratios 1/101, 0.5/204
+    alternating = np.resize(np.array([1, -1], dtype=np.int8), 1000)  # |M| <= 1
+    rising = np.ones(1000, dtype=np.int8)                             # M to 1000
+    for lo, mu in ((WINDOW + 1, alternating), (2 * WINDOW + 1, rising)):
+        assert not check.carries_clear(lo, len(mu), 0, 0.0, len(mu))
+        x = np.arange(lo, lo + len(mu), dtype=np.float64)
+        check.window(lo, np.cumsum(mu, dtype=np.int64), np.cumsum(mu / x))
+    assert checked == [1, 2 * WINDOW + 1]
+    assert check.violations == 0
+    assert check.max_ratio_M == pytest.approx(
+        1000.0 / check.bound_M(2 * WINDOW + 1000.0), rel=REL)
+
+
 def test_m_verdict_charges_the_rounding_bound():
     check = _check(1.0, 0.5, 0.0, 0.5)  # |m(x)| <= 3 x^(-1/2)
     check.window(1, np.array([0]), np.array([3.0 - m_rounding_bound(1) / 2]))
@@ -362,7 +397,7 @@ def _unscreened_report(mu, A, a, B, b):
 # bounds are violated in the three full windows, not in the last 5 points
 # (|M| <= 39 there); (1, 0.3, 0, 0.3) peaks in |M| / bound past the head.
 # (1, 0.5, 100, 0.01) holds everywhere, and both its ratios peak at
-# x = 1793918, so the second window passes the screen on the running maxima.
+# x = 1793918, so the last window passes the screen on the running maxima.
 @pytest.mark.parametrize("bound,pointwise_windows", [
     ((555.71, 0.99, 1.94e14, 0.98), [1]),
     ((0.1, 0.5, 0.0, 0.5), [1, WINDOW + 1, 2 * WINDOW + 1]),
@@ -387,11 +422,24 @@ def test_streamed_check_matches_unscreened_oracle(mu_windows, checked,
         assert want["argmax_M"] > WINDOW
 
 
-def test_m_rounding_bound_covers_window_ends(mu_windows):
+def test_m_rounding_bound_covers_window_ends(mu_windows, carry_screens):
     terms = (mu_windows[1:] / np.arange(1, N_WINDOWS + 1, dtype=np.float64)).tolist()
+    M = np.cumsum(mu_windows)
     ends = [(lo + len(m) - 1, float(m[-1]))
             for lo, _, _, m in mobius_windows(N_WINDOWS)]
     assert [x for x, _ in ends] == [WINDOW, 2 * WINDOW, 3 * WINDOW, N_WINDOWS]
+    # the published bound clears windows 3 and 4 from their carries; the
+    # carry window 3 hands on is a pairwise sum, not a running sum
+    verify_bound_on_range(sieve_mobius(N_WINDOWS), 555.71, 0.99, 1.94e14, 0.98)
+    assert [(lo, cleared) for lo, _, _, cleared in carry_screens] == [
+        (WINDOW + 1, False), (2 * WINDOW + 1, True), (3 * WINDOW + 1, True)]
+    handed = [(lo - 1, M_carry, m_carry)
+              for (_, _, _, cleared), (lo, M_carry, m_carry, _)
+              in zip(carry_screens, carry_screens[1:]) if cleared]
+    assert [x for x, _, _ in handed] == [3 * WINDOW]
+    for x, M_carry, got in handed:
+        assert M_carry == M[x]
+        ends.append((x, got))
     for x, got in ends:
         exact = math.fsum(terms[:x])
         # each float term lies within 2^-53/n of mu(n)/n
@@ -405,6 +453,20 @@ def test_streamed_windows_match_the_unsegmented_sieve(mu_windows):
         hi = lo + len(mu)
         assert np.array_equal(mu, mu_windows[lo:hi])
         assert np.array_equal(M_window, M[lo:hi])
+
+
+def test_top_window_matches_sympy():
+    """The last window below SIEVE_LIMIT, where the int32 products are largest
+    and the presieved pattern starts at a far offset."""
+    sympy = pytest.importorskip("sympy")
+    lo = 190 * WINDOW + 1
+    (got_lo, mu, _, _), = mobius_windows(mertens.SIEVE_LIMIT, lo)
+    assert got_lo == lo and lo + len(mu) - 1 == mertens.SIEVE_LIMIT
+    rng = np.random.default_rng(20)
+    top = np.arange(mertens.SIEVE_LIMIT - 999, mertens.SIEVE_LIMIT + 1)
+    sample = rng.integers(lo, mertens.SIEVE_LIMIT, 2000)
+    for n in np.concatenate((top, sample)).tolist():
+        assert int(mu[n - lo]) == int(sympy.mobius(n)), n
 
 
 def test_table_stores_only_the_head():
