@@ -38,6 +38,13 @@ COMMANDS = (
     "optimize a1 --refine-rounds 2",
     "integrate envelope",
     "mertens bound",
+    "mertens bound --epsilon0 0.5",
+    "mertens bound --T1 3e7",
+    "mertens bound --lambda 3",
+    # kappa 0.99240 displays as 0.993 and 0.99933 as 0.9994; the second
+    # bound has no crossover below 10^2000
+    "mertens bound --sigma0 0.985",
+    "mertens bound --sigma0 0.999 --epsilon0 0.5",
     "mertens crossover",
     "mertens derive-m",
     "mertens sieve-verify --limit 1000000",
@@ -65,6 +72,7 @@ COMMANDS = (
     "verify --threads 2",
     # failure exits: reports with exit 1, then exit 1 with no stdout
     "constants a1 --T1 100",
+    "mertens bound --sigma0 1.0 --epsilon0 0.5",
     "mertens sieve-verify --limit 3145733 --A 0.1 --a 0.5 --B 0 --b 0.5",
     "integrate inv-zeta --from 0 --to 40000",
     "optimize a2 --T1 4000",

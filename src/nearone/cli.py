@@ -45,26 +45,21 @@ from .constants import (
     BoundParams,
     TARGET_LOG,
     TARGET_LOGDER,
-    ceil_decimals,
-    ceil_sigfigs,
     constants_report,
     dedekind_split,
 )
 from . import defaults
 from .errors import ConvergenceError, NearOneError, NoCrossoverError
 from .mertens import (
-    compute_epsilon0,
     crossover_trivial,
-    default_T2,
     derive_m_bound,
-    mertens_bound,
+    mertens_report,
     sieve_mobius,
     verify_bound_on_range,
 )
 from .optimizer import SearchSpec, minimize
 from .profiles import (
     ALPHA_DEFAULT,
-    DEDEKIND_AMPLITUDE,
     T0_DEFAULT,
     profile_dedekind,
     profile_dirichlet,
@@ -146,18 +141,20 @@ def _cmd_profiles(args) -> tuple[dict, int]:
     if args.family == "dirichlet":
         report["prefactor"] = rademacher_prefactor_dirichlet(
             args.alpha, args.profile_t0)
-        report["prefactor_ceiling"] = 1.0
     elif args.family == "dedekind":
         report["prefactor"] = rademacher_prefactor_dedekind(
             args.degree, args.alpha, args.profile_t0)
-        report["prefactor_ceiling"] = DEDEKIND_AMPLITUDE
+    if args.family != "zeta":  # the profile checked prefactor <= amplitude
+        report["prefactor_ceiling"] = prof.amplitude
     return report, EXIT_OK
 
 
 def _resolved_bound_params(args, target: str) -> BoundParams:
+    """The published parameter set of the family and target, with every
+    flag given on the command line put over it."""
     given = {key: getattr(args, key)
              for key in ("C1", "C2", "C3", "T1", "T2", "t0", "C4")
-             if getattr(args, key) is not None}
+             if getattr(args, key, None) is not None}
     if target == TARGET_LOG:
         given.pop("C4", None)  # only the derivative bound uses C4
     published = defaults.CONSTANT_PARAMS[(args.family, target)]
@@ -185,9 +182,8 @@ def _cmd_constants(args) -> tuple[dict, int]:
 def _cmd_optimize(args) -> tuple[dict, int]:
     target = _TARGETS[args.which]
     prof, family_params = _build_profile(args)
-    published = defaults.CONSTANT_PARAMS[(args.family, target)]
-    fixed = {k: getattr(args, k) if getattr(args, k) is not None
-             else getattr(published, k) for k in ("C3", "T1", "T2", "t0")}
+    resolved = _resolved_bound_params(args, target)
+    fixed = {k: getattr(resolved, k) for k in ("C3", "T1", "T2", "t0")}
     spec = SearchSpec(profile=prof, target=target, grid_step=args.grid_step,
                       refine_rounds=args.refine_rounds, **fixed)
     params, bc = minimize(spec, trace_path=args.trace)
@@ -241,41 +237,10 @@ def _cmd_integrate(args) -> tuple[dict, int]:
 
 def _cmd_mertens(args) -> tuple[dict, int]:
     if args.action == "bound":
-        T2 = args.T2 if args.T2 is not None else default_T2(args.T1, args.C3)
-        eps0 = args.epsilon0
-        if eps0 is None:
-            eps0 = compute_epsilon0(args.sigma0, args.C1, args.C2, args.C3,
-                                    args.T1, T2)
-        spec = mertens_bound(args.sigma0, args.lam, args.T1, eps0,
-                             args.integral)
-        kappa_display = ceil_decimals(spec.kappa, 2)
-        coef_kappa_display = ceil_decimals(spec.coef_kappa, 2)
-        coef_sigma0_display = ceil_sigfigs(spec.coef_sigma0, 3)
-        A_m, B_m = derive_m_bound(coef_kappa_display, kappa_display,
-                                  coef_sigma0_display, args.sigma0)
-        report = {
-            "subcommand": "mertens.bound",
-            "parameters": {
-                "sigma0": args.sigma0, "C1": args.C1, "C2": args.C2,
-                "C3": args.C3, "T1": args.T1, "T2": T2, "lambda": args.lam,
-                "integral_bound": args.integral, "epsilon0": eps0,
-            },
-            "bound": spec.as_dict(),
-            "display": {
-                "kappa": kappa_display,
-                "coef_kappa": coef_kappa_display,
-                "coef_sigma0": coef_sigma0_display,
-            },
-            "m_transfer": {"A_m": A_m, "B_m": B_m},
-        }
-        try:
-            report["crossover_log10"] = crossover_trivial(
-                coef_kappa_display, kappa_display, coef_sigma0_display,
-                args.sigma0)
-        except NoCrossoverError as exc:
-            report["crossover_log10"] = None
-            report["crossover_note"] = str(exc)
-        return report, EXIT_OK
+        report = mertens_report(args.sigma0, args.C1, args.C2, args.C3,
+                                args.T1, args.T2, args.lam, args.integral,
+                                args.epsilon0)
+        return {"subcommand": "mertens.bound", **report}, EXIT_OK
 
     # derive-m, crossover and sieve-verify take the bound A x^a + B x^b
     two_term = {"A": args.A, "a": args.a, "B": args.B, "b": args.b}
@@ -377,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     for flag in ("C3", "T1", "T2", "t0"):
         p.add_argument(f"--{flag}", type=_finite_float, default=None)
-    p.add_argument("--grid-step", type=_finite_float, default=0.01)
-    p.add_argument("--refine-rounds", type=int, default=0)
+    p.add_argument("--grid-step", type=_finite_float,
+                   default=defaults.GRID_STEP)
+    p.add_argument("--refine-rounds", type=int,
+                   default=SearchSpec.refine_rounds)
     p.add_argument("--trace", default=None,
                    help="CSV trace of evaluated grid points")
     p.set_defaults(handler=_cmd_optimize)

@@ -29,6 +29,9 @@ CONSTANT_PARAMS = {
     for target, (C1, C2) in ((TARGET_LOG, a1_point), (TARGET_LOGDER, a2_point))
 }
 
+# Decimal step of the optimizer's grid over (C1, C2[, rho]).
+GRID_STEP = 0.01
+
 # Published zeta constants and the (A, B, c) of their sigma-regions.
 DISPLAY_A1 = 5.44
 DISPLAY_B1 = 0.951

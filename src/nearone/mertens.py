@@ -23,7 +23,8 @@ int_0^T1 du / |zeta(sigma0 + iu)| into the fully explicit estimate
 
 valid for x >= x_min = (T1/lambda)^((1+epsilon0)/(1-sigma0)).  kappa is
 the optimal smoothing exponent, and lambda = 2 sits within a percent of
-the numerical minimum of coef_kappa.
+the numerical minimum of coef_kappa.  epsilon0 is the a1 bound of the log
+statement at (sigma0, T1), with Euler order 1, divided by log T1.
 
 Partial summation turns any |M(u)| <= A u^a + B u^b (0 < a, b < 1) into
 
@@ -34,6 +35,10 @@ and the bound beats the trivial |M(x)| <= x exactly above the crossover
 point x* solving A x^a + B x^b = x.  The published coefficient products
 are reproduced digit for digit by carrying the derivation in decimal
 arithmetic, since their displayed forms are exact decimals.
+
+mertens_report runs the whole chain, from the parameters through epsilon0
+(unless it is given), the bound and its rounded-up display form, to the
+transfer and the crossover of the displayed bound, and returns its report.
 
 Verification.  A segmented Mobius sieve streams windows of 2^20 integers
 from 1 to a desk-scale limit, carrying only M and m = sum mu(n)/n from one
@@ -84,12 +89,14 @@ from .constants import (
     ROOM,
     TARGET_LOG,
     HypothesisCheck,
+    _a1_value,
     _require,
+    ceil_decimals,
+    ceil_sigfigs,
     check_hypotheses,
     compute_b1,
     compute_R,
     loglog,
-    logplus,
     statement_hypotheses,
     window_edge,
 )
@@ -104,7 +111,7 @@ __all__ = [
     "compute_epsilon0",
     "mertens_bound",
     "default_T2",
-    "mertens_from_first_principles",
+    "mertens_report",
     "derive_m_bound",
     "crossover_trivial",
     "m_rounding_bound",
@@ -129,8 +136,7 @@ class MertensBoundSpec:
     """The explicit |M(x)| <= coef_kappa x^kappa + coef_sigma0 x^sigma0 + 1.
 
     lam is the smoothing parameter lambda.  x_min routinely exceeds the
-    double-precision range, so log10_x_min is the canonical field and the
-    x_min property may overflow to inf.
+    double-precision range, so only log10_x_min is kept.
     """
 
     sigma0: float
@@ -152,14 +158,22 @@ class MertensBoundSpec:
         if not (self.coef_sigma0 > 0.0 and self.coef_kappa > 0.0):
             raise DomainError("coefficients must be positive")
 
-    @property
-    def x_min(self) -> float:
-        return 10.0 ** self.log10_x_min if self.log10_x_min < 308 else math.inf
-
     def as_dict(self) -> dict:
         d = asdict(self)
         d["lambda"] = d.pop("lam")
         return d
+
+    def display(self) -> dict:
+        """Published display forms, rounded upward: coef_kappa at 2 decimals,
+        coef_sigma0 at 3 significant figures, and kappa at 2 decimals or at
+        the fewest more that keep it below 1 (0.99240 -> 0.993), so the
+        displayed bound dominates the computed one and stays a valid pair."""
+        places = 2
+        while (kappa := ceil_decimals(self.kappa, places)) >= 1.0:
+            places += 1  # ends by 17 places, where kappa rounds to itself
+        return {"kappa": kappa,
+                "coef_kappa": ceil_decimals(self.coef_kappa, 2),
+                "coef_sigma0": ceil_sigfigs(self.coef_sigma0, 3)}
 
 
 @dataclass
@@ -219,10 +233,9 @@ def compute_epsilon0(sigma0: float, C1: float, C2: float, C3: float,
     """
     _require(epsilon0_hypotheses(sigma0, C2, C3, T1, T2))
     b = compute_b1(profile_zeta(), C1, C3, T1, T2)
-    rate = compute_R(C2, C3, T1)
     ll = loglog(T1)
-    eps0 = ((1.0 / C2) * b ** (2.0 * (1.0 - sigma0))
-            * math.exp((1.0 + logplus(b) / ll) * rate)
+    eps0 = (_a1_value(1, C2, b, compute_R(C2, C3, T1), ll)
+            * b ** (2.0 * (1.0 - sigma0))
             * ll / math.log(T1) ** (2.0 * sigma0 - 1.0))
     _require(check_hypotheses(("epsilon0-applicability",), epsilon0=eps0))
     return eps0
@@ -231,12 +244,11 @@ def compute_epsilon0(sigma0: float, C1: float, C2: float, C3: float,
 def mertens_bound(sigma0: float, lam: float, T1: float, epsilon0: float,
                   integral_bound: float) -> MertensBoundSpec:
     """Assemble the explicit bound from epsilon0 and the integral bound I."""
-    _require(check_hypotheses(("epsilon0-applicability", "lambda-range"),
-                              epsilon0=epsilon0, lam=lam, T1=T1))
+    _require(check_hypotheses(
+        ("sigma0-range", "epsilon0-applicability", "lambda-range"),
+        sigma0=sigma0, epsilon0=epsilon0, lam=lam, T1=T1))
     if not (integral_bound > 0.0 and math.isfinite(integral_bound)):
         raise DomainError(f"integral bound must be positive; got {integral_bound!r}")
-    if not (0.5 < sigma0 < 1.0):
-        raise DomainError(f"sigma0={sigma0!r} outside (0.5, 1)")
     growth = (1.0 + lam / T1) ** sigma0
     coef_sigma0 = integral_bound * growth / (math.pi * sigma0)
     coef_kappa = 1.0 + (lam ** epsilon0 / math.pi) * growth * (
@@ -254,20 +266,46 @@ def default_T2(T1: float, C3: float) -> float:
     return window_edge(T1, C3, 1.0, ROOM[TARGET_LOG]["margin"])
 
 
-def mertens_from_first_principles(sigma0: float = defaults.SIGMA0,
-                                  C1: float = defaults.MERTENS_C1,
-                                  C2: float = defaults.MERTENS_C2,
-                                  C3: float = defaults.C3,
-                                  T1: float = defaults.MERTENS_T1,
-                                  T2: Optional[float] = None,
-                                  lam: float = defaults.LAMBDA,
-                                  integral_bound: float = defaults.INTEGRAL_BOUND,
-                                  ) -> tuple[float, MertensBoundSpec]:
-    """End-to-end: epsilon0 from the b-constant, then the explicit bound."""
+def mertens_report(sigma0: float = defaults.SIGMA0,
+                   C1: float = defaults.MERTENS_C1,
+                   C2: float = defaults.MERTENS_C2,
+                   C3: float = defaults.C3,
+                   T1: float = defaults.MERTENS_T1,
+                   T2: Optional[float] = None,
+                   lam: float = defaults.LAMBDA,
+                   integral_bound: float = defaults.INTEGRAL_BOUND,
+                   epsilon0: Optional[float] = None) -> dict:
+    """The whole chain: epsilon0, the explicit bound and its display form,
+    then the mu(n)/n transfer and the crossover of the displayed bound.
+
+    T2 defaults to default_T2(T1, C3); a given epsilon0 skips its
+    computation.  The report holds the resolved parameters, the bound, its
+    display, m_transfer and crossover_log10, which is None with a
+    crossover_note when the displayed bound has no crossover.
+    """
     if T2 is None:
         T2 = default_T2(T1, C3)
-    eps0 = compute_epsilon0(sigma0, C1, C2, C3, T1, T2)
-    return eps0, mertens_bound(sigma0, lam, T1, eps0, integral_bound)
+    if epsilon0 is None:
+        epsilon0 = compute_epsilon0(sigma0, C1, C2, C3, T1, T2)
+    spec = mertens_bound(sigma0, lam, T1, epsilon0, integral_bound)
+    display = spec.display()
+    two_term = (display["coef_kappa"], display["kappa"],
+                display["coef_sigma0"], sigma0)
+    A_m, B_m = derive_m_bound(*two_term)
+    report = {
+        "parameters": {"sigma0": sigma0, "C1": C1, "C2": C2, "C3": C3,
+                       "T1": T1, "T2": T2, "lambda": lam,
+                       "integral_bound": integral_bound, "epsilon0": epsilon0},
+        "bound": spec.as_dict(),
+        "display": display,
+        "m_transfer": {"A_m": A_m, "B_m": B_m},
+    }
+    try:
+        report["crossover_log10"] = crossover_trivial(*two_term)
+    except NoCrossoverError as exc:
+        report["crossover_log10"] = None
+        report["crossover_note"] = str(exc)
+    return report
 
 
 def _check_two_term(A: float, a_exp: float, B: float, b_exp: float) -> None:

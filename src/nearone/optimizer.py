@@ -68,6 +68,7 @@ from .constants import (
     region_edge,
     statement_hypotheses,
 )
+from . import defaults
 from .errors import DomainError, HypothesisError
 from .profiles import LFunctionProfile
 
@@ -91,7 +92,7 @@ class SearchSpec:
     T1: float
     T2: float
     t0: float
-    grid_step: float = 0.01
+    grid_step: float = defaults.GRID_STEP
     refine_rounds: int = 0
 
     def __post_init__(self):

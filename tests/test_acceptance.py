@@ -17,7 +17,6 @@ from nearone.constants import (
     TARGET_LOG,
     TARGET_LOGDER,
     ceil_decimals,
-    ceil_sigfigs,
     compute_a1,
     compute_a2,
     compute_b1,
@@ -27,7 +26,7 @@ from nearone.constants import (
 from nearone.mertens import (
     crossover_trivial,
     derive_m_bound,
-    mertens_from_first_principles,
+    mertens_report,
     sieve_mobius,
     verify_bound_on_range,
 )
@@ -137,19 +136,20 @@ def test_criterion_05_envelope_integral():
 
 def test_criterion_06_mertens_pipeline():
     start = time.monotonic()
-    eps0, spec = mertens_from_first_principles()
+    rep = mertens_report()
     elapsed = time.monotonic() - start
-    coef_kappa_display = ceil_decimals(spec.coef_kappa, 2)
-    coef_sigma0_display = ceil_sigfigs(spec.coef_sigma0, 3)
-    ok = (spec.kappa <= 0.99 and coef_kappa_display == 555.71
-          and coef_sigma0_display == 1.94e14
-          and 710.0 <= spec.log10_x_min <= 712.0
+    bound, shown = rep["bound"], rep["display"]
+    ok = (bound["kappa"] <= 0.99 and shown["kappa"] == 0.99
+          and shown["coef_kappa"] == 555.71
+          and shown["coef_sigma0"] == 1.94e14
+          and 710.0 <= bound["log10_x_min"] <= 712.0
           and elapsed < 1.0)
     _report(6, ok,
-            f"kappa={spec.kappa:.10f} coef_kappa={spec.coef_kappa:.6f}"
-            f"->{coef_kappa_display} coef_sigma0={spec.coef_sigma0:.6e}"
-            f"->{coef_sigma0_display:.3e} log10(x_min)={spec.log10_x_min:.4f} "
-            f"({elapsed:.3f}s)")
+            f"kappa={bound['kappa']:.10f}->{shown['kappa']} "
+            f"coef_kappa={bound['coef_kappa']:.6f}->{shown['coef_kappa']} "
+            f"coef_sigma0={bound['coef_sigma0']:.6e}"
+            f"->{shown['coef_sigma0']:.3e} "
+            f"log10(x_min)={bound['log10_x_min']:.4f} ({elapsed:.3f}s)")
 
 
 def test_criterion_07_m_transfer_and_crossover():

@@ -159,6 +159,25 @@ def test_mertens_bound_explicit_epsilon0(capsys):
     assert rep["bound"]["kappa"] == pytest.approx((0.98 + 0.5) / 1.5, rel=1e-15)
 
 
+def test_mertens_bound_kappa_above_099_displays_below_one(capsys):
+    # kappa = 0.99240 rounds up to 1.0 at 2 decimals, so it shows as 0.993
+    code, rep = run_cli(capsys, ["mertens", "bound", "--sigma0", "0.985"])
+    assert code == 0
+    assert rep["bound"]["kappa"] == pytest.approx(0.99240, abs=1e-5)
+    assert rep["display"]["kappa"] == 0.993
+    assert all(math.isfinite(v) for v in rep["m_transfer"].values())
+    assert rep["crossover_log10"] > 0.0
+
+
+def test_mertens_bound_without_crossover_is_success(capsys):
+    code, rep = run_cli(capsys, ["mertens", "bound", "--sigma0", "0.999",
+                                 "--epsilon0", "0.5"])
+    assert code == 0
+    assert rep["display"]["kappa"] == 0.9994
+    assert rep["crossover_log10"] is None
+    assert "no crossover" in rep["crossover_note"]
+
+
 def test_mertens_inapplicable_epsilon0_exits_one(capsys):
     code = main(["mertens", "bound", "--sigma0", "0.68"])
     assert code == 1

@@ -6,12 +6,15 @@ frozen here; Mertens function spot values M(10^k) are classical.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nearone.constants import ceil_decimals, ceil_sigfigs, loglog
+from nearone.constants import BoundParams, ceil_decimals, compute_a1, loglog
 from nearone.errors import DomainError, HypothesisError, NoCrossoverError
+from nearone.profiles import profile_zeta
 from nearone import mertens
 from nearone.mertens import (
     MertensBoundSpec,
@@ -22,7 +25,7 @@ from nearone.mertens import (
     epsilon0_hypotheses,
     mertens_bound,
     m_rounding_bound,
-    mertens_from_first_principles,
+    mertens_report,
     mobius_windows,
     sieve_mobius,
     verify_bound_on_range,
@@ -76,6 +79,19 @@ def test_epsilon0_matches_oracle():
     assert eps0 < 1.0
 
 
+def test_epsilon0_is_a1_bound_over_log_T1():
+    """epsilon0 is the a1 bound a1 (b log T1)^(2(1-sigma0)) loglog T1 of the
+    log statement at (sigma0, T1), divided by log T1."""
+    T1 = 2.6e7
+    T2 = default_T2(T1, 1.0e3)
+    bc = compute_a1(profile_zeta(),
+                    BoundParams(C1=0.5, C2=0.5, C3=1.0e3, T1=T1, T2=T2, t0=T1))
+    a1_bound = (bc.a * (bc.b * math.log(T1)) ** (2.0 * (1.0 - 0.98))
+                * loglog(T1))
+    eps0 = compute_epsilon0(0.98, 0.5, 0.5, 1.0e3, T1, T2)
+    assert eps0 == pytest.approx(a1_bound / math.log(T1), rel=1e-14)
+
+
 def test_epsilon0_hypothesis_names_and_rejections():
     T2 = default_T2(2.6e7, 1.0e3)
     ok = epsilon0_hypotheses(0.98, 0.5, 1.0e3, 2.6e7, T2)
@@ -108,24 +124,66 @@ def test_epsilon0_flags_bound_inapplicable():
 
 
 def test_mertens_bound_coefficients_match_oracle():
-    eps0, spec = mertens_from_first_principles()
-    assert spec.kappa == pytest.approx(KAPPA_ORACLE, rel=REL)
-    assert spec.kappa <= 0.99
-    assert spec.coef_sigma0 == pytest.approx(COEF_SIGMA0_ORACLE, rel=REL)
-    assert spec.coef_kappa == pytest.approx(COEF_KAPPA_ORACLE, rel=REL)
-    assert spec.log10_x_min == pytest.approx(LOG10_XMIN_ORACLE, rel=REL)
-    assert spec.additive_one == 1.0
-    assert spec.x_min == math.inf
-    assert 710.0 <= spec.log10_x_min <= 712.0
+    rep = mertens_report()
+    assert rep["parameters"]["epsilon0"] == pytest.approx(EPS0_ORACLE, rel=REL)
+    assert rep["parameters"]["T2"] == pytest.approx(T2_ORACLE, rel=REL)
+    bound = rep["bound"]
+    assert bound["kappa"] == pytest.approx(KAPPA_ORACLE, rel=REL)
+    assert bound["kappa"] <= 0.99
+    assert bound["coef_sigma0"] == pytest.approx(COEF_SIGMA0_ORACLE, rel=REL)
+    assert bound["coef_kappa"] == pytest.approx(COEF_KAPPA_ORACLE, rel=REL)
+    assert bound["log10_x_min"] == pytest.approx(LOG10_XMIN_ORACLE, rel=REL)
+    assert bound["additive_one"] == 1.0
+    assert 710.0 <= bound["log10_x_min"] <= 712.0
 
 
 def test_published_ceilings():
-    _, spec = mertens_from_first_principles()
-    assert ceil_decimals(spec.coef_kappa, 2) == 555.71
-    assert ceil_sigfigs(spec.coef_sigma0, 3) == 1.94e14
+    rep = mertens_report()
+    assert rep["display"] == {"kappa": 0.99, "coef_kappa": 555.71,
+                              "coef_sigma0": 1.94e14}
+    assert rep["m_transfer"] == {"A_m": 56126.71, "B_m": 9.894e15}
+    assert rep["crossover_log10"] == pytest.approx(CROSSOVER_ORACLE, abs=1e-5)
+
+
+@st.composite
+def bound_specs(draw):
+    sigma0 = draw(st.floats(0.5, 0.9999, exclude_min=True))
+    kappa = draw(st.floats(sigma0, 1.0, exclude_min=True, exclude_max=True))
+    coef = st.floats(1e-300, 1e300)
+    return MertensBoundSpec(sigma0=sigma0, lam=2.0, epsilon0=0.5, kappa=kappa,
+                            coef_sigma0=draw(coef), coef_kappa=draw(coef),
+                            additive_one=1.0, log10_x_min=100.0)
+
+
+def _spec_at(kappa):
+    return MertensBoundSpec(sigma0=0.98, lam=2.0, epsilon0=0.5, kappa=kappa,
+                            coef_sigma0=1.9e14, coef_kappa=555.7,
+                            additive_one=1.0, log10_x_min=100.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(bound_specs())
+@example(_spec_at(KAPPA_ORACLE))
+@example(_spec_at(0.99))
+@example(_spec_at(0.9924))
+@example(_spec_at(0.99933))
+@example(_spec_at(math.nextafter(1.0, 0.0)))
+def test_display_rounds_up_and_keeps_kappa_below_one(spec):
+    shown = spec.display()
+    places = -Decimal(repr(shown["kappa"])).as_tuple().exponent
+    assert spec.kappa <= shown["kappa"] < 1.0
+    if spec.kappa <= 0.99:
+        assert places <= 2
+    else:  # the fewest decimals that stay below 1
+        assert places == 2 or ceil_decimals(spec.kappa, places - 1) >= 1.0
+    assert shown["coef_kappa"] >= spec.coef_kappa
+    assert shown["coef_sigma0"] >= spec.coef_sigma0
 
 
 def test_mertens_bound_rejections():
+    with pytest.raises(HypothesisError) as err:
+        mertens_bound(1.0, 2.0, 2.6e7, 0.5, 5.95e14)
+    assert err.value.condition == "sigma0-range"
     with pytest.raises(HypothesisError) as err:
         mertens_bound(0.98, 2.0, 2.6e7, 1.0, 5.95e14)
     assert err.value.condition == "epsilon0-applicability"
@@ -141,7 +199,8 @@ def test_mertens_bound_rejections():
 
 
 def test_lambda_two_sits_near_scan_minimum():
-    eps0, spec2 = mertens_from_first_principles()
+    rep = mertens_report()
+    eps0 = rep["parameters"]["epsilon0"]
     lams = np.geomspace(0.05, 1.0e4, 400)
     coefs = np.array([
         mertens_bound(0.98, float(l), 2.6e7, eps0, 5.95e14).coef_kappa
@@ -151,7 +210,7 @@ def test_lambda_two_sits_near_scan_minimum():
     diffs = np.diff(coefs)
     assert np.all(diffs[:k] < 0.0)
     assert np.all(diffs[k:] > 0.0)
-    assert spec2.coef_kappa <= 1.01 * float(coefs[k])
+    assert rep["bound"]["coef_kappa"] <= 1.01 * float(coefs[k])
 
 
 def test_x_min_increasing_in_epsilon0():
