@@ -76,6 +76,12 @@ COMMANDS = (
     "mertens sieve-verify --limit 3145733 --A 0.1 --a 0.5 --B 0 --b 0.5",
     "integrate inv-zeta --from 0 --to 40000",
     "optimize a2 --T1 4000",
+    # flags the action does not read: usage errors (exit 64), no stdout
+    "integrate envelope --panel-width 3",
+    "constants a1 --C4 0.2",
+    "mertens bound --A 3",
+    # 401 samples: the first grid takes the odd one
+    "verify --samples 401",
 )
 IGNORED_KEYS = frozenset({"runtime_seconds"})
 

@@ -9,6 +9,12 @@ Subcommands
     mertens     epsilon0 -> explicit Mertens bound -> sieve verification
     verify      empirical spot checks of the bounds against zeta values
 
+Each action has its own parser, which accepts only the flags its handler
+reads (`nearone mertens bound --help` lists them).  Flags follow the
+action, as in `nearone integrate envelope --a1 5.44`; only --output goes
+before the subcommand.  Abbreviated flags are refused, so a flag of one
+action is never read as a longer flag of another.
+
 Reports are JSON (sorted keys, two-space indent) on stdout or --output;
 every report embeds the fully resolved parameter set, defaults included,
 so a run can be replayed from its own output.  Floats serialize through
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -83,7 +90,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 64."""
+    """argparse with usage failures mapped to exit code 64 and no flag
+    abbreviations: --panel-width is unknown to envelope, not a prefix of
+    its --panel-width-v."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs, allow_abbrev=False)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -155,8 +167,6 @@ def _resolved_bound_params(args, target: str) -> BoundParams:
     given = {key: getattr(args, key)
              for key in ("C1", "C2", "C3", "T1", "T2", "t0", "C4")
              if getattr(args, key, None) is not None}
-    if target == TARGET_LOG:
-        given.pop("C4", None)  # only the derivative bound uses C4
     published = defaults.CONSTANT_PARAMS[(args.family, target)]
     return dataclasses.replace(published, **given)
 
@@ -236,7 +246,7 @@ def _cmd_integrate(args) -> tuple[dict, int]:
 
 
 def _cmd_mertens(args) -> tuple[dict, int]:
-    if args.action == "bound":
+    if args.which == "bound":
         report = mertens_report(args.sigma0, args.C1, args.C2, args.C3,
                                 args.T1, args.T2, args.lam, args.integral,
                                 args.epsilon0)
@@ -244,7 +254,7 @@ def _cmd_mertens(args) -> tuple[dict, int]:
 
     # derive-m, crossover and sieve-verify take the bound A x^a + B x^b
     two_term = {"A": args.A, "a": args.a, "B": args.B, "b": args.b}
-    if args.action == "derive-m":
+    if args.which == "derive-m":
         A_m, B_m = derive_m_bound(args.A, args.a, args.B, args.b)
         report = {
             "subcommand": "mertens.derive-m",
@@ -254,7 +264,7 @@ def _cmd_mertens(args) -> tuple[dict, int]:
         }
         return report, EXIT_OK
 
-    if args.action == "crossover":
+    if args.which == "crossover":
         report = {
             "subcommand": "mertens.crossover",
             "parameters": two_term,
@@ -318,7 +328,27 @@ def _add_family_flags(parser) -> None:
     parser.add_argument("--profile-t0", type=_finite_float, default=T0_DEFAULT)
 
 
+def _add_floats(parser, flags: dict) -> None:
+    """A finite-float flag --name per (name, default) of flags."""
+    for flag, default in flags.items():
+        parser.add_argument(f"--{flag}", type=_finite_float, default=default)
+
+
+def _action_parsers(sub, command: str, actions, handler, help: str) -> dict:
+    """The parser of each action of a command, by action; the action's name
+    lands in args.which."""
+    parsers = sub.add_parser(command, help=help).add_subparsers(
+        dest="which", required=True)
+    by_action = {action: parsers.add_parser(action) for action in actions}
+    for parser in by_action.values():
+        parser.set_defaults(handler=handler)
+    return by_action
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first call and then kept: one parser
+    per action, declaring only the flags its handler reads."""
     parser = _Parser(prog="nearone",
                      description="explicit near-1-line bounds for zeta-like "
                                  "L-functions and the Mertens function")
@@ -330,68 +360,59 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.set_defaults(handler=_cmd_profiles)
 
-    p = sub.add_parser("constants", help="explicit bound constants")
-    p.add_argument("which", choices=("a1", "a2"))
-    _add_family_flags(p)
-    for flag in ("C1", "C2", "C3", "C4", "T1", "T2", "t0"):
-        p.add_argument(f"--{flag}", type=_finite_float, default=None)
-    p.set_defaults(handler=_cmd_constants)
+    constants = _action_parsers(sub, "constants", _TARGETS, _cmd_constants,
+                                "explicit bound constants")
+    for p in constants.values():
+        _add_family_flags(p)
+        _add_floats(p, dict.fromkeys(("C1", "C2", "C3", "T1", "T2", "t0")))
+    _add_floats(constants["a2"], {"C4": None})  # only a2's bound reads C4
 
-    p = sub.add_parser("optimize", help="grid search minimizing a1 or a2")
-    p.add_argument("which", choices=("a1", "a2"))
-    _add_family_flags(p)
-    for flag in ("C3", "T1", "T2", "t0"):
-        p.add_argument(f"--{flag}", type=_finite_float, default=None)
-    p.add_argument("--grid-step", type=_finite_float,
-                   default=defaults.GRID_STEP)
-    p.add_argument("--refine-rounds", type=int,
-                   default=SearchSpec.refine_rounds)
-    p.add_argument("--trace", default=None,
-                   help="CSV trace of evaluated grid points")
-    p.set_defaults(handler=_cmd_optimize)
+    for p in _action_parsers(sub, "optimize", _TARGETS, _cmd_optimize,
+                             "grid search minimizing a1 or a2").values():
+        _add_family_flags(p)
+        _add_floats(p, dict.fromkeys(("C3", "T1", "T2", "t0")))
+        p.add_argument("--grid-step", type=_finite_float,
+                       default=defaults.GRID_STEP)
+        p.add_argument("--refine-rounds", type=int,
+                       default=SearchSpec.refine_rounds)
+        p.add_argument("--trace", default=None,
+                       help="CSV trace of evaluated grid points")
 
-    p = sub.add_parser("integrate", help="Romberg panel integration")
-    p.add_argument("which", choices=("inv-zeta", "envelope"))
-    p.add_argument("--sigma0", type=_finite_float, default=defaults.SIGMA0)
-    p.add_argument("--from", dest="lo", type=_finite_float, default=None)
-    p.add_argument("--to", dest="hi", type=_finite_float, default=None)
-    p.add_argument("--a1", type=_finite_float, default=defaults.DISPLAY_A1,
-                   help="envelope growth constant (integrand envelope)")
-    p.add_argument("--panel-width", type=_finite_float,
-                   default=defaults.PANEL_WIDTH)
-    p.add_argument("--panel-width-v", type=_finite_float,
-                   default=defaults.V_PANEL_WIDTH)
-    p.add_argument("--rel-tol", type=_finite_float, default=None)
-    p.add_argument("--max-levels", type=int, default=defaults.MAX_LEVELS)
-    p.add_argument("--threads", default=None)
-    p.add_argument("--trace", default=None,
-                   help="CSV trace of per-panel results")
-    p.set_defaults(handler=_cmd_integrate)
+    integrate = _action_parsers(sub, "integrate", defaults.INTEGRALS,
+                                _cmd_integrate, "Romberg panel integration")
+    for which, p in integrate.items():
+        lo, hi, rel_tol = defaults.INTEGRALS[which]
+        _add_floats(p, {"sigma0": defaults.SIGMA0, "rel-tol": rel_tol})
+        p.add_argument("--from", dest="lo", type=_finite_float, default=lo)
+        p.add_argument("--to", dest="hi", type=_finite_float, default=hi)
+        p.add_argument("--max-levels", type=int, default=defaults.MAX_LEVELS)
+        p.add_argument("--threads", default=None)
+        p.add_argument("--trace", default=None,
+                       help="CSV trace of per-panel results")
+    _add_floats(integrate["inv-zeta"], {"panel-width": defaults.PANEL_WIDTH})
+    _add_floats(integrate["envelope"], {"a1": defaults.DISPLAY_A1,
+                                        "panel-width-v": defaults.V_PANEL_WIDTH})
 
-    p = sub.add_parser("mertens", help="explicit Mertens-function bounds")
-    p.add_argument("action",
-                   choices=("bound", "derive-m", "crossover", "sieve-verify"))
-    p.add_argument("--sigma0", type=_finite_float, default=defaults.SIGMA0)
-    p.add_argument("--C1", type=_finite_float, default=defaults.MERTENS_C1)
-    p.add_argument("--C2", type=_finite_float, default=defaults.MERTENS_C2)
-    p.add_argument("--C3", type=_finite_float, default=defaults.C3)
-    p.add_argument("--T1", type=_finite_float, default=defaults.MERTENS_T1)
-    p.add_argument("--T2", type=_finite_float, default=None)
-    p.add_argument("--lambda", dest="lam", type=_finite_float,
-                   default=defaults.LAMBDA)
-    p.add_argument("--integral", type=_finite_float,
-                   default=defaults.INTEGRAL_BOUND)
-    p.add_argument("--epsilon0", type=_finite_float, default=None,
-                   help="skip the chain and use this exponent directly")
-    p.add_argument("--A", type=_finite_float,
-                   default=defaults.DISPLAY_COEF_KAPPA)
-    p.add_argument("--a", type=_finite_float, default=defaults.DISPLAY_KAPPA)
-    p.add_argument("--B", type=_finite_float,
-                   default=defaults.DISPLAY_COEF_SIGMA0)
-    p.add_argument("--b", type=_finite_float, default=defaults.SIGMA0)
-    p.add_argument("--limit", type=int, default=1_000_000,
-                   help="sieve range for sieve-verify")
-    p.set_defaults(handler=_cmd_mertens)
+    mertens = _action_parsers(
+        sub, "mertens", ("bound", "derive-m", "crossover", "sieve-verify"),
+        _cmd_mertens, "explicit Mertens-function bounds")
+    _add_floats(mertens["bound"], {
+        "sigma0": defaults.SIGMA0, "C1": defaults.MERTENS_C1,
+        "C2": defaults.MERTENS_C2, "C3": defaults.C3,
+        "T1": defaults.MERTENS_T1, "T2": None,
+        "integral": defaults.INTEGRAL_BOUND})
+    mertens["bound"].add_argument("--lambda", dest="lam", type=_finite_float,
+                                  default=defaults.LAMBDA)
+    mertens["bound"].add_argument(
+        "--epsilon0", type=_finite_float, default=None,
+        help="skip the chain and use this exponent directly")
+    # the other actions take the bound A x^a + B x^b
+    for which in ("derive-m", "crossover", "sieve-verify"):
+        _add_floats(mertens[which], {
+            "A": defaults.DISPLAY_COEF_KAPPA, "a": defaults.DISPLAY_KAPPA,
+            "B": defaults.DISPLAY_COEF_SIGMA0, "b": defaults.SIGMA0})
+    mertens["sieve-verify"].add_argument("--limit", type=int,
+                                         default=1_000_000, help="sieve range")
 
     p = sub.add_parser("verify", help="empirical bound spot checks")
     p.add_argument("--samples", type=int, default=defaults.VERIFY_SAMPLES)
@@ -405,13 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fill_integrate_defaults(args) -> None:
-    """Range defaults differ per integrand, so argparse can't own them."""
-    for key, value in zip(("lo", "hi", "rel_tol"), defaults.INTEGRALS[args.which]):
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
 def _emit(report: dict, path: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if path is None:
@@ -422,10 +436,7 @@ def _emit(report: dict, path: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "integrate":
-        _fill_integrate_defaults(args)
+    args = build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
     except _UsageError as exc:

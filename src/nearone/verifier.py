@@ -83,6 +83,9 @@ _EDGE_TOL = 1.0e-12
 # heights close enough to share one N and makes a chunk one pool task.
 # The chunks, and so the report's bits, follow from its value.
 CHUNK_ELEMENTS = 1 << 17
+# Most samples one default_verification may take: about 35 s at 0.35 ms a
+# sample.
+SAMPLE_LIMIT = 100_000
 
 
 class SigmaMode(enum.Enum):
@@ -209,7 +212,9 @@ def _eval_chunk(chunk: list) -> list[dict]:
             [task[1] for task in chunk], [task[2] for task in chunk],
             abs_tol=abs_tol, with_prime=kind == "logder")
     except (ConvergenceError, DomainError) as exc:
-        raise _sample_error(exc, chunk[exc.index or 0]) from exc
+        if exc.index is None:  # about the whole batch, such as its abs_tol
+            raise
+        raise _sample_error(exc, chunk[exc.index]) from exc
     values, bounds = values.tolist(), bounds.tolist()
     if primes is not None:
         primes, bounds_p = primes.tolist(), bounds_p.tolist()
@@ -356,21 +361,26 @@ def default_verification(samples: int = VERIFY_SAMPLES,
     """The standard suite: both inequalities at their published constants.
 
     The budget is split across four grids (interior and edge placement for
-    each inequality).  Returns the four check reports plus roll-up counts;
-    all_ok is True only with zero violations of both the tested bounds and
-    the right-edge elementary bounds.
+    each inequality); the first samples mod 4 grids take one sample more.
+    Returns the four check reports plus roll-up counts; all_ok is True only
+    with zero violations of both the tested bounds and the right-edge
+    elementary bounds.
     """
     if samples < 4:
         raise DomainError(f"need at least 4 samples, got {samples!r}")
-    per = samples // 4
+    if not samples <= SAMPLE_LIMIT:  # checked before any grid is built
+        raise DomainError(
+            f"resource limit exceeded: need at most {SAMPLE_LIMIT} samples; "
+            f"got {samples!r}")
+    per = [samples // 4 + (i < samples % 4) for i in range(4)]
     checks = _run_checks([
-        ("log", build_grid(per, LOG_REGION, SigmaMode.INTERIOR_GRID, seed=0),
+        ("log", build_grid(per[0], LOG_REGION, SigmaMode.INTERIOR_GRID, seed=0),
          DISPLAY_A1, DISPLAY_B1),
-        ("log", build_grid(per, LOG_REGION, SigmaMode.REGION_EDGES, seed=1000),
-         DISPLAY_A1, DISPLAY_B1),
-        ("logder", build_grid(per, LOGDER_REGION, SigmaMode.INTERIOR_GRID,
+        ("log", build_grid(per[1], LOG_REGION, SigmaMode.REGION_EDGES,
+                           seed=1000), DISPLAY_A1, DISPLAY_B1),
+        ("logder", build_grid(per[2], LOGDER_REGION, SigmaMode.INTERIOR_GRID,
                               seed=2000), DISPLAY_A2, DISPLAY_B2),
-        ("logder", build_grid(per, LOGDER_REGION, SigmaMode.REGION_EDGES,
+        ("logder", build_grid(per[3], LOGDER_REGION, SigmaMode.REGION_EDGES,
                               seed=3000), DISPLAY_A2, DISPLAY_B2),
     ], abs_tol, workers)
     total_violations = sum(c["violations"] for c in checks)

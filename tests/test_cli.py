@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from nearone.cli import main
+from nearone.cli import build_parser, main
 
 INV_INTEGRAL_0_10 = 10.73523409961820064373
 EPS0_ORACLE = 0.998851918717975160454122
@@ -103,6 +103,47 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mertens", "bound", "--A", "3"],
+    ["mertens", "crossover", "--limit", "5"],
+    ["mertens", "sieve-verify", "--epsilon0", "0.3"],
+    ["integrate", "envelope", "--panel-width", "3"],
+    ["integrate", "inv-zeta", "--a1", "9"],
+    ["constants", "a1", "--C4", "0.2"],
+    # an abbreviation of --rel-tol
+    ["integrate", "inv-zeta", "--rel-t", "1e-7"],
+])
+def test_flag_the_action_does_not_read_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert argv[2] in err
+
+
+def test_action_help_lists_only_its_own_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mertens", "bound", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--epsilon0" in out
+    assert "--limit" not in out
+
+
+def test_cached_parser_reads_workers_at_call_time(capsys, monkeypatch):
+    argv = ["integrate", "inv-zeta", "--from", "0", "--to", "0"]
+    monkeypatch.delenv("NEARONE_WORKERS", raising=False)
+    assert run_cli(capsys, argv)[1]["parameters"]["workers"] == 1
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("NEARONE_WORKERS", "2")
+    assert run_cli(capsys, argv)[1]["parameters"]["workers"] == 2
+    monkeypatch.setenv("NEARONE_WORKERS", "pancake")
+    code, rep = run_cli(capsys, argv + ["--threads", "2"])
+    assert code == 0
+    assert rep["parameters"]["workers"] == 2
 
 
 def test_integrate_empty_interval_is_zero(capsys):
@@ -285,6 +326,7 @@ def test_constants_overflowing_edge_fails_c2_range(capsys):
     (["optimize", "a2", "--grid-step", "1e-5"], "resource limit exceeded"),
     (["optimize", "a1", "--refine-rounds", "46"], "resource limit exceeded"),
     (["optimize", "a2", "--refine-rounds", "60"], "resource limit exceeded"),
+    (["verify", "--samples", "100001"], "resource limit exceeded"),
 ])
 def test_out_of_range_input_fails_by_name(capsys, argv, message):
     assert main(argv) == 1

@@ -190,6 +190,22 @@ def test_default_verification_rollup():
         default_verification(samples=3)
 
 
+def test_sample_budget_not_divisible_by_four_is_spent_in_full():
+    rep = default_verification(samples=7)
+    assert rep["total_samples"] == 7
+    assert [c["samples"] for c in rep["checks"]] == [2, 2, 2, 1]
+    # each grid extends the one of a smaller budget
+    rep4 = default_verification(samples=4)
+    for check, check4 in zip(rep["checks"], rep4["checks"]):
+        assert check["records"][0] == check4["records"][0]
+
+
+def test_batch_wide_engine_error_names_no_sample():
+    with pytest.raises(DomainError) as exc:
+        default_verification(samples=4, abs_tol=1e-14)
+    assert str(exc.value).startswith("abs_tol must be >= ")
+
+
 def test_csv_dump_round_trips(tmp_path):
     grid = build_grid(6, LOG_REGION, SigmaMode.INTERIOR_GRID, seed=2)
     rep = check_log_bound(grid, DISPLAY_A1, DISPLAY_B1)
