@@ -15,17 +15,19 @@ in interpreters with PYTHONPATH set to each tree:
   h = 10/256; and `descending`, the `batch` heights in descending order,
   which the engine's rule sends to blocks of one point (unfactored), as a
   control.  Then through the verifier's path: one chunk of as many points
-  as the verifier's cap on points x N allows, heights in [t - 10, t] and
-  sigma spread over [0.95, 1.13] (`zeta_points`), with the derivative at
-  abs_tol = 1e-6.  Last, `level-run`: one Romberg level over a run of 50
-  adjacent panels of width 10 from 11020, 128 new nodes each (K = 6400),
-  the integrand call that `integrate inv-zeta --from 11020 --to 11520`
-  makes at its deepest common level.  Each row gives the truncation point
-  N, the number of correction terms added and microseconds per point, the
-  median of 7 calls.  Correction terms are counted by swapping the engine's
-  Bernoulli table `_BFAC` for a tuple that remembers the highest entry read.
-  The engine probe starts one interpreter per tree and asks both for each
-  row in turn, so the two trees time a row back to back.
+  as the verifier's cap on points x truncation_point(t) allows, heights in
+  [t - 10, t] and sigma spread over [0.95, 1.13] (`zeta_points`), with the
+  derivative at abs_tol = 1e-6.  Last, `level-run`: one Romberg level over
+  a run of 50 adjacent panels of width 10 from 11020, 128 new nodes each
+  (K = 6400), the integrand call that `integrate inv-zeta --from 11020
+  --to 11520` makes at its deepest common level.  Each row gives the
+  truncation point N, the number of correction terms added and
+  microseconds per point, the median of 7 calls.  N is read off the return
+  value of the engine's one pass `_evaluate`, through a spy; correction
+  terms are counted by swapping the engine's Bernoulli table `_BFAC` for a
+  tuple that remembers the highest entry read.  The engine probe starts
+  one interpreter per tree and asks both for each row in turn, so the two
+  trees time a row back to back.
 - `headline` (written to BENCH_headline.json): the in-process seconds of
   `verify --samples 2000`, its costliest operation, over three calls of
   `nearone.cli.main`, and the interpreter's peak RSS (ru_maxrss).
@@ -74,6 +76,7 @@ ENGINE_PROBE = """
 import functools, json, statistics, sys, time
 import numpy as np
 import nearone.zeta as z
+from nearone.verifier import CHUNK_ELEMENTS
 
 
 class Counting(tuple):
@@ -94,23 +97,31 @@ def median_us(fn, repeats, points):
     return statistics.median(times) / points * 1e6
 
 
-def terms_added(fn):
-    plain, z._BFAC = z._BFAC, Counting(z._BFAC)
+# N and the correction terms added in the engine pass fn makes: N from
+# the return value of _evaluate, the terms from the highest entry of the
+# Bernoulli table read
+def engine_choices(fn):
+    plain, bfac, seen = z._evaluate, z._BFAC, []
+
+    def spy(*args):
+        out = plain(*args)
+        seen.append(int(out[4]))
+        return out
+
+    z._evaluate, z._BFAC = spy, Counting(bfac)
     try:
         fn()
-        return z._BFAC.top
+        return {"N": seen[-1], "correction_terms": z._BFAC.top}
     finally:
-        z._BFAC = plain
+        z._evaluate, z._BFAC = plain, bfac
 
 
-CHUNK_ELEMENTS = 1 << 17       # nearone.verifier.CHUNK_ELEMENTS
 LEVEL = 10.0 / 256 * np.arange(1, 256, 2.0)     # a level's offsets in a panel
 
 
 def batch_row(ts):
     batch = lambda: z.inv_abs_zeta_many(0.98, ts)
-    return {"points": len(ts), "N": z.truncation_point(ts.max()),
-            "correction_terms": terms_added(batch),
+    return {"points": len(ts), **engine_choices(batch),
             "us_per_point": round(median_us(batch, 7, len(ts)), 3)}
 
 
@@ -119,9 +130,8 @@ def verifier_row(t):
     chunk_ts = np.linspace(t - 10.0, t, n_chunk)
     chunk_sigmas = np.linspace(0.95, 1.13, n_chunk)
     chunk = lambda: z.zeta_points(chunk_sigmas, chunk_ts, abs_tol=1e-6,
-                                  with_prime=True)[4]
-    return {"points": n_chunk, "N": int(chunk()),
-            "correction_terms": terms_added(chunk),
+                                  with_prime=True)
+    return {"points": n_chunk, **engine_choices(chunk),
             "us_per_point": round(median_us(chunk, 7, n_chunk), 3)}
 
 

@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
             "A": defaults.DISPLAY_COEF_KAPPA, "a": defaults.DISPLAY_KAPPA,
             "B": defaults.DISPLAY_COEF_SIGMA0, "b": defaults.SIGMA0})
     mertens["sieve-verify"].add_argument("--limit", type=int,
-                                         default=1_000_000, help="sieve range")
+                                         default=defaults.SIEVE_LIMIT,
+                                         help="sieve range")
 
     p = sub.add_parser("verify", help="empirical bound spot checks")
     p.add_argument("--samples", type=int, default=defaults.VERIFY_SAMPLES)

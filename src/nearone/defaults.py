@@ -55,6 +55,9 @@ DISPLAY_COEF_KAPPA = 555.71
 DISPLAY_KAPPA = 0.99
 DISPLAY_COEF_SIGMA0 = 1.94e14
 
+# Range [1, limit] over which `mertens sieve-verify` checks the bound.
+SIEVE_LIMIT = 1_000_000
+
 # Quadrature: panel widths in t and in v = log u, Romberg levels, and the
 # relative tolerances of the two integrals.
 PANEL_WIDTH = 10.0
@@ -73,7 +76,7 @@ INTEGRALS = {
 
 # Default abs_tol of the zeta engine's entry points.  It sits above the
 # rounding floor of zeta and zeta' for every sigma of the engine's strip
-# and |t| <= 3e4; the highest, 6.5e-7, is zeta' at sigma = 0.401, t = 3e4.
+# and |t| <= 3e4; the highest, 5.1e-7, is zeta' at sigma = 0.401, t = 3e4.
 ZETA_ABS_TOL = 1.0e-6
 
 # Empirical verifier: sample budget and engine tolerance.

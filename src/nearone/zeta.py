@@ -16,29 +16,45 @@ sigma > -(2K+1):
     |R_K(s, N)| <= |T_{K+1}(s, N)| * |s + 2K + 1| / (sigma + 2K + 1).
 
 The estimate holds for every N >= 2, so N only trades the cost of the
-main sum against the decay of the correction terms.  With t the largest
-|t| of a batch, the engine takes (truncation_point)
+main sum against the decay of the correction terms.  The engine picks N
+once per batch, before the main sum, from the batch's least and largest
+sigma, its largest |t| = t and whether zeta' is wanted (main_sum_terms):
+the smallest N >= 20 at which, at both corners (least sigma, t) and
+(largest sigma, t), the remainder estimate after 18 correction terms,
+and with zeta' the Cauchy-circle bound below, is at most 1/1000 of a
+lower bound of that point's rounding floor (below).  That lower bound is
+eps (log2 N + 28 + 2 t log N) S1 for the value and log N times it for
+zeta'.  The remainder falls and the floor grows with N, so a bisection
+over [20, truncation_point(t)] finds N.  The cap,
+max(20, min(ceil(1.1 t), 20 + ceil(t / 2))), is the engine's earlier
+height-only rule; the verifier cuts its chunks by it.  Neither abs_tol
+nor rel_tol enters the rule, so N and the bits depend on sigma, the
+heights and the zeta' track alone.  At sigma = 0.98, N is 3148, 3609 and
+9118 at t = 1e4, 11520 and 3e4 (3641, 4173 and 10503 with zeta'),
+against the cap's 5020, 5780 and 15020.  Every bound stays rigorous
+whatever N is, since the loop below checks the remainder as it goes; the
+rule only decides where the work goes.  Since |T_{k+1} / T_k| <
+(|s| + 2k)^2 / (2 pi N)^2, the decay per term follows from
+(|s| + 2k) / (2 pi N).  That is about 0.5 for sigma near 1 (0.51 at
+t = 11520), so each term is about 4 times smaller than the one before;
+over the whole domain it stays below 0.87 for k <= 19 (the worst corner
+is sigma = 3, t = 1e5), so each term is at least 1.3 times smaller.
 
-    N = max(20, min(ceil(1.1 t), 20 + ceil(t / 2))),
-
-which is ceil(1.1 t) up to t = 33 and about 20 + t/2 above.  Then every
-point of the batch has |s| < 2N, so |s| / (2 pi N) < 1/pi.  Since
-|T_{k+1} / T_k| < (|s| + 2k)^2 / (2 pi N)^2, each correction term is
-more than 9 times smaller than the one before while |s| + 2k < 2N,
-which holds for k <= 10 everywhere and for k <= 19 when t > 33.  The
-engine adds correction terms until every point's remainder estimate is
-at or below its rounding floor (below), or until the terms run out, and
-stops at the first such term where every point's remainder plus floor
-fits its budget.  Unless the terms run out, a reported bound is therefore
-at most twice the rounding floor, and every abs_tol at or above the bound
+The engine adds correction terms until every point's remainder estimate
+is at or below its rounding floor, or until the terms run out, and stops
+at the first such term where every point's remainder plus floor fits its
+budget.  Unless the terms run out, a reported bound is therefore at most
+twice the rounding floor, and every abs_tol at or above the bound
 returned at the first settled term returns the same bits: abs_tol only
 decides whether that result is accepted.  A smaller reachable abs_tol
 adds terms past it.  The default, defaults.ZETA_ABS_TOL = 1e-6, sits
 above the rounding floor of zeta and zeta' for every sigma of the strip
-and |t| <= 3e4.  At most 14 terms were used over 14 values of sigma in
-[0.401, 2.999], 201 heights in [0, 1e5] and abs_tol from 1e-13 to 1e-6.
-If the remainder after 20 terms still misses its budget, the engine
-raises ConvergenceError naming sigma, t and N.
+and |t| <= 3e4.  Over 14 values of sigma in [0.401, 2.999], 201 heights
+in [0, 1e5] and abs_tol from 1e-13 to 1e-6, at most 15 terms were added,
+except where the returned bound came within 14% of abs_tol: there the
+remainder had to fit the thin budget left above the floor, and up to 20
+were added.  If the remainder after 20 terms still misses its budget,
+the engine raises ConvergenceError naming sigma, t and N.
 
 Derivative.  zeta'(s) is evaluated by differentiating every piece term by
 term: the main sum acquires -log n weights, the two tail terms are
@@ -69,9 +85,10 @@ log n for the rounded real exponent, whose n^(-sigma)-weighted mean stays
 below log2 N + 4 for sigma in [0.4, 3] and N <= 2^20 (checked
 numerically); 12 for the two tail terms and their additions; 20 for at
 most 20 correction terms; and 1 for their own rounding, as they total
-below M / 100.  That is 2 log2 N + 56.  The second part covers the phase
-error: -t log n is computed with relative error below 2 eps (log n and
-the product each contribute at most one unit).  The derivative model
+below M / 100 (below M / 1000 over the sweep above).  That is
+2 log2 N + 56.  The second part covers the phase error: -t log n is
+computed with relative error below 2 eps (log n and the product each
+contribute at most one unit).  The derivative model
 weights every term by log N and charges 38 instead of 28, ample for the
 extra rounding of log n and of the product.  The summation order is
 fixed by N alone, so the bits do not depend on BLAS threads or on the
@@ -82,7 +99,7 @@ at large |t|; the engine raises ConvergenceError("tolerance unreachable
 Main sum in blocks.  The main sum is formed one block of B consecutive
 points at a time (_main_sums), so at most 2B + 1 rows are held at once
 whatever the batch's size; B is at most 16, so that is at most 33 rows of
-N terms (3.1 MB at N = 5780, t = 11520), for a Romberg level of one panel
+N terms (1.9 MB at N = 3609, t = 11520), for a Romberg level of one panel
 or of a run of 64 panels alike.  With t_h the head of a block and
 d_j = t_{h+j} - t_h, the exact identity
 
@@ -151,6 +168,7 @@ __all__ = [
     "zeta_with_prime",
     "zeta_points",
     "truncation_point",
+    "main_sum_terms",
     "inv_abs_zeta_many",
     "SIGMA_MIN",
     "SIGMA_MAX",
@@ -176,6 +194,8 @@ _SUM_SLACK_PRIME = 38.0
 _FACTORED_SLACK = 4.0         # added to both when blocks have B > 1
 _MIN_FACTORED = 8             # fewest points of a batch with B > 1
 _MAX_BLOCK = 16               # largest B: at most 33 rows of N terms held
+_PLAN_TERMS = 18              # correction terms N is chosen for: two to spare
+_PLAN_SHARE = 0.001           # their remainder's share of the rounding floor
 
 
 def _bernoulli(m_max: int) -> list[Fraction]:
@@ -271,8 +291,60 @@ def _check_tol(abs_tol: float) -> None:
 
 
 def truncation_point(tmax: float) -> int:
-    """The main sum's N for a batch whose largest |t| is tmax."""
+    """The largest N the engine takes for a batch whose largest |t| is
+    tmax (main_sum_terms' cap; the verifier cuts its chunks by it)."""
     return max(20, min(math.ceil(1.1 * tmax), 20 + math.ceil(tmax / 2)))
+
+
+def main_sum_terms(sigma_lo: float, sigma_hi: float, tmax: float,
+                   want_prime: bool) -> int:
+    """The main sum's N for a batch with sigma in [sigma_lo, sigma_hi] and
+    largest |t| tmax: the smallest N in [20, truncation_point(tmax)] at
+    which, at both corners (sigma_lo, tmax) and (sigma_hi, tmax), the
+    remainder estimate after _PLAN_TERMS correction terms, and the zeta'
+    Cauchy bound if want_prime, is at most _PLAN_SHARE of a lower bound of
+    that track's rounding floor (module docstring); the cap if none is.
+    """
+    k = _PLAN_TERMS + 1             # T_k bounds the remainder after k - 1
+    j = np.arange(2.0 * k - 1)      # the factors s + j of T_k
+    # per corner, each track's log bound as c - e log N, and the power p
+    # of log N in its floor
+    corners = []
+    for sigma in {sigma_lo, sigma_hi}:
+        abs_s = math.hypot(sigma, tmax)
+        tracks = [(_LOG_ABS_BFAC[k - 1]
+                   + float(np.log(np.hypot(sigma + j, tmax)).sum())
+                   + math.log((abs_s + 2 * k - 1) / (sigma + 2 * k - 1)),
+                   sigma + 2 * k - 1, 0)]
+        if want_prime:
+            r = DERIV_RADIUS
+            tracks.append((_LOG_ABS_BFAC[k - 1]
+                           + float(np.log(abs_s + r + j).sum())
+                           + math.log((abs_s + r + 2 * k - 1)
+                                      / (sigma - r + 2 * k - 1))
+                           - math.log(r),
+                           sigma - r + 2 * k - 1, 1))
+        corners.append((sigma, tracks))
+
+    def enough(N: int) -> bool:
+        lnN = math.log(N)
+        for sigma, tracks in corners:
+            log_floor = math.log(
+                _PLAN_SHARE * _EPS * _power_sum_bound(N, sigma)
+                * (math.log2(N) + _SUM_SLACK + _PHASE_ROUNDING * tmax * lnN))
+            if any(c - e * lnN > log_floor + p * math.log(lnN)
+                   for c, e, p in tracks):
+                return False
+        return True
+
+    lo, hi = 20, truncation_point(tmax)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if enough(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _at_point(exc: Exception, index: int) -> Exception:
@@ -335,11 +407,11 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     sigma is a float shared by every point or an array aligned with ts.
     A float stays a Python float throughout, so shared-sigma batches get
     the same bits whatever else the engine is asked to do.  N is
-    truncation_point(max |t|), so callers should pass heights of
-    comparable magnitude.  Negative heights are evaluated at |t| and
-    conjugated.  The main sum goes in blocks of _block_size points, or of
-    one point if it returns 0 (_main_sums); the rest is vectorized over
-    the batch.  Returns (values, bounds, primes, bounds_prime, N) with
+    main_sum_terms of the batch's sigma range and max |t|, so callers
+    should pass heights of comparable magnitude.  Negative heights are
+    evaluated at |t| and conjugated.  The main sum goes in blocks of
+    _block_size points, or of one point if it returns 0 (_main_sums); the
+    rest is vectorized over the batch.  Returns (values, bounds, primes, bounds_prime, N) with
     primes/bounds_prime None unless want_prime.  Raises ConvergenceError,
     with the failing point's position as its index, if some point's
     tolerance sits below the rounding model, or if the remainder still
@@ -347,7 +419,9 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     """
     neg = ts < 0.0
     ts = np.abs(ts)
-    N = truncation_point(float(np.max(ts, initial=0.0)))
+    N = main_sum_terms(float(np.min(sigma, initial=SIGMA_MAX)),
+                       float(np.max(sigma, initial=SIGMA_MIN)),
+                       float(np.max(ts, initial=0.0)), want_prime)
     lnN = math.log(N)
     log2N = math.log2(N)
     logn = np.log(np.arange(1, N, dtype=np.float64))
@@ -493,7 +567,8 @@ def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
 
     sigma is a float shared by every point or a sequence aligned with ts.
     One engine pass serves the batch, with one truncation point set by
-    max |t|, so heights should be of similar size.  K ascending heights in
+    the sigma range and max |t| (main_sum_terms), so heights should be of
+    similar size.  K ascending heights in
     blocks with equal exact offsets, such as one Romberg level
     a + h (1, 3, 5, ...) at a shared sigma, take the factored main sum of
     the module docstring: K/B + B rows of exps instead of K, with

@@ -269,7 +269,7 @@ def test_failing_point_inside_a_chunk_is_named():
     # one chunk; only the highest point's rounding floor exceeds abs_tol
     with pytest.raises(ConvergenceError,
                        match="sample \\(sigma=0.8, t=12000.0\\)"):
-        check_log_bound(grid, DISPLAY_A1, DISPLAY_B1, abs_tol=1.05e-9)
+        check_log_bound(grid, DISPLAY_A1, DISPLAY_B1, abs_tol=9.0e-10)
     tasks = [("log", sigma, t, DISPLAY_A1, DISPLAY_B1, *LOG_REGION, 1e-6)
              for sigma, t in ((0.8, 1.0e4), (0.3, 1.0001e4), (0.8, 1.2e4))]
     from nearone.verifier import _eval_chunk

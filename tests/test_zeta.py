@@ -20,6 +20,8 @@ from nearone.errors import ConvergenceError, DomainError
 from nearone.zeta import (
     EvaluatedValue,
     inv_abs_zeta_many,
+    main_sum_terms,
+    truncation_point,
     zeta,
     zeta_points,
     zeta_with_prime,
@@ -45,12 +47,6 @@ ZP_098_500 = complex(0.839839408105791455299991342242,
                      0.879966372701537195503427474901)
 FIRST_ZERO_T = 14.1347251417346937904572519836
 INV_098_0 = 1.0 / 49.4242425873268097535697722716
-
-
-def _truncation_point(t):
-    """The main sum's N for a batch whose largest height is |t|."""
-    t = abs(t)
-    return max(20, min(math.ceil(1.1 * t), 20 + math.ceil(t / 2)))
 
 ZETA_CASES = [
     (2.0, 0.0, 1e-10, ZETA_2),
@@ -83,7 +79,7 @@ def test_zeta_spot_values(sigma, t, tol, ref):
     err = abs(ev.value - ref)
     assert err <= ev.abs_error_bound
     assert ev.abs_error_bound <= tol
-    assert ev.terms_used >= _truncation_point(t)
+    assert ev.terms_used == main_sum_terms(sigma, sigma, abs(t), False)
 
 
 @pytest.mark.parametrize("sigma,t,tol,ref", ZP_CASES)
@@ -214,7 +210,7 @@ def test_shared_sigma_batch_within_bounds_of_scalar():
     ts = np.array([10.0, 250.5, 993.25])
     vals, bounds, none, none_p, terms = zeta_points(0.9, ts, abs_tol=1e-9)
     assert none is None and none_p is None
-    assert terms >= _truncation_point(ts.max())
+    assert terms == main_sum_terms(0.9, 0.9, ts.max(), False)
     for v, b, t in zip(vals, bounds, ts):
         ev = zeta(complex(0.9, float(t)), abs_tol=1e-9)
         assert abs(v - ev.value) <= b + ev.abs_error_bound
@@ -395,9 +391,8 @@ def test_factored_terms_within_the_per_term_charge():
 
 
 def test_truncation_point_never_grows():
-    # every point either returns with N = max(20, min(ceil(1.1|t|),
-    # 20 + ceil(|t|/2))) or stops at the rounding floor; 20 correction
-    # terms are never exhausted
+    # every point either returns with the N of main_sum_terms or stops at
+    # the rounding floor; 20 correction terms are never exhausted
     returned = 0
     for sigma, t, tol in itertools.product(
             (0.401, 0.45, 0.5, 1.2, 2.999),
@@ -410,8 +405,9 @@ def test_truncation_point_never_grows():
             except ConvergenceError as exc:
                 assert str(exc).startswith("tolerance unreachable: rounding floor")
                 continue
+            N = main_sum_terms(sigma, sigma, t, fn is zeta_with_prime)
             for ev in result if isinstance(result, tuple) else (result,):
-                assert ev.terms_used == _truncation_point(t)
+                assert ev.terms_used == N
             returned += 1
     assert returned > 0
 
@@ -429,6 +425,29 @@ def test_two_correction_terms_to_spare(monkeypatch):
     # when the engine may add at most 17 correction terms instead of 20
     monkeypatch.setattr(zeta_engine, "_BFAC", zeta_engine._BFAC[:18])
     test_truncation_point_never_grows()
+
+
+@pytest.mark.parametrize("sigma", [0.401, 0.72, 0.98, 1.5, 2.999])
+def test_main_sum_terms_over_the_strip(sigma):
+    # N is capped by truncation_point, depends on sigma, t and the zeta'
+    # track only, and leaves the correction terms enough room: every
+    # tolerance either returns or stops at the rounding floor
+    returned = 0
+    for t in (0.0, 18.2, 34.0, 100.0, 1e3, 1e4, 3e4, 99999.5):
+        for fn in (zeta, zeta_with_prime):
+            N = main_sum_terms(sigma, sigma, t, fn is zeta_with_prime)
+            assert 20 <= N <= truncation_point(t)
+            for tol in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+                try:
+                    result = fn(complex(sigma, t), abs_tol=tol)
+                except ConvergenceError as exc:
+                    assert str(exc).startswith(
+                        "tolerance unreachable: rounding floor"), exc
+                    continue
+                for ev in result if isinstance(result, tuple) else (result,):
+                    assert ev.terms_used == N
+                returned += 1
+    assert returned > 0
 
 
 def test_bernoulli_recurrence_leading_values():
@@ -515,7 +534,7 @@ def test_against_mpmath_at_tightest_reachable_tolerance(sigma, t):
         s = mp.mpc(repr(sigma), repr(t))
         refs = complex(mp.zeta(s)), complex(mp.zeta(s, derivative=1))
     for ev, ref in zip((value, prime), refs):
-        assert ev.terms_used == _truncation_point(t)
+        assert ev.terms_used == main_sum_terms(sigma, sigma, t, True)
         assert abs(ev.value - ref) <= ev.abs_error_bound <= tol
 
 
@@ -530,7 +549,8 @@ def test_per_point_sigma_batch_matches_scalar_calls():
     sigmas, ts = zip(*STRIP_POINTS)
     values, bounds, primes, bounds_p, N = zeta_engine.zeta_points(
         sigmas, ts, abs_tol=1e-6, with_prime=True)
-    assert N == _truncation_point(max(map(abs, ts)))
+    assert N == main_sum_terms(min(sigmas), max(sigmas), max(map(abs, ts)),
+                               True)
     for i, (sigma, t) in enumerate(STRIP_POINTS):
         value, prime = zeta_with_prime(complex(sigma, t), abs_tol=1e-6)
         assert abs(values[i] - value.value) <= bounds[i] + value.abs_error_bound
@@ -582,7 +602,7 @@ def test_per_point_batch_names_the_failing_point():
     assert exc.value.index == 1
     with pytest.raises(ConvergenceError, match="t=12000.0") as exc:
         zeta_engine.zeta_points([0.8, 0.8, 0.8], [1e4, 1.0001e4, 1.2e4],
-                                abs_tol=1.05e-9)
+                                abs_tol=9.0e-10)
     assert exc.value.index == 2
     with pytest.raises(DomainError):
         zeta_engine.zeta_points([0.8, 0.8], [1e4])
@@ -657,9 +677,11 @@ def test_factored_batch_of_full_blocks(monkeypatch):
 
 
 def test_factored_level_of_256_nodes(monkeypatch):
-    # N = 15020 at t = 3e4; the whole level is one batch in 16 blocks of 16
+    # N = 9118 at t = 3e4 (truncation_point caps it at 15020); the whole
+    # level is one batch in 16 blocks of 16
     ts = _romberg_nodes(29990.0, 10.0, 256)
-    assert _truncation_point(ts[-1]) == 15020
+    assert main_sum_terms(0.98, 0.98, ts[-1], False) == 9118
+    assert truncation_point(ts[-1]) == 15020
     _assert_factored_matches(monkeypatch, 0.98, ts, False, 16,
                              [0, 15, 16, 255])
 
@@ -719,10 +741,11 @@ def test_direct_path_inputs_keep_their_bits(monkeypatch, sigma, ts):
     # blocks of one point give the main sums of the (points x terms)
     # matrix n^(-s), bit for bit, with and without the derivative track
     assert zeta_engine._block_size(sigma, ts) == 0
-    logn = np.log(np.arange(1, _truncation_point(np.abs(ts).max()),
-                            dtype=np.float64))
-    terms = np.exp(np.multiply.outer(-(sigma + 1j * np.abs(ts)), logn))
     for want_prime in (False, True):
+        N = main_sum_terms(np.min(sigma), np.max(sigma), np.abs(ts).max(),
+                           want_prime)
+        logn = np.log(np.arange(1, N, dtype=np.float64))
+        terms = np.exp(np.multiply.outer(-(sigma + 1j * np.abs(ts)), logn))
         _, calls = _main_sum_calls(monkeypatch, sigma, ts, 1e-6, 0.0,
                                    want_prime)
         [(K, B, main, main_p)] = calls
