@@ -14,18 +14,18 @@ in interpreters with PYTHONPATH set to each tree:
   the panel [t - 10, t], the K = 128 nodes t - 10 + h (1, 3, ..., 255) with
   h = 10/256; and `descending`, the `batch` heights in descending order,
   which the engine's rule sends to blocks of one point (unfactored), as a
-  control.  Then through the verifier's path: one chunk of as many points
-  as the verifier's cap on points x truncation_point(t) allows, heights in
-  [t - 10, t] and sigma spread over [0.95, 1.13] (`zeta_points`), with the
-  derivative at abs_tol = 1e-6.  Last, `level-run`: one Romberg level over
-  a run of 50 adjacent panels of width 10 from 11020, 128 new nodes each
-  (K = 6400), the integrand call that `integrate inv-zeta --from 11020
-  --to 11520` makes at its deepest common level.  Each row gives the
-  truncation point N, the number of correction terms added and
-  microseconds per point, the median of 7 calls.  N is read off the return
-  value of the engine's one pass `_evaluate`, through a spy; correction
-  terms are counted by swapping the engine's Bernoulli table `_BFAC` for a
-  tuple that remembers the highest entry read.  The engine probe starts
+  control.  Then through the verifier's path: one chunk of the verifier's
+  CHUNK_SAMPLES points, heights in [t - 10, t] and sigma spread over
+  [0.95, 1.13] (`zeta_points`), with the derivative at abs_tol = 1e-6.
+  Last, `level-run`: one Romberg level over a run of 50 adjacent panels of
+  width 10 from 11020, 128 new nodes each (K = 6400), the integrand call
+  that `integrate inv-zeta --from 11020 --to 11520` makes at its deepest
+  common level.  Each row gives the truncation point N, the number of
+  correction terms added and microseconds per point, the median of 7
+  calls.  N is read off the return value of the engine's one pass
+  `_evaluate`, through a spy; correction terms are counted by swapping the
+  engine's Bernoulli table `_BFAC` for a tuple that remembers the highest
+  entry read.  The engine probe starts
   one interpreter per tree and asks both for each row in turn, so the two
   trees time a row back to back.
 - `headline` (written to BENCH_headline.json): the in-process seconds of
@@ -76,7 +76,7 @@ ENGINE_PROBE = """
 import functools, json, statistics, sys, time
 import numpy as np
 import nearone.zeta as z
-from nearone.verifier import CHUNK_ELEMENTS
+from nearone.verifier import CHUNK_SAMPLES
 
 
 class Counting(tuple):
@@ -126,13 +126,12 @@ def batch_row(ts):
 
 
 def verifier_row(t):
-    n_chunk = max(1, CHUNK_ELEMENTS // z.truncation_point(t))
-    chunk_ts = np.linspace(t - 10.0, t, n_chunk)
-    chunk_sigmas = np.linspace(0.95, 1.13, n_chunk)
+    chunk_ts = np.linspace(t - 10.0, t, CHUNK_SAMPLES)
+    chunk_sigmas = np.linspace(0.95, 1.13, CHUNK_SAMPLES)
     chunk = lambda: z.zeta_points(chunk_sigmas, chunk_ts, abs_tol=1e-6,
                                   with_prime=True)
-    return {"points": n_chunk, **engine_choices(chunk),
-            "us_per_point": round(median_us(chunk, 7, n_chunk), 3)}
+    return {"points": CHUNK_SAMPLES, **engine_choices(chunk),
+            "us_per_point": round(median_us(chunk, 7, CHUNK_SAMPLES), 3)}
 
 
 ROWS = {}

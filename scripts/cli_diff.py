@@ -58,7 +58,7 @@ COMMANDS = (
     "profiles --family dedekind",
     "integrate inv-zeta",
     "integrate inv-zeta --from 11020 --to 11520",
-    # N = 15020, the largest of the list: levels of up to 10 panels x 128
+    # N = 9118, the largest of the list: levels of up to 10 panels x 128
     # nodes in blocks of 16
     "integrate inv-zeta --from 29900 --to 30000",
     "verify",

@@ -37,14 +37,14 @@ certified absolute error bounds), so a red result cannot be an artifact of
 the evaluator's own tolerance.
 
 Evaluation is batched.  The samples of all checks are sorted by (kind, |t|)
-and cut into consecutive chunks whose points times truncation point N
-(set by the chunk's largest |t|) stay within CHUNK_ELEMENTS; each chunk is
-one engine call with sigma per point, and one task of the worker pool.
-The cap keeps the heights of a chunk close, since they share one N, and
-the tasks of similar cost.  The chunks depend on the samples alone, so the
-report's bits do not depend on the worker count.  A sample's value and
-bound can differ in the last digits from a single-point call, whose N
-follows its own height, always within the two certified bounds.
+and each kind is cut into consecutive chunks of CHUNK_SAMPLES; each chunk
+is one engine call with sigma per point, and one task of the worker pool.
+Sorting keeps the heights of a chunk close, since they share the one N
+the engine picks from the chunk's sigma range and largest |t|.  The chunks
+depend on the samples alone, so the report's bits do not depend on the
+worker count.  A sample's value and bound can differ in the last digits
+from a single-point call, whose N follows its own sigma and height, always
+within the two certified bounds.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .defaults import (
 )
 from .errors import ConvergenceError, DomainError
 from .parallel import parallel_map
-from .zeta import truncation_point, zeta_points
+from .zeta import zeta_points
 # The per-sample entry points stay importable from here, where
 # perfbench/tracing.py looks them up; the checks themselves run in batches.
 from .zeta import zeta, zeta_with_prime  # noqa: F401
@@ -78,13 +78,14 @@ T_FLOOR = 1.0e4
 T_CEILING = 3.0e4
 
 _EDGE_TOL = 1.0e-12
-# Cap on points x N per engine call.  The engine sums one point's row at a
-# time on these batches, so the cap bounds no memory: it keeps a chunk's
-# heights close enough to share one N and makes a chunk one pool task.
-# The chunks, and so the report's bits, follow from its value.
-CHUNK_ELEMENTS = 1 << 17
-# Most samples one default_verification may take: about 35 s at 0.35 ms a
-# sample.
+# Samples per engine call and pool task.  The engine sums one row at a
+# time on these batches, so the size bounds no memory; a larger chunk
+# spreads the correction loop's per-call cost over more points, and sorted
+# heights keep its shared N close to each sample's own.  The chunks, and
+# so the report's bits, follow from its value.
+CHUNK_SAMPLES = 32
+# Most samples one default_verification may take: about 37 s at the
+# 0.37 ms a sample of a serial 20,000-sample run (2 vCPU).
 SAMPLE_LIMIT = 100_000
 
 
@@ -253,24 +254,17 @@ def _eval_chunk(chunk: list) -> list[dict]:
 
 
 def _chunks(tasks: list) -> list[list[int]]:
-    """Task positions sorted by (kind, |t|) and cut into consecutive runs.
-
-    A run holds tasks of one kind, and its points times the truncation
-    point of its largest |t| stay within CHUNK_ELEMENTS unless it is a
-    single task.  The runs depend on the tasks alone, never on the worker
-    count.
+    """Task positions sorted by (kind, |t|), each kind cut into consecutive
+    runs of CHUNK_SAMPLES (its last run may be shorter).  The runs depend
+    on the tasks alone, never on the worker count.
     """
-    runs: list[list[int]] = []
-    last_kind = None
-    for i in sorted(range(len(tasks)),
-                    key=lambda i: (tasks[i][0], abs(tasks[i][2]))):
-        kind, t = tasks[i][0], abs(tasks[i][2])
-        if (kind == last_kind
-                and (len(runs[-1]) + 1) * truncation_point(t) <= CHUNK_ELEMENTS):
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-            last_kind = kind
+    order = sorted(range(len(tasks)),
+                   key=lambda i: (tasks[i][0], abs(tasks[i][2])))
+    runs = []
+    for _, group in itertools.groupby(order, key=lambda i: tasks[i][0]):
+        group = list(group)
+        runs += [group[lo:lo + CHUNK_SAMPLES]
+                 for lo in range(0, len(group), CHUNK_SAMPLES)]
     return runs
 
 

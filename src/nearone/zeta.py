@@ -25,13 +25,11 @@ and with zeta' the Cauchy-circle bound below, is at most 1/1000 of a
 lower bound of that point's rounding floor (below).  That lower bound is
 eps (log2 N + 28 + 2 t log N) S1 for the value and log N times it for
 zeta'.  The remainder falls and the floor grows with N, so a bisection
-over [20, truncation_point(t)] finds N.  The cap,
-max(20, min(ceil(1.1 t), 20 + ceil(t / 2))), is the engine's earlier
-height-only rule; the verifier cuts its chunks by it.  Neither abs_tol
-nor rel_tol enters the rule, so N and the bits depend on sigma, the
-heights and the zeta' track alone.  At sigma = 0.98, N is 3148, 3609 and
-9118 at t = 1e4, 11520 and 3e4 (3641, 4173 and 10503 with zeta'),
-against the cap's 5020, 5780 and 15020.  Every bound stays rigorous
+over [20, 20 + ceil(t / 2)] finds N; no point of the supported domain
+reaches the top of that bracket.  Neither abs_tol nor rel_tol enters the
+rule, so N and the bits depend on sigma, the heights and the zeta' track
+alone.  At sigma = 0.98, N is 3148, 3609 and 9118 at t = 1e4, 11520 and
+3e4 (3641, 4173 and 10503 with zeta').  Every bound stays rigorous
 whatever N is, since the loop below checks the remainder as it goes; the
 rule only decides where the work goes.  Since |T_{k+1} / T_k| <
 (|s| + 2k)^2 / (2 pi N)^2, the decay per term follows from
@@ -54,7 +52,10 @@ in [0, 1e5] and abs_tol from 1e-13 to 1e-6, at most 15 terms were added,
 except where the returned bound came within 14% of abs_tol: there the
 remainder had to fit the thin budget left above the floor, and up to 20
 were added.  If the remainder after 20 terms still misses its budget,
-the engine raises ConvergenceError naming sigma, t and N.
+the engine raises ConvergenceError naming sigma, t and N, or, where that
+remainder has already settled at or below the rounding floor, naming the
+floor, the remainder and the budget: the tolerance then sits within the
+remainder of the floor.
 
 Derivative.  zeta'(s) is evaluated by differentiating every piece term by
 term: the main sum acquires -log n weights, the two tail terms are
@@ -167,7 +168,6 @@ __all__ = [
     "zeta",
     "zeta_with_prime",
     "zeta_points",
-    "truncation_point",
     "main_sum_terms",
     "inv_abs_zeta_many",
     "SIGMA_MIN",
@@ -290,20 +290,15 @@ def _check_tol(abs_tol: float) -> None:
         raise DomainError(f"abs_tol must be >= {MIN_ABS_TOL}; got {abs_tol!r}")
 
 
-def truncation_point(tmax: float) -> int:
-    """The largest N the engine takes for a batch whose largest |t| is
-    tmax (main_sum_terms' cap; the verifier cuts its chunks by it)."""
-    return max(20, min(math.ceil(1.1 * tmax), 20 + math.ceil(tmax / 2)))
-
-
 def main_sum_terms(sigma_lo: float, sigma_hi: float, tmax: float,
                    want_prime: bool) -> int:
     """The main sum's N for a batch with sigma in [sigma_lo, sigma_hi] and
-    largest |t| tmax: the smallest N in [20, truncation_point(tmax)] at
+    largest |t| tmax: the smallest N in [20, 20 + ceil(tmax / 2)] at
     which, at both corners (sigma_lo, tmax) and (sigma_hi, tmax), the
     remainder estimate after _PLAN_TERMS correction terms, and the zeta'
     Cauchy bound if want_prime, is at most _PLAN_SHARE of a lower bound of
-    that track's rounding floor (module docstring); the cap if none is.
+    that track's rounding floor (module docstring).  No batch of the
+    supported domain needs the bracket's top.
     """
     k = _PLAN_TERMS + 1             # T_k bounds the remainder after k - 1
     j = np.arange(2.0 * k - 1)      # the factors s + j of T_k
@@ -337,7 +332,7 @@ def main_sum_terms(sigma_lo: float, sigma_hi: float, tmax: float,
                 return False
         return True
 
-    lo, hi = 20, truncation_point(tmax)
+    lo, hi = 20, 20 + math.ceil(tmax / 2)
     while lo < hi:
         mid = (lo + hi) // 2
         if enough(mid):
@@ -415,7 +410,8 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     primes/bounds_prime None unless want_prime.  Raises ConvergenceError,
     with the failing point's position as its index, if some point's
     tolerance sits below the rounding model, or if the remainder still
-    misses its budget after the last correction term.
+    misses its budget after the last correction term (budget's message
+    if that remainder has settled at or below the floor).
     """
     neg = ts < 0.0
     ts = np.abs(ts)
@@ -431,19 +427,25 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
         return (f"sigma={float(sigma[i]) if np.ndim(sigma) else sigma!r}, "
                 f"t={float(ts[i])!r}")
 
-    def budget(rem, val, mag, slack, phase_floor):
+    def budget(rem, val, mag, slack, phase_floor, last):
         """Rounding floor of one track, and where rem fits in the budget
-        above it; ConvergenceError where the budget is at or below the
-        floor."""
+        above it.  ConvergenceError where the budget is at or below the
+        floor or, at the last term, where rem has settled at or below the
+        floor but the budget leaves less than rem above it."""
         floor = _EPS * (log2N + slack) * mag + phase_floor
         basis = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(val), ZETA_FLOOR))
+        fits = rem <= basis - floor
         bad = basis <= floor
+        if last:
+            bad |= ~fits & (rem <= floor)
         if np.any(bad):
             i = int(np.argmax(bad))
+            settled = "" if basis[i] <= floor[i] else (
+                f" plus the settled remainder {rem[i]:.3e}")
             raise _at_point(ConvergenceError(
-                f"tolerance unreachable: rounding floor {floor[i]:.3e} exceeds "
-                f"the budget {basis[i]:.3e} at {point_at(i)}"), i)
-        return floor, rem <= basis - floor
+                f"tolerance unreachable: rounding floor {floor[i]:.3e}{settled} "
+                f"exceeds the budget {basis[i]:.3e} at {point_at(i)}"), i)
+        return floor, fits
 
     B = _block_size(sigma, ts) or 1
     main, main_p = _main_sums(sigma, ts, B, logn, want_prime)
@@ -481,11 +483,12 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     # rounding floor, or the last term is reached.
     Q = npow / (N * N) * s
     for k in range(1, len(_BFAC) + 1):
+        last = k == len(_BFAC)
         Tk = _BFAC[k - 1] * Q
         abs_Tk = np.abs(Tk)
         rem = abs_Tk * (abs_s + (2 * k - 1)) / (sigma + (2 * k - 1))
         floor_v, fits = budget(rem, value, mag, _SUM_SLACK + extra,
-                                phase_floor)
+                                phase_floor, last)
         settled = rem <= floor_v
         if want_prime:
             log_rem_p = (_LOG_ABS_BFAC[k - 1]
@@ -497,12 +500,12 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
             rem_p = np.exp(log_rem_p)
             floor_p, fits_p = budget(rem_p, prime, magp,
                                      _SUM_SLACK_PRIME + extra,
-                                     phase_floor_p)
+                                     phase_floor_p, last)
             fits = fits & fits_p
             settled = settled & (rem_p <= floor_p)
-        if np.all(fits) and (np.all(settled) or k == len(_BFAC)):
+        if fits.all() and (last or settled.all()):
             break
-        if k == len(_BFAC):
+        if last:
             i = int(np.argmin(fits))
             raise _at_point(ConvergenceError(
                 f"tolerance unreachable: correction terms exhausted at "

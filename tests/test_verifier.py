@@ -241,18 +241,45 @@ def _default_tasks(samples):
 
 
 def test_chunks_respect_the_cap_and_cover_every_task():
-    from nearone.verifier import CHUNK_ELEMENTS, _chunks
-    from nearone.zeta import truncation_point
+    from nearone.verifier import CHUNK_SAMPLES, _chunks
     tasks = _default_tasks(400)
     runs = _chunks(tasks)
     assert sorted(i for run in runs for i in run) == list(range(len(tasks)))
-    assert len(runs) > 4
+    # 200 tasks of each kind: six full runs and one of 8 per kind
+    assert CHUNK_SAMPLES == 32
+    assert [len(run) for run in runs] == 2 * ([32] * 6 + [8])
     for run in runs:
         assert len({tasks[i][0] for i in run}) == 1
         heights = [abs(tasks[i][2]) for i in run]
         assert heights == sorted(heights)
-        assert len(run) * truncation_point(heights[-1]) <= CHUNK_ELEMENTS
+    # each kind's runs follow one another in ascending height
+    for kind in ("log", "logder"):
+        order = [i for run in runs for i in run if tasks[i][0] == kind]
+        heights = [abs(tasks[i][2]) for i in order]
+        assert heights == sorted(heights)
     assert _chunks(tasks) == runs
+    assert _chunks(list(reversed(tasks))) == [
+        [len(tasks) - 1 - i for i in run] for run in runs]
+
+
+def test_every_sample_agrees_with_its_own_engine_call():
+    # a chunk's shared N moves a sample's observed value only within the
+    # two certified engine slacks of the chunk's and its own call
+    report = default_verification(samples=400)
+    regions = {"log-zeta": ("log", LOG_REGION, DISPLAY_A1, DISPLAY_B1),
+               "logder-zeta": ("logder", LOGDER_REGION, DISPLAY_A2,
+                               DISPLAY_B2)}
+    checked = 0
+    for check in report["checks"]:
+        kind, region, a, b = regions[check["check"]]
+        for rec in check["records"]:
+            own, = _eval_chunk([(kind, rec["sigma"], rec["t"], a, b, *region,
+                                 check["abs_tol"])])
+            assert (abs(own["observed"] - rec["observed"])
+                    <= own["engine_slack"] + rec["engine_slack"]), rec
+            assert own["ok"] == rec["ok"]
+            checked += 1
+    assert checked == 400
 
 
 def test_worker_count_does_not_change_a_report_of_many_chunks():

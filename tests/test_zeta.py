@@ -9,6 +9,7 @@ abs_error_bound.
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,6 @@ from nearone.zeta import (
     EvaluatedValue,
     inv_abs_zeta_many,
     main_sum_terms,
-    truncation_point,
     zeta,
     zeta_points,
     zeta_with_prime,
@@ -420,6 +420,27 @@ def test_exhausted_correction_terms_name_the_point(monkeypatch):
     assert "N=20" in str(info.value)
 
 
+@pytest.mark.parametrize("s, abs_tol", [
+    (complex(0.401, 999.99), 1e-9),     # N = 418
+    (complex(0.72, 9999.9), 1e-8),      # N = 3731
+])
+def test_settled_remainder_over_budget_blames_the_rounding_floor(
+        monkeypatch, s, abs_tol):
+    # after 17 correction terms the remainder has settled below the
+    # rounding floor, but the budget leaves less than it above the floor:
+    # the floor is named, with the remainder and the budget, not the terms
+    monkeypatch.setattr(zeta_engine, "_BFAC", zeta_engine._BFAC[:18])
+    with pytest.raises(ConvergenceError) as info:
+        zeta_with_prime(s, abs_tol=abs_tol)
+    msg = str(info.value)
+    assert msg.startswith("tolerance unreachable: rounding floor "), msg
+    floor, rem, basis = (float(x) for x in re.findall(r"\d\.\d{3}e[-+]\d+", msg))
+    assert rem <= floor < basis < floor + rem
+    assert basis == abs_tol
+    assert f"t={s.imag!r}" in msg
+    assert info.value.index == 0
+
+
 def test_two_correction_terms_to_spare(monkeypatch):
     # the truncation sweep still returns or stops at the rounding floor
     # when the engine may add at most 17 correction terms instead of 20
@@ -428,15 +449,33 @@ def test_two_correction_terms_to_spare(monkeypatch):
 
 
 @pytest.mark.parametrize("sigma", [0.401, 0.72, 0.98, 1.5, 2.999])
+def test_main_sum_terms_stays_below_its_bracket(sigma):
+    # the bisection over [20, 20 + ceil(t / 2)] never needs the top: the
+    # rule is met below it at every height, so the bracket caps nothing
+    ts = np.concatenate([np.arange(0.0, 100.0, 0.5),
+                         np.linspace(100.0, 99999.5, 800)])
+    for t, want_prime in itertools.product(ts.tolist(), (False, True)):
+        N = main_sum_terms(sigma, sigma, t, want_prime)
+        assert N == 20 or N < 20 + math.ceil(t / 2), (t, want_prime, N)
+
+
+def test_main_sum_terms_pinned_at_sigma_098():
+    assert [main_sum_terms(0.98, 0.98, t, False)
+            for t in (1e4, 11520.0, 3e4)] == [3148, 3609, 9118]
+    assert [main_sum_terms(0.98, 0.98, t, True)
+            for t in (1e4, 11520.0, 3e4)] == [3641, 4173, 10503]
+
+
+@pytest.mark.parametrize("sigma", [0.401, 0.72, 0.98, 1.5, 2.999])
 def test_main_sum_terms_over_the_strip(sigma):
-    # N is capped by truncation_point, depends on sigma, t and the zeta'
-    # track only, and leaves the correction terms enough room: every
-    # tolerance either returns or stops at the rounding floor
+    # N stays inside its bracket, depends on sigma, t and the zeta' track
+    # only, and leaves the correction terms enough room: every tolerance
+    # either returns or stops at the rounding floor
     returned = 0
     for t in (0.0, 18.2, 34.0, 100.0, 1e3, 1e4, 3e4, 99999.5):
         for fn in (zeta, zeta_with_prime):
             N = main_sum_terms(sigma, sigma, t, fn is zeta_with_prime)
-            assert 20 <= N <= truncation_point(t)
+            assert 20 <= N <= 20 + math.ceil(t / 2)
             for tol in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
                 try:
                     result = fn(complex(sigma, t), abs_tol=tol)
@@ -677,11 +716,11 @@ def test_factored_batch_of_full_blocks(monkeypatch):
 
 
 def test_factored_level_of_256_nodes(monkeypatch):
-    # N = 9118 at t = 3e4 (truncation_point caps it at 15020); the whole
+    # N = 9118 at t = 3e4, below its bracket's top of 15020; the whole
     # level is one batch in 16 blocks of 16
     ts = _romberg_nodes(29990.0, 10.0, 256)
-    assert main_sum_terms(0.98, 0.98, ts[-1], False) == 9118
-    assert truncation_point(ts[-1]) == 15020
+    assert (main_sum_terms(0.98, 0.98, ts[-1], False) == 9118
+            < 20 + math.ceil(ts[-1] / 2) == 15020)
     _assert_factored_matches(monkeypatch, 0.98, ts, False, 16,
                              [0, 15, 16, 255])
 
