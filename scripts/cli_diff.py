@@ -82,6 +82,13 @@ COMMANDS = (
     "mertens bound --A 3",
     # 401 samples: the first grid takes the odd one
     "verify --samples 401",
+    # a bound below x already at x = 1: crossover_log10 null with its note
+    "mertens crossover --A 0.5 --a 0.99 --B 0 --b 0.5",
+    # worker counts above the task or CPU count start fewer processes
+    "verify --threads 3",
+    "integrate inv-zeta --from 0 --to 1280 --threads 3",
+    # a family flag the zeta family does not read: usage error (exit 64)
+    "constants a1 --q 7",
 )
 IGNORED_KEYS = frozenset({"runtime_seconds"})
 

@@ -20,7 +20,8 @@ every report embeds the fully resolved parameter set, defaults included,
 so a run can be replayed from its own output.  Floats serialize through
 repr and therefore carry 17 significant digits; where a published constant
 is reproduced the report adds its rounded-up display form.  CSV is used
-only for per-panel and per-sample traces (--trace / --csv).
+only for the per-panel and per-grid-point traces of --trace; verify's
+per-sample records are in its report.
 
 Bare invocations reproduce the published numbers from the parameter sets
 in nearone.defaults: `constants a1` prints the 5.44 bound and `constants
@@ -32,9 +33,11 @@ for characters mod 3 alike; `optimize a1|a2` recovers the published
 
 Exit codes: 0 success (including structured null results such as a missing
 crossover), 1 violated hypothesis or domain error, 2 numerical
-non-convergence, 64 usage errors.  Worker counts come from --threads, else
-the NEARONE_WORKERS environment variable, else 1; "auto" means the CPU
-count.  Workers are spawned processes, so each starts from a fresh import.
+non-convergence, 64 usage errors.  The worker count of integrate and
+verify is --threads: a positive integer, or "auto" for the CPU count;
+the default is 1.  Workers are spawned processes, so each starts from a
+fresh import, and no run starts more of them than there are CPUs
+(nearone.parallel).
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ from .constants import (
     dedekind_split,
 )
 from . import defaults
-from .errors import ConvergenceError, NearOneError, NoCrossoverError
+from .errors import ConvergenceError, NearOneError
 from .mertens import (
-    crossover_trivial,
+    crossover_report,
     derive_m_bound,
     mertens_report,
     sieve_mobius,
@@ -75,7 +78,7 @@ from .profiles import (
     rademacher_prefactor_dirichlet,
 )
 from .quadrature import integrate_envelope, integrate_inv_abs_zeta
-from .verifier import default_verification, dump_samples_csv
+from .verifier import default_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -83,10 +86,6 @@ EXIT_CONVERGENCE = 2
 EXIT_USAGE = 64
 
 _TARGETS = {"a1": TARGET_LOG, "a2": TARGET_LOGDER}
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,33 +113,49 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _resolve_workers(flag: Optional[str]) -> int:
-    text = flag if flag is not None else os.environ.get("NEARONE_WORKERS", "1")
+def _workers(text: str) -> int:
+    """argparse type of --threads: a positive integer, or "auto" for the
+    CPU count."""
     if text == "auto":
         return os.cpu_count() or 1
     try:
-        n = int(text)
+        value = int(text)
     except ValueError:
-        raise _UsageError(
-            f"--threads expects a positive integer or 'auto', got {text!r}")
-    if n < 1:
-        raise _UsageError(f"--threads must be >= 1, got {n}")
-    return n
+        raise argparse.ArgumentTypeError(
+            f"expects a positive integer or 'auto', got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# The flags each family reads, with their defaults; zeta reads none.
+_SMOOTHING = {"alpha": ALPHA_DEFAULT, "profile_t0": T0_DEFAULT}
+_FAMILY_FLAGS = {
+    "zeta": {},
+    "dirichlet": {"q": 3, **_SMOOTHING},
+    "dedekind": {"degree": 2, "abs_disc": 3.0, **_SMOOTHING},
+}
 
 
 def _build_profile(args) -> tuple[object, dict]:
-    family = args.family
+    """The family's profile and its resolved parameters; a family flag the
+    family does not read is a usage error."""
+    family, read = args.family, _FAMILY_FLAGS[args.family]
+    for key in ("q", "degree", "abs_disc", "alpha", "profile_t0"):
+        if getattr(args, key) is not None and key not in read:
+            build_parser().error(f"argument --{key.replace('_', '-')}: "
+                                 f"not read by --family {family}")
+    values = {key: default if getattr(args, key) is None else getattr(args, key)
+              for key, default in read.items()}
     if family == "zeta":
-        return profile_zeta(), {"family": "zeta"}
-    if family == "dirichlet":
-        prof = profile_dirichlet(args.q, args.alpha, args.profile_t0)
-        return prof, {"family": "dirichlet", "q": args.q, "alpha": args.alpha,
-                      "profile_t0": args.profile_t0}
-    prof = profile_dedekind(args.degree, args.abs_disc, args.alpha,
-                            args.profile_t0)
-    return prof, {"family": "dedekind", "degree": args.degree,
-                  "abs_disc": args.abs_disc, "alpha": args.alpha,
-                  "profile_t0": args.profile_t0}
+        prof = profile_zeta()
+    elif family == "dirichlet":
+        prof = profile_dirichlet(values["q"], values["alpha"],
+                                 values["profile_t0"])
+    else:
+        prof = profile_dedekind(values["degree"], values["abs_disc"],
+                                values["alpha"], values["profile_t0"])
+    return prof, {"family": family, **values}
 
 
 def _cmd_profiles(args) -> tuple[dict, int]:
@@ -152,10 +167,11 @@ def _cmd_profiles(args) -> tuple[dict, int]:
     }
     if args.family == "dirichlet":
         report["prefactor"] = rademacher_prefactor_dirichlet(
-            args.alpha, args.profile_t0)
+            family_params["alpha"], family_params["profile_t0"])
     elif args.family == "dedekind":
         report["prefactor"] = rademacher_prefactor_dedekind(
-            args.degree, args.alpha, args.profile_t0)
+            family_params["degree"], family_params["alpha"],
+            family_params["profile_t0"])
     if args.family != "zeta":  # the profile checked prefactor <= amplitude
         report["prefactor_ceiling"] = prof.amplitude
     return report, EXIT_OK
@@ -213,18 +229,17 @@ def _cmd_optimize(args) -> tuple[dict, int]:
 
 
 def _cmd_integrate(args) -> tuple[dict, int]:
-    workers = _resolve_workers(args.threads)
     if args.which == "inv-zeta":
         result = integrate_inv_abs_zeta(
             args.sigma0, args.lo, args.hi, panel_width=args.panel_width,
             rel_tol=args.rel_tol, max_levels=args.max_levels,
-            workers=workers, trace_path=args.trace)
+            workers=args.threads, trace_path=args.trace)
         own = {"panel_width": args.panel_width}
     else:
         result = integrate_envelope(
             args.sigma0, args.a1, args.lo, args.hi, rel_tol=args.rel_tol,
             max_levels=args.max_levels, panel_width_v=args.panel_width_v,
-            workers=workers, trace_path=args.trace)
+            workers=args.threads, trace_path=args.trace)
         own = {"a1": args.a1, "panel_width_v": args.panel_width_v}
     report = {
         "subcommand": "integrate",
@@ -232,7 +247,7 @@ def _cmd_integrate(args) -> tuple[dict, int]:
         "parameters": {
             "sigma0": args.sigma0, "from": args.lo, "to": args.hi,
             "rel_tol": args.rel_tol, "max_levels": args.max_levels,
-            "workers": workers, **own,
+            "workers": args.threads, **own,
         },
         "result": {
             "value": result.value,
@@ -268,14 +283,8 @@ def _cmd_mertens(args) -> tuple[dict, int]:
         report = {
             "subcommand": "mertens.crossover",
             "parameters": two_term,
+            **crossover_report(args.A, args.a, args.B, args.b),
         }
-        try:
-            report["crossover_log10"] = crossover_trivial(
-                args.A, args.a, args.B, args.b)
-        except NoCrossoverError as exc:
-            # a missing crossover is an answer, not a failure
-            report["crossover_log10"] = None
-            report["reason"] = str(exc)
         return report, EXIT_OK
 
     # sieve-verify
@@ -296,17 +305,14 @@ def _cmd_mertens(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    workers = _resolve_workers(args.threads)
     result = default_verification(samples=args.samples, abs_tol=args.abs_tol,
-                                  workers=workers)
+                                  workers=args.threads)
     report = {
         "subcommand": "verify",
         "parameters": {"samples": args.samples, "abs_tol": args.abs_tol,
-                       "workers": workers},
+                       "workers": args.threads},
         **result,
     }
-    if args.csv is not None:
-        dump_samples_csv(result, args.csv)
     if not report["all_ok"]:
         print(f"error: bound-violation: {report['total_violations']} bound "
               f"and {report['elementary_violations']} elementary violations",
@@ -316,16 +322,20 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _add_family_flags(parser) -> None:
-    parser.add_argument("--family", choices=("zeta", "dirichlet", "dedekind"),
+    """--family and the flags of the non-zeta families; each defaults to
+    None, and _build_profile fills in the chosen family's defaults."""
+    parser.add_argument("--family", choices=tuple(_FAMILY_FLAGS),
                         default="zeta")
-    parser.add_argument("--q", type=int, default=3,
+    parser.add_argument("--q", type=int,
                         help="Dirichlet modulus (family dirichlet)")
-    parser.add_argument("--degree", type=int, default=2,
+    parser.add_argument("--degree", type=int,
                         help="number field degree (family dedekind)")
-    parser.add_argument("--abs-disc", type=_finite_float, default=3.0,
+    parser.add_argument("--abs-disc", type=_finite_float,
                         help="absolute discriminant (family dedekind)")
-    parser.add_argument("--alpha", type=_finite_float, default=ALPHA_DEFAULT)
-    parser.add_argument("--profile-t0", type=_finite_float, default=T0_DEFAULT)
+    parser.add_argument("--alpha", type=_finite_float,
+                        help="smoothing parameter (dirichlet, dedekind)")
+    parser.add_argument("--profile-t0", type=_finite_float,
+                        help="height floor (dirichlet, dedekind)")
 
 
 def _add_floats(parser, flags: dict) -> None:
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--from", dest="lo", type=_finite_float, default=lo)
         p.add_argument("--to", dest="hi", type=_finite_float, default=hi)
         p.add_argument("--max-levels", type=int, default=defaults.MAX_LEVELS)
-        p.add_argument("--threads", default=None)
+        p.add_argument("--threads", type=_workers, default=1)
         p.add_argument("--trace", default=None,
                        help="CSV trace of per-panel results")
     _add_floats(integrate["inv-zeta"], {"panel-width": defaults.PANEL_WIDTH})
@@ -412,16 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
             "A": defaults.DISPLAY_COEF_KAPPA, "a": defaults.DISPLAY_KAPPA,
             "B": defaults.DISPLAY_COEF_SIGMA0, "b": defaults.SIGMA0})
     mertens["sieve-verify"].add_argument("--limit", type=int,
-                                         default=defaults.SIEVE_LIMIT,
+                                         default=defaults.SIEVE_VERIFY_LIMIT,
                                          help="sieve range")
 
     p = sub.add_parser("verify", help="empirical bound spot checks")
     p.add_argument("--samples", type=int, default=defaults.VERIFY_SAMPLES)
     p.add_argument("--abs-tol", type=_finite_float,
                    default=defaults.VERIFY_ABS_TOL)
-    p.add_argument("--threads", default=None)
-    p.add_argument("--csv", default=None,
-                   help="write per-sample records here as CSV")
+    p.add_argument("--threads", type=_workers, default=1)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -440,9 +448,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
-    except _UsageError as exc:
-        print(f"nearone: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -56,7 +56,7 @@ DISPLAY_KAPPA = 0.99
 DISPLAY_COEF_SIGMA0 = 1.94e14
 
 # Range [1, limit] over which `mertens sieve-verify` checks the bound.
-SIEVE_LIMIT = 1_000_000
+SIEVE_VERIFY_LIMIT = 1_000_000
 
 # Quadrature: panel widths in t and in v = log u, Romberg levels, and the
 # relative tolerances of the two integrals.

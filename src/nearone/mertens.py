@@ -114,6 +114,7 @@ __all__ = [
     "mertens_report",
     "derive_m_bound",
     "crossover_trivial",
+    "crossover_report",
     "m_rounding_bound",
     "mobius_windows",
     "sieve_mobius",
@@ -292,20 +293,15 @@ def mertens_report(sigma0: float = defaults.SIGMA0,
     two_term = (display["coef_kappa"], display["kappa"],
                 display["coef_sigma0"], sigma0)
     A_m, B_m = derive_m_bound(*two_term)
-    report = {
+    return {
         "parameters": {"sigma0": sigma0, "C1": C1, "C2": C2, "C3": C3,
                        "T1": T1, "T2": T2, "lambda": lam,
                        "integral_bound": integral_bound, "epsilon0": epsilon0},
         "bound": spec.as_dict(),
         "display": display,
         "m_transfer": {"A_m": A_m, "B_m": B_m},
+        **crossover_report(*two_term),
     }
-    try:
-        report["crossover_log10"] = crossover_trivial(*two_term)
-    except NoCrossoverError as exc:
-        report["crossover_log10"] = None
-        report["crossover_note"] = str(exc)
-    return report
 
 
 def _check_two_term(A: float, a_exp: float, B: float, b_exp: float) -> None:
@@ -371,6 +367,17 @@ def crossover_trivial(A: float, a_exp: float, B: float, b_exp: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def crossover_report(A: float, a_exp: float, B: float, b_exp: float) -> dict:
+    """The crossover entries of a report: crossover_log10 from
+    crossover_trivial, or None with a crossover_note saying why when the
+    bound has no crossover.  A missing crossover is an answer, not a
+    failure."""
+    try:
+        return {"crossover_log10": crossover_trivial(A, a_exp, B, b_exp)}
+    except NoCrossoverError as exc:
+        return {"crossover_log10": None, "crossover_note": str(exc)}
 
 
 def _primes_upto(n: int) -> np.ndarray:

@@ -49,7 +49,6 @@ within the two certified bounds.
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
 import math
@@ -304,8 +303,6 @@ def _run_checks(specs: list[tuple], abs_tol: float, workers: int) -> list[dict]:
     """
     if not (abs_tol > 0.0):
         raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
     tasks = []
     for kind, grid, a, b in specs:
         if not (a > 0.0 and b > 0.0):
@@ -386,19 +383,3 @@ def default_verification(samples: int = VERIFY_SAMPLES,
         "all_ok": total_violations == 0 and elementary_violations == 0,
         "checks": checks,
     }
-
-
-def dump_samples_csv(result: dict, path: str) -> None:
-    """Write the per-sample records of every check in a verification result
-    (default_verification's) as CSV: check, sigma_mode, sigma, t, observed,
-    bound, ratio, floats as repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "sigma_mode", "sigma", "t",
-                         "observed", "bound", "ratio"])
-        for check in result["checks"]:
-            for r in check["records"]:
-                writer.writerow([check["check"], check["sigma_mode"],
-                                 repr(r["sigma"]), repr(r["t"]),
-                                 repr(r["observed"]), repr(r["bound"]),
-                                 repr(r["ratio"])])

@@ -92,10 +92,21 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_bad_threads_value_exits_64(capsys):
-    code = main(["integrate", "inv-zeta", "--from", "0", "--to", "0",
-                 "--threads", "pancake"])
-    assert code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "inv-zeta", "--from", "0", "--to", "0",
+              "--threads", "pancake"])
+    assert exc.value.code == 64
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5"])
+def test_threads_must_be_a_positive_integer_or_auto(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", "4", "--threads", value])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--threads" in err
 
 
 def test_help_exits_zero(capsys):
@@ -103,6 +114,24 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,flag,family", [
+    (["constants", "a1", "--abs-disc", "5"], "--abs-disc", "zeta"),
+    (["constants", "a1", "--q", "7"], "--q", "zeta"),
+    (["profiles", "--degree", "4"], "--degree", "zeta"),
+    (["optimize", "a1", "--alpha", "0.5"], "--alpha", "zeta"),
+    (["constants", "a1", "--family", "dirichlet", "--degree", "9"],
+     "--degree", "dirichlet"),
+])
+def test_family_flag_the_family_does_not_read_is_refused(capsys, argv, flag,
+                                                         family):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err and family in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -114,6 +143,8 @@ def test_help_exits_zero(capsys):
     ["constants", "a1", "--C4", "0.2"],
     # an abbreviation of --rel-tol
     ["integrate", "inv-zeta", "--rel-t", "1e-7"],
+    # per-sample records are in the report only
+    ["verify", "--csv", "records.csv"],
 ])
 def test_flag_the_action_does_not_read_is_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -133,17 +164,22 @@ def test_action_help_lists_only_its_own_flags(capsys):
     assert "--limit" not in out
 
 
-def test_cached_parser_reads_workers_at_call_time(capsys, monkeypatch):
+def test_cached_parser_reads_workers_at_call_time(capsys):
     argv = ["integrate", "inv-zeta", "--from", "0", "--to", "0"]
-    monkeypatch.delenv("NEARONE_WORKERS", raising=False)
     assert run_cli(capsys, argv)[1]["parameters"]["workers"] == 1
     assert build_parser() is build_parser()
-    monkeypatch.setenv("NEARONE_WORKERS", "2")
-    assert run_cli(capsys, argv)[1]["parameters"]["workers"] == 2
-    monkeypatch.setenv("NEARONE_WORKERS", "pancake")
     code, rep = run_cli(capsys, argv + ["--threads", "2"])
     assert code == 0
     assert rep["parameters"]["workers"] == 2
+    assert run_cli(capsys, argv)[1]["parameters"]["workers"] == 1
+
+
+def test_workers_environment_variable_is_not_read(capsys, monkeypatch):
+    monkeypatch.setenv("NEARONE_WORKERS", "pancake")
+    code, rep = run_cli(capsys, ["integrate", "inv-zeta",
+                                 "--from", "0", "--to", "0"])
+    assert code == 0
+    assert rep["parameters"]["workers"] == 1
 
 
 def test_integrate_empty_interval_is_zero(capsys):
@@ -230,7 +266,7 @@ def test_mertens_crossover_null_is_success(capsys):
                                  "--a", "0.99", "--B", "0", "--b", "0.5"])
     assert code == 0
     assert rep["crossover_log10"] is None
-    assert "above 1" in rep["reason"]
+    assert "above 1" in rep["crossover_note"]
 
 
 def test_mertens_derive_m(capsys):
@@ -248,16 +284,16 @@ def test_mertens_sieve_verify_small(capsys):
     assert rep["M_spot"] == {"10": -1, "100": 1}
 
 
-def test_verify_subcommand_with_csv(capsys, tmp_path):
-    path = tmp_path / "records.csv"
-    code, rep = run_cli(capsys, ["verify", "--samples", "8",
-                                 "--csv", str(path)])
+def test_verify_report_holds_every_sample_record(capsys):
+    code, rep = run_cli(capsys, ["verify", "--samples", "8"])
     assert code == 0
     assert rep["all_ok"]
     assert rep["total_samples"] == 8
-    lines = path.read_text().splitlines()
-    assert lines[0] == "check,sigma_mode,sigma,t,observed,bound,ratio"
-    assert len(lines) == 9
+    assert sum(len(check["records"]) for check in rep["checks"]) == 8
+    for check in rep["checks"]:
+        assert {"check", "sigma_mode"} <= check.keys()
+        for record in check["records"]:
+            assert {"sigma", "t", "observed", "bound", "ratio"} <= record.keys()
 
 
 def test_output_flag_writes_canonical_json(capsys, tmp_path):
@@ -271,13 +307,10 @@ def test_output_flag_writes_canonical_json(capsys, tmp_path):
     assert rep["constants"]["a_display"] == 5.44
 
 
-def test_threads_resolution(capsys, monkeypatch):
-    monkeypatch.setenv("NEARONE_WORKERS", "2")
-    code, rep = run_cli(capsys, ["verify", "--samples", "4"])
-    assert code == 0
-    assert rep["parameters"]["workers"] == 2
+def test_threads_resolution(capsys):
     code, rep = run_cli(capsys, ["verify", "--samples", "4",
                                  "--threads", "3"])
+    assert code == 0
     assert rep["parameters"]["workers"] == 3
     code, rep = run_cli(capsys, ["verify", "--samples", "4",
                                  "--threads", "auto"])

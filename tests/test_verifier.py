@@ -3,7 +3,6 @@
 The single-sample reference value was computed with mpmath at 40 digits.
 """
 
-import csv
 import math
 
 import pytest
@@ -26,7 +25,6 @@ from nearone.verifier import (
     check_log_bound,
     check_logder_bound,
     default_verification,
-    dump_samples_csv,
     strip_edges,
 )
 
@@ -204,25 +202,6 @@ def test_batch_wide_engine_error_names_no_sample():
     with pytest.raises(DomainError) as exc:
         default_verification(samples=4, abs_tol=1e-14)
     assert str(exc.value).startswith("abs_tol must be >= ")
-
-
-def test_csv_dump_round_trips(tmp_path):
-    grid = build_grid(6, LOG_REGION, SigmaMode.INTERIOR_GRID, seed=2)
-    rep = check_log_bound(grid, DISPLAY_A1, DISPLAY_B1)
-    path = tmp_path / "samples.csv"
-    dump_samples_csv({"checks": [rep]}, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["check", "sigma_mode", "sigma", "t", "observed",
-                       "bound", "ratio"]
-    assert len(rows) == 7
-    for row, rec in zip(rows[1:], rep["records"]):
-        assert row[:2] == ["log-zeta", "interior-grid"]
-        assert float(row[2]) == rec["sigma"]
-        assert float(row[3]) == rec["t"]
-        assert float(row[4]) == rec["observed"]
-        assert float(row[5]) == rec["bound"]
-        assert float(row[6]) == rec["ratio"]
 
 
 def _default_tasks(samples):
