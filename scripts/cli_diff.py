@@ -89,6 +89,14 @@ COMMANDS = (
     "integrate inv-zeta --from 0 --to 1280 --threads 3",
     # a family flag the zeta family does not read: usage error (exit 64)
     "constants a1 --q 7",
+    # |M(x)| <= sqrt x: only the head is checked pointwise; the exact screen
+    # clears windows 2 and 3, which the carries cannot, and the carries the
+    # last, 5 wide
+    "mertens sieve-verify --limit 3145733 --A 1 --a 0.5 --B 0 --b 0.5",
+    # a head shorter than one window, and an empty M_spot
+    "mertens sieve-verify --limit 50",
+    # an interval far shorter than a panel still takes one panel
+    "integrate inv-zeta --from 5 --to 5.000000000001",
 )
 IGNORED_KEYS = frozenset({"runtime_seconds"})
 

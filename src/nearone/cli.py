@@ -268,39 +268,23 @@ def _cmd_mertens(args) -> tuple[dict, int]:
         return {"subcommand": "mertens.bound", **report}, EXIT_OK
 
     # derive-m, crossover and sieve-verify take the bound A x^a + B x^b
-    two_term = {"A": args.A, "a": args.a, "B": args.B, "b": args.b}
+    two_term = (args.A, args.a, args.B, args.b)
+    report = {"subcommand": f"mertens.{args.which}",
+              "parameters": {"A": args.A, "a": args.a, "B": args.B, "b": args.b}}
     if args.which == "derive-m":
-        A_m, B_m = derive_m_bound(args.A, args.a, args.B, args.b)
-        report = {
-            "subcommand": "mertens.derive-m",
-            "parameters": two_term,
-            "A_m": A_m,
-            "B_m": B_m,
-        }
-        return report, EXIT_OK
-
-    if args.which == "crossover":
-        report = {
-            "subcommand": "mertens.crossover",
-            "parameters": two_term,
-            **crossover_report(args.A, args.a, args.B, args.b),
-        }
-        return report, EXIT_OK
-
-    # sieve-verify
-    table = sieve_mobius(args.limit)
-    report = verify_bound_on_range(table, args.A, args.a, args.B, args.b)
-    report = {
-        "subcommand": "mertens.sieve-verify",
-        "parameters": {"limit": args.limit, **two_term},
-        **report,
-        "M_spot": {"10": table.M(10), "100": table.M(100)}
-        if args.limit >= 100 else {},
-    }
-    if report["violations"]:
-        print(f"error: bound-violation: {report['violations']} points, "
-              f"first at x={report['first_violation']}", file=sys.stderr)
-        return report, EXIT_VALIDATION
+        report["A_m"], report["B_m"] = derive_m_bound(*two_term)
+    elif args.which == "crossover":
+        report.update(crossover_report(*two_term))
+    else:  # sieve-verify
+        table = sieve_mobius(args.limit)
+        report["parameters"]["limit"] = args.limit
+        report.update(verify_bound_on_range(table, *two_term))
+        report["M_spot"] = ({"10": table.M(10), "100": table.M(100)}
+                            if args.limit >= 100 else {})
+        if report["violations"]:
+            print(f"error: bound-violation: {report['violations']} points, "
+                  f"first at x={report['first_violation']}", file=sys.stderr)
+            return report, EXIT_VALIDATION
     return report, EXIT_OK
 
 

@@ -41,14 +41,14 @@ mertens_report runs the whole chain, from the parameters through epsilon0
 transfer and the crossover of the displayed bound, and returns its report.
 
 Verification.  A segmented Mobius sieve streams windows of 2^20 integers
-from 1 to a desk-scale limit, carrying only M and m = sum mu(n)/n from one
-window to the next, and the verifier confirms the explicit bounds (and the
-trivial bound they extend) at every integer point.  Each window after the
-first is screened from its carries alone, since |M(x)| <= |M(lo-1)| + the
-count of n in the window with mu(n) != 0, and |m(x)| <= |m(lo-1)| + S/lo.
-A window this clears only advances the carries.  Any other gets its prefix
-sums, and a second screen on their exact maxima decides whether it is
-checked pointwise.  Memory is one window, whatever the limit.
+from 1 to a desk-scale limit, and the verifier confirms the explicit bounds
+(and the trivial bound they extend) at every integer point, carrying only
+M and m = sum mu(n)/n from one window to the next.  One loop decides each
+window after the first.  It is cleared from its carries alone if it can,
+since |M(x)| <= |M(lo-1)| + the count of n in the window with mu(n) != 0,
+and |m(x)| <= |m(lo-1)| + S/lo; only the carries then advance.  Any other
+gets its prefix sums, and a second screen on their exact maxima decides
+whether it is checked pointwise.  Memory is one window, whatever the limit.
 
 Rounding of m(x).  The window k = ceil(x / S), S = 2^20, covers
 lo <= n < lo + S with lo = (k-1) S + 1.  In float64 (unit roundoff
@@ -81,7 +81,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from decimal import Decimal
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -182,16 +182,14 @@ class MobiusTable:
     """mu(n), M(n) = sum mu and m(n) = sum mu(n)/n on the first window of [1, limit].
 
     The arrays cover 0 <= n <= head = min(limit, 2^20) and are indexed
-    directly by n (entry 0 is 0).  carry holds M(head) and m(head), where
-    verify_bound_on_range resumes the sieve; beyond the head nothing is
-    stored.
+    directly by n (entry 0 is 0).  verify_bound_on_range resumes the sieve
+    from M(head) and m(head); beyond the head nothing is stored.
     """
 
     limit: int
     mu: np.ndarray        # int8
     M_prefix: np.ndarray  # int64
     m_prefix: np.ndarray  # float64
-    carry: tuple[int, float]
 
     @property
     def head(self) -> int:
@@ -399,16 +397,12 @@ def m_rounding_bound(x: int) -> float:
     return (1.0 + 2.0 ** -20) * _UNIT * (k + (_WINDOW + 16) * (1.0 + harmonic))
 
 
-def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0,
-                   screen: Optional[Callable[[int, int, int, float, int], bool]] = None
-                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (lo, mu, M, m) for windows of 2^20 integers from lo up to N.
+def mobius_windows(N: int, lo: int = 1
+                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (lo, mu, terms) for windows of 2^20 integers from lo up to N.
 
-    mu, M and m hold mu(n), M(n) and m(n) for lo <= n < lo + len(mu).  The
-    arguments M and m are the prefix sums at lo - 1, and each window
-    carries its last M and m to the next.  The arrays are views of buffers
-    that the next window overwrites.  lo must be 1 plus a multiple of 2^20,
-    so that m(n) has the rounding bound m_rounding_bound(n).
+    mu and terms hold mu(n) and mu(n)/n in float64 for lo <= n < lo + len(mu).
+    They are views of buffers that the next window overwrites.
 
     Each window holds a signed int32 product of small prime factors.  It
     starts as a copy of the pattern of the primes up to 13; each further
@@ -416,11 +410,6 @@ def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0,
     every p^2 are zeroed.  A squarefree n has exactly one prime factor
     above sqrt(N) when |product| is not n, so mu(n) is the product's sign,
     negated there.  |product| divides n <= N < 2^31, so it cannot overflow.
-
-    screen(lo, size, M, m, nonzero), given the carries at lo - 1 and the
-    count of n in the window with mu(n) != 0, may clear any window but the
-    first: it is then not yielded, and only its carries advance, M by the
-    int64 sum of mu and m by the pairwise float sum of mu(n)/n.
     """
     if N >= 2 ** 31:
         raise DomainError(f"N={N!r} reaches 2^31, past the int32 products")
@@ -436,7 +425,6 @@ def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0,
     prod_buf = np.empty(width, dtype=np.int32)
     flip_buf = np.empty(width, dtype=bool)
     mu_buf = np.empty(width, dtype=np.int8)
-    M_buf = np.empty(width, dtype=np.int64)
     m_buf = np.empty(width, dtype=np.float64)
     while lo <= N:
         size = min(width, N + 1 - lo)
@@ -457,37 +445,24 @@ def mobius_windows(N: int, lo: int = 1, M: int = 0, m: float = 0.0,
         mu *= sign
         terms = np.add(offsets[:size], lo, out=m_buf[:size], dtype=np.float64)
         np.divide(mu, terms, out=terms)
-        if (lo > 1 and screen is not None
-                and screen(lo, size, M, m, int(np.count_nonzero(mu)))):
-            M += int(mu.sum(dtype=np.int64))
-            m += float(terms.sum())
-        else:
-            window_M = M_buf[:size]
-            window_M[:] = mu  # cast here: cumsum would cast into a temporary
-            window_M[0] += M
-            np.cumsum(window_M, out=window_M)
-            window_m = np.cumsum(terms, out=terms)
-            window_m += m
-            yield lo, mu, window_M, window_m
-            M, m = int(window_M[-1]), float(window_m[-1])
+        yield lo, mu, terms
         lo += size
 
 
 def sieve_mobius(N: int) -> MobiusTable:
     """Sieve the first window of [1, N] into a MobiusTable.
 
-    The table holds mu, M and m on 1 <= n <= min(N, 2^20) and the prefix
-    sums at its end, from which verify_bound_on_range streams the rest of
-    the range through mobius_windows.
+    The table holds mu, M and m on 1 <= n <= min(N, 2^20), from whose
+    last entries verify_bound_on_range streams the rest of the range
+    through mobius_windows.
     """
     if not (1 <= N <= SIEVE_LIMIT):
         raise DomainError(
             f"resource limit exceeded: need 1 <= N <= {SIEVE_LIMIT}; got {N!r}")
-    _, *window = next(mobius_windows(N))
-    mu, M_prefix, m_prefix = (np.concatenate((np.zeros(1, a.dtype), a))
-                              for a in window)
-    return MobiusTable(limit=N, mu=mu, M_prefix=M_prefix, m_prefix=m_prefix,
-                       carry=(int(M_prefix[-1]), float(m_prefix[-1])))
+    _, mu, terms = next(mobius_windows(N))
+    mu = np.concatenate((np.zeros(1, mu.dtype), mu))
+    return MobiusTable(limit=N, mu=mu, M_prefix=np.cumsum(mu, dtype=np.int64),
+                       m_prefix=np.concatenate(([0.0], np.cumsum(terms))))
 
 
 class _RangeCheck:
@@ -549,24 +524,22 @@ class _RangeCheck:
         """Check every x of the window, in slices of _SLICE points so that
         the bound arrays stay small."""
         for start in range(0, len(M), _SLICE):
-            stop = start + _SLICE
-            self._slice(lo + start, M[start:stop], m[start:stop], err)
-
-    def _slice(self, lo: int, M: np.ndarray, m: np.ndarray, err: float) -> None:
-        x = np.arange(lo, lo + len(M), dtype=np.float64)
-        bound_M = self.bound_M(x)
-        bound_m = self.bound_m(x)
-        abs_M = np.abs(M).astype(np.float64)
-        abs_m = np.abs(m)
-        bad = (abs_M > bound_M) | (abs_m + err > bound_m) | (abs_M > x)
-        if np.any(bad):
-            self.violations += int(np.count_nonzero(bad))
-            if self.first_violation is None:
-                self.first_violation = int(lo + int(np.argmax(bad)))
-        self.max_ratio_M = max(self.max_ratio_M, float(np.max(abs_M / bound_M)))
-        self.max_ratio_m = max(self.max_ratio_m, float(np.max(abs_m / bound_m)))
-        self.max_ratio_trivial = max(self.max_ratio_trivial,
-                                     float(np.max(abs_M / x)))
+            abs_M = np.abs(M[start:start + _SLICE]).astype(np.float64)
+            abs_m = np.abs(m[start:start + _SLICE])
+            x = np.arange(lo + start, lo + start + len(abs_M), dtype=np.float64)
+            bound_M = self.bound_M(x)
+            bound_m = self.bound_m(x)
+            bad = (abs_M > bound_M) | (abs_m + err > bound_m) | (abs_M > x)
+            if np.any(bad):
+                self.violations += int(np.count_nonzero(bad))
+                if self.first_violation is None:
+                    self.first_violation = lo + start + int(np.argmax(bad))
+            self.max_ratio_M = max(self.max_ratio_M,
+                                   float(np.max(abs_M / bound_M)))
+            self.max_ratio_m = max(self.max_ratio_m,
+                                   float(np.max(abs_m / bound_m)))
+            self.max_ratio_trivial = max(self.max_ratio_trivial,
+                                         float(np.max(abs_M / x)))
 
 
 def verify_bound_on_range(table: MobiusTable, A: float, a_exp: float,
@@ -575,18 +548,33 @@ def verify_bound_on_range(table: MobiusTable, A: float, a_exp: float,
     for every integer 1 <= x <= table.limit.
 
     The table's head is checked from its arrays and the rest is sieved
-    window by window.  An m(x) verdict charges the rounding bound E(x);
-    max_ratio_m is the observed |m(x)| / bound.  Returns a report dict with
-    the violation count, the first violating x (None expected), worst
-    observed ratios, and the runtime.
+    window by window.  A window the carries clear only advances them: M by
+    the int64 sum of mu, m by the pairwise float sum of mu(n)/n.  Any other
+    gets its prefix sums and goes to the check's window().  An m(x) verdict
+    charges the rounding bound E(x); max_ratio_m is the observed
+    |m(x)| / bound.  Returns a report dict with the violation count, the
+    first violating x (None expected), worst observed ratios, and the
+    runtime.
     """
     A_m, B_m = derive_m_bound(A, a_exp, B, b_exp)
     start = time.monotonic()
     check = _RangeCheck(A, a_exp, B, b_exp, A_m, B_m)
     check.window(1, table.M_prefix[1:], table.m_prefix[1:])
-    for lo, _, M, m in mobius_windows(table.limit, table.head + 1, *table.carry,
-                                      screen=check.carries_clear):
-        check.window(lo, M, m)
+    M, m = table.M(table.head), table.m(table.head)
+    M_buf = np.empty(min(_WINDOW, table.limit - table.head), dtype=np.int64)
+    for lo, mu, terms in mobius_windows(table.limit, table.head + 1):
+        if check.carries_clear(lo, len(mu), M, m, int(np.count_nonzero(mu))):
+            M += int(mu.sum(dtype=np.int64))
+            m += float(terms.sum())
+            continue
+        window_M = M_buf[:len(mu)]
+        window_M[:] = mu  # cast here: cumsum would cast into a temporary
+        window_M[0] += M
+        np.cumsum(window_M, out=window_M)
+        window_m = np.cumsum(terms, out=terms)
+        window_m += m
+        check.window(lo, window_M, window_m)
+        M, m = int(window_M[-1]), float(window_m[-1])
     return {
         "limit": table.limit,
         "A": A, "a_exp": a_exp, "B": B, "b_exp": b_exp,

@@ -232,11 +232,10 @@ def minimize(spec: SearchSpec,
         if trace.enabled:
             feasible_rows = feasible.tolist()
         # The feasible (C2, rho) cells in scan order, flat: a C1 whose C2
-        # grid is the first n rows owns the first row_end[n] cells.
-        per_row = feasible.sum(axis=1)
-        row_end = np.concatenate(([0], np.cumsum(per_row)))
-        c2 = np.repeat(c2_grid, per_row)
-        c4 = c4_of(c2, np.broadcast_to(rhos, feasible.shape)[feasible])
+        # grid is the first n rows owns the cells with cell_i < n.
+        cell_i, cell_j = np.nonzero(feasible)
+        c2 = c2_grid[cell_i]
+        c4 = c4_of(c2, np.asarray(rhos)[cell_j])
         r = rate(c2, spec.C3, ll_b)
         for c1 in _decimal_range(step, *c1_box):
             b = compute_b1(prof, c1, spec.C3, b_T1, spec.T2)
@@ -245,7 +244,7 @@ def minimize(spec: SearchSpec,
                  else int(np.searchsorted(c2_grid, hi + 1e-15, side="right")))
             if trace.enabled:
                 trace_block(c1, b, c2s[:n], rhos, feasible_rows)
-            k = row_end[n]
+            k = int(np.searchsorted(cell_i, n))
             a = a_of(c2[:k], c4[:k], b, r[:k], _exp)
             # The scalar formula decides among every cell the screen puts
             # within 1e-12 of the block minimum, and raises as the scalar
@@ -253,8 +252,7 @@ def minimize(spec: SearchSpec,
             a_min = a.min(initial=np.inf)
             close = (a <= a_min + abs(a_min) * 1e-12) | (a == np.inf)
             for cell in np.nonzero(close)[0]:
-                i = int(np.searchsorted(row_end, cell, side="right")) - 1
-                j = np.flatnonzero(feasible[i])[cell - row_end[i]]
+                i, j = cell_i[cell], cell_j[cell]
                 cand = (a_exact(c2s[i], rhos[j], b), c1, c2s[i], rhos[j])
                 if best is None or cand < best:
                     best = cand

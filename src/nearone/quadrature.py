@@ -218,7 +218,7 @@ def _panel_edges(lo: float, hi: float, width: float) -> list[float]:
         raise DomainError(
             f"resource limit exceeded: need at most {PANEL_LIMIT} panels; "
             f"got {count:.3g} of width {width!r} on [{lo!r}, {hi!r}]")
-    count = int(math.ceil(count))
+    count = max(1, math.ceil(count))  # callers pass lo < hi, however close
     edges = [lo + k * width for k in range(count)]
     edges.append(hi)
     return edges

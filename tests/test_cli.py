@@ -10,6 +10,7 @@ import math
 import pytest
 
 from nearone.cli import build_parser, main
+from nearone.profiles import rademacher_prefactor_dedekind
 
 INV_INTEGRAL_0_10 = 10.73523409961820064373
 EPS0_ORACLE = 0.998851918717975160454122
@@ -284,6 +285,29 @@ def test_mertens_sieve_verify_small(capsys):
     assert rep["M_spot"] == {"10": -1, "100": 1}
 
 
+def test_mertens_sieve_verify_violation_exits_one_with_report(capsys):
+    code = main(["mertens", "sieve-verify", "--limit", "1000", "--A", "0.1",
+                 "--a", "0.5", "--B", "0", "--b", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["subcommand"] == "mertens.sieve-verify"
+    assert rep["parameters"] == {"limit": 1000, "A": 0.1, "a": 0.5,
+                                 "B": 0.0, "b": 0.5}
+    assert (rep["violations"], rep["first_violation"]) == (591, 1)
+    assert rep["M_spot"] == {"10": -1, "100": 1}
+    assert "bound-violation: 591 points, first at x=1" in err
+
+
+def test_verify_violation_exits_one_with_report(capsys, monkeypatch):
+    monkeypatch.setattr("nearone.verifier.DISPLAY_A1", 1e-3)
+    code = main(["verify", "--samples", "8"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert not json.loads(out)["all_ok"]
+    assert "bound-violation" in err
+
+
 def test_verify_report_holds_every_sample_record(capsys):
     code, rep = run_cli(capsys, ["verify", "--samples", "8"])
     assert code == 0
@@ -335,6 +359,14 @@ def test_profiles_dirichlet(capsys):
     assert rep["prefactor"] < rep["prefactor_ceiling"] == 1.0
 
 
+def test_profiles_dedekind(capsys):
+    code, rep = run_cli(capsys, ["profiles", "--family", "dedekind"])
+    assert code == 0
+    assert rep["prefactor"] == 1.8935097434142467
+    assert rep["prefactor"] == rademacher_prefactor_dedekind(2, 1.8, 7778.0)
+    assert rep["prefactor"] <= rep["prefactor_ceiling"] == 1.9
+
+
 def test_constants_overflowing_edge_fails_c2_range(capsys):
     code, rep = run_cli(capsys, ["constants", "a1", "--C2", "3.2825"])
     assert code == 1
@@ -382,7 +414,8 @@ def test_huge_constants_round_for_display(capsys, argv):
 @pytest.mark.parametrize("argv", [["constants", "a1", "--C2", "nan"],
                                   ["constants", "a1", "--T1", "nan"],
                                   ["constants", "a2", "--C4", "nan"],
-                                  ["constants", "a2", "--C4", "-inf"]])
+                                  ["constants", "a2", "--C4", "-inf"],
+                                  ["integrate", "inv-zeta", "--sigma0", "abc"]])
 def test_non_finite_float_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

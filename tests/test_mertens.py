@@ -362,6 +362,27 @@ def carry_screens(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def exact_screens(monkeypatch):
+    """(lo, M, m at the window's end) of every window that reaches the
+    exact screen, M copied out of the buffer the next window overwrites."""
+    calls = []
+    window = mertens._RangeCheck.window
+
+    def recorded(self, lo, M, m):
+        calls.append((lo, M.copy(), float(m[-1])))
+        return window(self, lo, M, m)
+
+    monkeypatch.setattr(mertens._RangeCheck, "window", recorded)
+    return calls
+
+
+# 0.001 sqrt x stays below 2 on the whole range, and every window after
+# the head has |M(lo-1)| + #{mu(n) != 0} >= 2: none clears from its
+# carries, so every window reaches the exact screen.
+EVERY_WINDOW_EXACT = (0.001, 0.5, 0.0, 0.5)
+
+
 def _check(A, a, B, b):
     """The running check of |M(x)| <= A x^a + B x^b, fed hand-made windows."""
     return mertens._RangeCheck(A, a, B, b, *derive_m_bound(A, a, B, b))
@@ -457,14 +478,20 @@ def _unscreened_report(mu, A, a, B, b):
 # (|M| <= 39 there); (1, 0.3, 0, 0.3) peaks in |M| / bound past the head.
 # (1, 0.5, 100, 0.01) holds everywhere, and both its ratios peak at
 # x = 1793918, so the last window passes the screen on the running maxima.
-@pytest.mark.parametrize("bound,pointwise_windows", [
-    ((555.71, 0.99, 1.94e14, 0.98), [1]),
-    ((0.1, 0.5, 0.0, 0.5), [1, WINDOW + 1, 2 * WINDOW + 1]),
-    ((1.0, 0.3, 0.0, 0.3), [1, WINDOW + 1, 2 * WINDOW + 1]),
-    ((1.0, 0.5, 100.0, 0.01), [1, WINDOW + 1, 2 * WINDOW + 1]),
-])
-def test_streamed_check_matches_unscreened_oracle(mu_windows, checked,
-                                                  bound, pointwise_windows):
+# |M(x)| <= sqrt x holds with ratios 1, 1/3 and 1, all at x = 1: the
+# carries cannot clear windows 2 and 3, but their exact maxima can.
+# bad_windows lists the violating windows and peak_window holds the
+# largest |M| / bound, both counted from 0.
+@pytest.mark.parametrize("bound,pointwise_windows,bad_windows,peak_window", [
+    ((555.71, 0.99, 1.94e14, 0.98), [1], [], 0),
+    ((0.1, 0.5, 0.0, 0.5), [1, WINDOW + 1, 2 * WINDOW + 1], [0, 1, 2], 0),
+    ((1.0, 0.3, 0.0, 0.3), [1, WINDOW + 1, 2 * WINDOW + 1], [0, 1, 2], 1),
+    ((1.0, 0.5, 100.0, 0.01), [1, WINDOW + 1, 2 * WINDOW + 1], [], 1),
+    ((1.0, 0.5, 0.0, 0.5), [1], [], 0),
+], ids=[f"bound{i}-pointwise_windows{i}" for i in range(5)])  # stable ids
+def test_streamed_check_matches_unscreened_oracle(mu_windows, checked, bound,
+                                                  pointwise_windows,
+                                                  bad_windows, peak_window):
     rep = verify_bound_on_range(sieve_mobius(N_WINDOWS), *bound)
     want = _unscreened_report(mu_windows, *bound)
     assert checked == pointwise_windows
@@ -476,17 +503,19 @@ def test_streamed_check_matches_unscreened_oracle(mu_windows, checked,
     bound_m_end = A_m * N_WINDOWS ** (bound[1] - 1.0) + B_m * N_WINDOWS ** (bound[3] - 1.0)
     assert abs(rep["max_ratio_m"] - want["max_ratio_m"]) <= (
         2.0 * m_rounding_bound(N_WINDOWS) / bound_m_end)
-    assert want["bad_windows"] == ([0, 1, 2] if bound[2] == 0.0 else [])
-    if bound[0] == 1.0:
-        assert want["argmax_M"] > WINDOW
+    assert want["bad_windows"] == bad_windows
+    assert (want["argmax_M"] - 1) // WINDOW == peak_window
 
 
-def test_m_rounding_bound_covers_window_ends(mu_windows, carry_screens):
+def test_m_rounding_bound_covers_window_ends(mu_windows, carry_screens,
+                                             exact_screens):
     terms = (mu_windows[1:] / np.arange(1, N_WINDOWS + 1, dtype=np.float64)).tolist()
     M = np.cumsum(mu_windows)
-    ends = [(lo + len(m) - 1, float(m[-1]))
-            for lo, _, _, m in mobius_windows(N_WINDOWS)]
+    verify_bound_on_range(sieve_mobius(N_WINDOWS), *EVERY_WINDOW_EXACT)
+    ends = [(lo + len(M_window) - 1, m_end)
+            for lo, M_window, m_end in exact_screens]
     assert [x for x, _ in ends] == [WINDOW, 2 * WINDOW, 3 * WINDOW, N_WINDOWS]
+    carry_screens.clear()  # that run offered its windows to the screen too
     # the published bound clears windows 3 and 4 from their carries; the
     # carry window 3 hands on is a pairwise sum, not a running sum
     verify_bound_on_range(sieve_mobius(N_WINDOWS), 555.71, 0.99, 1.94e14, 0.98)
@@ -506,12 +535,19 @@ def test_m_rounding_bound_covers_window_ends(mu_windows, carry_screens):
         assert abs(got - exact) + term_rounding <= m_rounding_bound(x)
 
 
-def test_streamed_windows_match_the_unsegmented_sieve(mu_windows):
-    M = np.cumsum(mu_windows)
-    for lo, mu, M_window, _ in mobius_windows(N_WINDOWS):
+def test_streamed_windows_match_the_unsegmented_sieve(mu_windows,
+                                                     exact_screens):
+    for lo, mu, terms in mobius_windows(N_WINDOWS):
         hi = lo + len(mu)
         assert np.array_equal(mu, mu_windows[lo:hi])
-        assert np.array_equal(M_window, M[lo:hi])
+        assert np.array_equal(terms, mu / np.arange(lo, hi, dtype=np.float64))
+    # the M that verify_bound_on_range streams, window by window
+    verify_bound_on_range(sieve_mobius(N_WINDOWS), *EVERY_WINDOW_EXACT)
+    M = np.cumsum(mu_windows)
+    assert [lo for lo, _, _ in exact_screens] == [
+        1, WINDOW + 1, 2 * WINDOW + 1, 3 * WINDOW + 1]
+    for lo, M_window, _ in exact_screens:
+        assert np.array_equal(M_window, M[lo:lo + len(M_window)])
 
 
 def test_top_window_matches_sympy():
@@ -519,7 +555,7 @@ def test_top_window_matches_sympy():
     and the presieved pattern starts at a far offset."""
     sympy = pytest.importorskip("sympy")
     lo = 190 * WINDOW + 1
-    (got_lo, mu, _, _), = mobius_windows(mertens.SIEVE_LIMIT, lo)
+    (got_lo, mu, _), = mobius_windows(mertens.SIEVE_LIMIT, lo)
     assert got_lo == lo and lo + len(mu) - 1 == mertens.SIEVE_LIMIT
     rng = np.random.default_rng(20)
     top = np.arange(mertens.SIEVE_LIMIT - 999, mertens.SIEVE_LIMIT + 1)
@@ -532,7 +568,6 @@ def test_table_stores_only_the_head():
     table = sieve_mobius(N_WINDOWS)
     assert table.head == WINDOW
     assert len(table.mu) == len(table.M_prefix) == len(table.m_prefix) == WINDOW + 1
-    assert table.carry == (table.M(WINDOW), table.m(WINDOW))
     with pytest.raises(DomainError, match="beyond the stored head"):
         table.M(WINDOW + 1)
     with pytest.raises(DomainError):

@@ -87,6 +87,19 @@ def test_integrate_empty_interval():
     assert r.evaluations == 0
 
 
+def test_interval_far_shorter_than_a_panel_takes_one_panel():
+    """(hi - lo) / width below the 1e-12 slack of the panel count still
+    makes one panel, not an empty sum."""
+    lo, hi = 5.0, 5.000000000001
+    r = integrate_inv_abs_zeta(0.98, lo, hi)
+    assert r.panels == 1
+    assert r.value == pytest.approx(
+        (hi - lo) * inv_abs_zeta_many(0.98, [5.0])[0], rel=1e-6)
+    r = integrate_envelope(0.98, 5.44, 20.0, 20.0 * (1 + 1e-13))
+    assert r.panels == 1
+    assert r.value > 0.0
+
+
 def test_integrate_validation():
     with pytest.raises(DomainError):
         integrate_inv_abs_zeta(0.89, 0.0, 10.0)
