@@ -77,14 +77,15 @@ T_FLOOR = 1.0e4
 T_CEILING = 3.0e4
 
 _EDGE_TOL = 1.0e-12
-# Samples per engine call and pool task.  The engine sums one row at a
-# time on these batches, so the size bounds no memory; a larger chunk
-# spreads the correction loop's per-call cost over more points, and sorted
-# heights keep its shared N close to each sample's own.  The chunks, and
-# so the report's bits, follow from its value.
+# Samples per engine call and pool task.  The engine builds these batches'
+# rows a fixed group of points at a time (its multiplicative main sum), so
+# the size bounds no memory; a larger chunk spreads the correction loop's
+# per-call cost over more points, and sorted heights keep its shared N
+# close to each sample's own.  The chunks, and so the report's bits,
+# follow from its value.
 CHUNK_SAMPLES = 32
-# Most samples one default_verification may take: about 37 s at the
-# 0.37 ms a sample of a serial 20,000-sample run (2 vCPU).
+# Most samples one default_verification may take: about 15 s at the
+# 0.15 ms a sample of a serial 20,000-sample run (2 vCPU).
 SAMPLE_LIMIT = 100_000
 
 

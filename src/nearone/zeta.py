@@ -75,32 +75,34 @@ double-precision rounding error.  Writing eps for the unit roundoff step
 (2^-52), S1 for an integral upper bound on sum n^(-sigma), and M for the
 total magnitude of all accumulated terms, the model charges
 
-    eps * ((log2 N + 28) * M  +  2 |t| log N * S1).
+    eps * ((log2 N + 28 + extra) * M  +  2 |t| log N * S1),
 
-The main sum exponentiates -s log n to n^(-s) and adds the terms with
-NumPy's pairwise row sum: 8 accumulators over leaves of 128 scalars (64
-complex terms), then halving.  In units of eps/2, (log2 N + 28) * M
-covers, per unit of M: at most log2 N + 14 additions on any term's path
-through that sum; 5 for exp, cos/sin and their product per term; 3 sigma
-log n for the rounded real exponent, whose n^(-sigma)-weighted mean stays
-below log2 N + 4 for sigma in [0.4, 3] and N <= 2^20 (checked
-numerically); 12 for the two tail terms and their additions; 20 for at
-most 20 correction terms; and 1 for their own rounding, as they total
-below M / 100 (below M / 1000 over the sweep above).  That is
-2 log2 N + 56.  The second part covers the phase error: -t log n is
-computed with relative error below 2 eps (log n and the product each
-contribute at most one unit).  The derivative model
-weights every term by log N and charges 38 instead of 28, ample for the
-extra rounding of log n and of the product.  The summation order is
-fixed by N alone, so the bits do not depend on BLAS threads or on the
-worker count.  This floor is what makes very small tolerances unreachable
-at large |t|; the engine raises ConvergenceError("tolerance unreachable
-...") rather than returning a bound it cannot honor.
+where extra counts the exps and products by which a term's path through
+the main sum exceeds one exp (below).  A term n^(-s) taken as the one exp
+of -s log n is charged 28; the main sum adds the terms with NumPy's
+pairwise row sum: 8 accumulators over leaves of 128 scalars (64 complex
+terms), then halving.  In units of eps/2, (log2 N + 28) * M covers, per
+unit of M: at most log2 N + 14 additions on any term's path through that
+sum; 5 for exp, cos/sin and their product per term; 3 sigma log n for the
+rounded real exponent, whose n^(-sigma)-weighted mean stays below
+log2 N + 4 for sigma in [0.4, 3] and N <= 2^20 (checked numerically); 12
+for the two tail terms and their additions; 20 for at most 20 correction
+terms; and 1 for their own rounding, as they total below M / 100 (below
+M / 1000 over the sweep above).  That is 2 log2 N + 56.  The second part
+covers the phase error: -t log n is computed with relative error below
+2 eps (log n and the product each contribute at most one unit).  The
+derivative model weights every term by log N and charges 38 instead of
+28, ample for the extra rounding of log n and of the product.  The
+summation order is fixed by N alone, so the bits do not depend on BLAS
+threads or on the worker count.  This floor is what makes very small
+tolerances unreachable at large |t|; the engine raises
+ConvergenceError("tolerance unreachable ...") rather than returning a
+bound it cannot honor.
 
 Main sum in blocks.  The main sum is formed one block of B consecutive
-points at a time (_main_sums), so at most 2B + 1 rows are held at once
-whatever the batch's size; B is at most 16, so that is at most 33 rows of
-N terms (1.9 MB at N = 3609, t = 11520), for a Romberg level of one panel
+points at a time (_main_sums).  For B > 1 at most 2B + 1 rows are held at
+once whatever the batch's size; B is at most 16, so that is at most 33 rows
+of N terms (1.9 MB at N = 3609, t = 11520), for a Romberg level of one panel
 or of a run of 64 panels alike.  With t_h the head of a block and
 d_j = t_{h+j} - t_h, the exact identity
 
@@ -115,30 +117,59 @@ first, and each offset t_{h+j} - t_h is an exact float difference, which
 an error-free TwoSum of t_{h+j} and -t_h checks point by point.  A Romberg
 level's new nodes a_k + h (1, 3, 5, ...) over a run of adjacent panels of
 equal width (nearone.quadrature) pass it when the edges and h are short in
-binary, a run that starts at t = 0 included.  Every other batch, such as a
-progression whose step is not binary-exact, takes B = 1: each point's row
-is its own head row, exponentiated and summed as the rounding model above
-describes.  With B > 1 each term passes through two exps and a complex
-product: 5 units of eps/2 for the head's exp, 5 for the offset's, and 3
-for the product, whose normwise error is at most sqrt(5) units.  That is
-8 units more than the single exp's 5, so such batches charge 32 instead
-of 28, and 42 instead of 38 for the derivative.  The phase charge is
-unchanged: the rounded phases -t_h log n and -d_j log n are each off by
-at most 2 eps times their size, and since t_h and d_j are >= 0 their
-errors add to at most 2 eps (t_h + d_j) log n = 2 eps t log n.  This is
-why the heights must ascend; they are folded to |t| first, so every head
-is >= 0.
+binary, a run that starts at t = 0 included.  Every other batch takes
+B = 1: per-point sigma, fewer than 8 points, a single point, or a
+progression whose step is not binary-exact.  With B > 1 each term passes
+through two exps and a complex product: 5 units of eps/2 for the head's
+exp, 5 for the offset's, and 3 for the product, whose normwise error is
+at most sqrt(5) units.  That is 8 units more than the single exp's 5, so
+such batches charge extra = 4: 32 instead of 28, and 42 instead of 38 for
+the derivative.  The phase charge is unchanged: the rounded phases
+-t_h log n and -d_j log n are each off by at most 2 eps times their size,
+and since t_h and d_j are >= 0 their errors add to at most
+2 eps (t_h + d_j) log n = 2 eps t log n.  This is why the heights must
+ascend; they are folded to |t| first, so every head is >= 0.
+
+Multiplicative main sum.  With B = 1 the rows use that n^(-s) is
+completely multiplicative, so only the primes take exps, about
+1 / log N of the terms.  The points go _ROW_GROUP = 8 at a time
+(_power_columns): term 1 is exactly 1.0; each prime p < N takes
+exp(-s log p), the same expression and bits as a single-exp term; then,
+one doubling level [2^j, 2^(j+1)) at a time, each composite c takes the
+product of the terms at spf(c), its smallest prime factor, and at
+c / spf(c), both below 2^j, so a level is one gather, multiply and
+scatter.  Each row is then summed by the same pairwise row sum.  The
+smallest-prime-factor plan (_factor_plan) depends on N alone; it is built
+on first use, sized to the largest N asked for so far (rounded up to a
+multiple of 4096), never changed once built, and sliced for each N.  A group holds its terms twice, by term and
+by row for the row sum, plus one level's gathers, at most one group's
+worth: under 3 _ROW_GROUP = 24 rows of N terms (4 MB at N = 10503).  Term
+n passes through Omega(n) exps and Omega(n) - 1 complex products, Omega(n)
+counting the prime factors with multiplicity: 8 Omega(n) - 3 units of
+eps/2 against the single exp's 5.  The real exponents' charge, 3 sigma log
+p per factor, and the phase charge, 2 eps t log p per factor, sum over the
+factors to the single exp's 3 sigma log n and 2 eps t log n.  Since
+Omega(n) <= Omega_N = floor(log2(N - 1)), such batches charge
+extra = 4 (Omega_N - 1) on both tracks: 40 at N = 3609 and 48 at
+N = 10503.  The products' second-order terms, below (4 Omega_N eps)^2 of
+a term, are far inside one unit.  The larger floor leaves N unchanged, since
+main_sum_terms plans against the single-exp floor, a lower bound of it.
 
 Entry points.  zeta_points is the one batch entry; zeta and
 zeta_with_prime are its float-sigma batch of one, and inv_abs_zeta_many
-feeds the reciprocal integral.  All run the one pass _evaluate.
+feeds the reciprocal integral.  All run the one pass _evaluate, whose
+main sum takes the factored blocks (integrals' Romberg levels) or the
+multiplicative rows (single points and the verifier's chunks).
 
 Per-point sigma.  zeta_points takes sigma as a float shared by every point
 or as a sequence aligned with the heights (the verifier's chunks).  A
-shared sigma stays a Python float throughout, so shared-sigma batches do
-not touch the per-point arithmetic.  The model's claims hold point by
-point for every sigma in [0.4, 3].  Each point has its own row and its own
-pairwise row sum, whose order depends on N alone.  S1, M, the phase floor,
+sequence whose entries are all equal is passed on as that shared sigma,
+so a batch's path and bits depend on its points, not on how sigma was
+passed.  A shared sigma stays a Python float throughout, so shared-sigma
+batches do not touch the per-point arithmetic.  The model's claims hold
+point by point for every sigma in [0.4, 3].  Each point has its own row
+and its own pairwise row sum, whose order depends on N alone; its terms do
+not depend on the other points of its group.  S1, M, the phase floor,
 the remainder ratios and the Cauchy-circle term are computed from that
 point's sigma.  The one numerical premise, the n^(-sigma)-weighted mean of
 3 sigma log n, was checked for every sigma in [0.4, 3] at each N <= 2^20.
@@ -194,6 +225,7 @@ _SUM_SLACK_PRIME = 38.0
 _FACTORED_SLACK = 4.0         # added to both when blocks have B > 1
 _MIN_FACTORED = 8             # fewest points of a batch with B > 1
 _MAX_BLOCK = 16               # largest B: at most 33 rows of N terms held
+_ROW_GROUP = 8                # rows built at once where B = 1
 _PLAN_TERMS = 18              # correction terms N is chosen for: two to spare
 _PLAN_SHARE = 0.001           # their remainder's share of the rounding floor
 
@@ -367,31 +399,98 @@ def _block_size(sigma, ts: np.ndarray) -> int:
     return 0
 
 
+# The plan of the multiplicative main sum (_factor_plan): (limit, primes,
+# composites, their smallest prime factors, their cofactors), each as
+# indices n - 1 into a row of terms n < limit, the composites ascending.
+# Built on first use, and replaced by a larger one, never changed, when a
+# larger N is asked for; the limit is that N rounded up to a multiple of
+# 4096, so a run of growing N rebuilds it rarely.  Sliced for each N, it
+# gives the same indices whatever its limit.
+_plan = None
+
+
+def _factor_plan(N: int):
+    """Indices n - 1 of the primes p < N, and per doubling level
+    [2^j, 2^(j+1)) those of its composites c < N with those of spf(c) and
+    c / spf(c), both below 2^j."""
+    global _plan
+    plan = _plan
+    if plan is None or plan[0] < N:
+        limit = -(-N // 4096) * 4096
+        spf = np.zeros(limit, dtype=np.intp)    # 0 at 0, 1 and the primes
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if not spf[p]:
+                tail = spf[p * p::p]
+                tail[tail == 0] = p
+        comp = np.flatnonzero(spf)
+        plan = (limit, np.flatnonzero(spf[2:] == 0) + 1, comp - 1,
+                spf[comp] - 1, comp // spf[comp] - 1)
+        for index in plan[1:]:
+            index.flags.writeable = False
+        _plan = plan
+    _, primes, comp, spf, cof = plan
+    edges = np.searchsorted(comp, [(1 << j) - 1 for j in
+                                   range(2, (N - 1).bit_length())] + [N - 1])
+    levels = [(comp[a:b], spf[a:b], cof[a:b])
+              for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    return primes[:np.searchsorted(primes, N - 1)], levels
+
+
+def _power_columns(cols: np.ndarray, neg_s: np.ndarray, logn: np.ndarray,
+                   primes, levels) -> None:
+    """Fill cols[n - 1], n < N, with the terms n^(-s) of the points
+    s = -neg_s, from the plan _factor_plan(N) of the terms logn: exps at
+    the primes, then each composite c as the product of the terms at
+    spf(c) and c / spf(c), one doubling level at a time."""
+    # one item of items per n, so each factor of a level is one gather
+    items = cols.view(np.dtype((np.void, cols.itemsize * len(neg_s)))).ravel()
+    cols[0] = 1.0
+    cols[primes] = np.exp(np.multiply.outer(logn[primes], neg_s))
+    for c, a, b in levels:
+        product = items[a].view(np.complex128)
+        product *= items[b].view(np.complex128)
+        items[c] = product.view(items.dtype)
+
+
 def _main_sums(sigma, ts: np.ndarray, B: int, logn: np.ndarray,
                want_prime: bool):
     """The main sums of _evaluate, sum n^(-s) and -sum log n n^(-s) over
-    the terms logn, one block of B consecutive points at a time (module
-    docstring).  A block's head row n^(-s_h) takes one exp; for B > 1 the
-    row of point h + j is the head row times the shared row n^(-i d_j).
+    the terms logn (module docstring).  For B > 1, one block of B
+    consecutive points at a time: the head row n^(-s_h) takes one exp, and
+    the row of point h + j is the head row times the shared row n^(-i d_j).
+    For B = 1, _ROW_GROUP points at a time: _power_columns builds their
+    terms by term, and they are copied to rows for the row sums.
     """
     K = len(ts)
-    per_point = np.ndim(sigma) > 0
+    main = np.empty(K, dtype=np.complex128)
+    main_p = np.empty_like(main) if want_prime else None
+
+    def add_sums(lo, terms):
+        main[lo:lo + len(terms)] = terms.sum(axis=1)
+        if want_prime:
+            terms *= logn
+            main_p[lo:lo + len(terms)] = -terms.sum(axis=1)
+
     if B > 1:
         offset_rows = np.multiply.outer(-1j * (ts[:B] - ts[0]), logn)
         np.exp(offset_rows, out=offset_rows)    # n^(-i d_j)
         block = np.empty_like(offset_rows)
-    main = np.empty(K, dtype=np.complex128)
-    main_p = np.empty_like(main) if want_prime else None
-    for lo in range(0, K, B):
-        k = min(B, K - lo)
-        head = -((sigma[lo] if per_point else sigma) + 1j * ts[lo]) * logn
-        np.exp(head, out=head)                  # n^(-s_h)
-        terms = (np.multiply(offset_rows[:k], head, out=block[:k]) if B > 1
-                 else head[None])
-        main[lo:lo + k] = terms.sum(axis=1)
-        if want_prime:
-            terms *= logn
-            main_p[lo:lo + k] = -terms.sum(axis=1)
+        for lo in range(0, K, B):
+            head = -(sigma + 1j * ts[lo]) * logn
+            np.exp(head, out=head)              # n^(-s_h)
+            add_sums(lo, np.multiply(offset_rows[:K - lo], head,
+                                     out=block[:K - lo]))
+    else:
+        plan = _factor_plan(len(logn) + 1)
+        neg_s = -(sigma + 1j * ts)
+        G = min(K, _ROW_GROUP)
+        rows = np.empty((G, len(logn)), dtype=np.complex128)
+        cols = np.empty((len(logn), G), dtype=np.complex128)
+        for lo in range(0, K, _ROW_GROUP):
+            lo = min(lo, K - G)     # the last group may overlap the one before
+            _power_columns(cols, neg_s[lo:lo + G], logn, *plan)
+            np.copyto(rows, cols.T)
+            add_sums(lo, rows)
     return main, main_p
 
 
@@ -405,13 +504,14 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     main_sum_terms of the batch's sigma range and max |t|, so callers
     should pass heights of comparable magnitude.  Negative heights are
     evaluated at |t| and conjugated.  The main sum goes in blocks of
-    _block_size points, or of one point if it returns 0 (_main_sums); the
-    rest is vectorized over the batch.  Returns (values, bounds, primes, bounds_prime, N) with
-    primes/bounds_prime None unless want_prime.  Raises ConvergenceError,
-    with the failing point's position as its index, if some point's
-    tolerance sits below the rounding model, or if the remainder still
-    misses its budget after the last correction term (budget's message
-    if that remainder has settled at or below the floor).
+    _block_size points, or in multiplicative rows if it returns 0
+    (_main_sums); the rest is vectorized over the batch.  Returns
+    (values, bounds, primes, bounds_prime, N) with primes/bounds_prime
+    None unless want_prime.  Raises ConvergenceError, with the failing
+    point's position as its index, if some point's tolerance sits below
+    the rounding model, or if the remainder still misses its budget after
+    the last correction term (budget's message if that remainder has
+    settled at or below the floor).
     """
     neg = ts < 0.0
     ts = np.abs(ts)
@@ -449,7 +549,9 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
 
     B = _block_size(sigma, ts) or 1
     main, main_p = _main_sums(sigma, ts, B, logn, want_prime)
-    extra = _FACTORED_SLACK if B > 1 else 0.0
+    # per term, one exp and product per factor past the first: one for
+    # B > 1, Omega(n) - 1 <= floor(log2(N - 1)) - 1 for B = 1
+    extra = _FACTORED_SLACK * (1 if B > 1 else (N - 1).bit_length() - 2)
 
     s = sigma + 1j * ts
     S1 = _power_sum_bound(N, sigma)
@@ -571,16 +673,17 @@ def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
     sigma is a float shared by every point or a sequence aligned with ts.
     One engine pass serves the batch, with one truncation point set by
     the sigma range and max |t| (main_sum_terms), so heights should be of
-    similar size.  K ascending heights in
-    blocks with equal exact offsets, such as one Romberg level
-    a + h (1, 3, 5, ...) at a shared sigma, take the factored main sum of
-    the module docstring: K/B + B rows of exps instead of K, with
-    B = ceil(sqrt K) up to K = 256 and B = 16 above.  Each point must lie
-    in the supported domain, with the derivative's edge margin if
-    with_prime.  Returns (values, bounds, primes, bounds_prime,
-    terms_used) with primes/bounds_prime None unless with_prime.  A
-    DomainError or ConvergenceError about one point carries its position
-    as `index`.
+    similar size.  K ascending heights in blocks with equal exact
+    offsets, such as one Romberg level a + h (1, 3, 5, ...) at a shared
+    sigma, take the factored main sum of the module docstring: K/B + B
+    rows of exps instead of K, with B = ceil(sqrt K) up to K = 256 and
+    B = 16 above.  Other batches take the multiplicative main sum, with
+    exps at the primes only.  A sequence of equal sigmas counts as that
+    shared sigma.  Each point must lie in the supported domain, with the
+    derivative's edge margin if with_prime.  Returns (values, bounds,
+    primes, bounds_prime, terms_used) with primes/bounds_prime None unless
+    with_prime.  A DomainError or ConvergenceError about one point carries
+    its position as `index`.
     """
     _check_tol(abs_tol)
     if np.ndim(sigma) == 0:
@@ -590,6 +693,8 @@ def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
         if sigma.ndim != 1 or sigma.shape != np.shape(ts):
             raise DomainError(
                 "sigmas and ts must be aligned one-dimensional sequences")
+        if sigma.size and np.all(sigma == sigma[0]):
+            sigma = float(sigma[0])             # one sigma is a shared sigma
     arr = _check_points(sigma, ts, EDGE_MARGIN if with_prime else 0.0)
     return _evaluate(sigma, arr, abs_tol, 0.0, with_prime)
 

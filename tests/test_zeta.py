@@ -390,6 +390,49 @@ def test_factored_terms_within_the_per_term_charge():
                     assert abs(mp.mpc(term) - exact) <= charge, (n, sigma, t)
 
 
+def _omega(n):
+    """Omega(n), the number of prime factors of n counted with
+    multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
+
+
+def test_multiplicative_terms_within_the_per_term_charge():
+    # the zeta docstring charges a term of the multiplicative main sum,
+    # the product of Omega(n) prime factors' exps, a single exp's 5 units
+    # of eps/2 plus 2 _FACTORED_SLACK per factor past the first (one exp
+    # and one complex product), 3 sigma log n for the rounded real
+    # exponents and the phase 2 eps t log n, all relative to n^(-sigma)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    eps = math.ulp(1.0)
+    N = 12289                               # terms through 2^12 * 3
+    logn = np.log(np.arange(1, N, dtype=np.float64))
+    sigma = np.concatenate(([0.4, 3.0, 0.98], rng.uniform(0.4, 3.0, 5)))
+    ts = np.concatenate(([3e4, 0.0, 11520.0], rng.uniform(0.0, 3e4, 5)))
+    cols = np.empty((N - 1, len(ts)), dtype=np.complex128)
+    zeta_engine._power_columns(cols, -(sigma + 1j * ts), logn,
+                               *zeta_engine._factor_plan(N))
+    # where Omega(n) is largest, 2^13, 3^8 and 2^12 * 3, and a random few
+    ns = [8192, 6561, 12288, 2, 4, 12281] + rng.integers(2, N, 24).tolist()
+    assert max(map(_omega, ns)) == (N - 1).bit_length() - 1 == 13
+    with mp.workdps(30):
+        for n in ns:
+            units = 5 + 2 * zeta_engine._FACTORED_SLACK * (_omega(n) - 1)
+            logn_ = math.log(n)
+            for s, t, term in zip(sigma.tolist(), ts.tolist(),
+                                  cols[n - 1].tolist()):
+                exact = mp.power(n, -mp.mpc(s, t))
+                charge = n ** -s * (eps / 2 * (units + 3 * s * logn_)
+                                    + 2 * eps * t * logn_)
+                assert abs(mp.mpc(term) - exact) <= charge, (n, s, t)
+
+
 def test_truncation_point_never_grows():
     # every point either returns with the N of main_sum_terms or stops at
     # the rounding floor; 20 correction terms are never exhausted
@@ -439,6 +482,32 @@ def test_settled_remainder_over_budget_blames_the_rounding_floor(
     assert basis == abs_tol
     assert f"t={s.imag!r}" in msg
     assert info.value.index == 0
+
+
+@pytest.mark.parametrize("ts, B", [
+    ([20.0], 1),                                    # multiplicative rows
+    ([20.0, 20.5, 21.0], 1),
+    (20.0 + 0.125 * np.arange(8), 3),               # factored blocks
+])
+def test_unreachable_tolerance_names_the_charged_floor(ts, B):
+    # at the first correction term the floor is the module docstring's
+    # eps ((log2 N + 28 + extra) M + 2 t log N S1): extra is 4 (Omega_N - 1)
+    # with B = 1, 4 with B > 1; at sigma = 0.4, t = 20 its part of the
+    # floor is 8% (2.7% with B > 1), far above the message's four digits
+    sigma = 0.4
+    assert zeta_engine._block_size(sigma, np.asarray(ts)) == (B if B > 1 else 0)
+    N = main_sum_terms(sigma, sigma, float(np.max(ts)), False)
+    with pytest.raises(ConvergenceError) as info:
+        zeta_points(sigma, ts, abs_tol=1e-13)
+    assert info.value.index == 0
+    floor = float(re.findall(r"\d\.\d{3}e[-+]\d+", str(info.value))[0])
+    t = float(ts[0])
+    extra = 4 * ((N - 1).bit_length() - 2) if B == 1 else 4
+    S1 = zeta_engine._power_sum_bound(N, sigma)
+    M = S1 + N ** (1 - sigma) / abs(complex(sigma - 1, t)) + 0.5 * N ** -sigma
+    eps = math.ulp(1.0)
+    charged = eps * ((math.log2(N) + 28 + extra) * M + 2 * t * math.log(N) * S1)
+    assert floor == pytest.approx(charged, rel=1e-3, abs=0.0)
 
 
 def test_two_correction_terms_to_spare(monkeypatch):
@@ -615,10 +684,13 @@ def test_per_point_sigma_batch_against_mpmath():
 
 def test_per_point_sigma_batch_of_one_sigma_matches_shared_sigma():
     ts = np.linspace(11514.0, 11516.0, 9)
+    # a sequence of equal sigmas is passed on as the shared sigma
     per_point = zeta_engine.zeta_points(np.full(9, 0.98), ts, abs_tol=1e-6)
     shared = zeta_engine.zeta_points(0.98, ts, abs_tol=1e-6)
     assert np.allclose(per_point[0], shared[0], rtol=0.0, atol=1e-12)
     assert np.all(per_point[1] <= shared[1] * (1 + 1e-12))
+    for got, ref in zip(per_point[:2], shared[:2]):
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("sigma, t", [(2.0, 0.0), (0.98, -100.0),
@@ -778,13 +850,26 @@ def test_block_size_checks_each_offset_is_exact():
 ])
 def test_direct_path_inputs_keep_their_bits(monkeypatch, sigma, ts):
     # blocks of one point give the main sums of the (points x terms)
-    # matrix n^(-s), bit for bit, with and without the derivative track
+    # matrix n^(-s) built in the documented order, bit for bit, with and
+    # without the derivative track: exps at the primes, then each
+    # composite n as the term at spf(n) times the term at n / spf(n), then
+    # numpy's pairwise row sum
     assert zeta_engine._block_size(sigma, ts) == 0
     for want_prime in (False, True):
         N = main_sum_terms(np.min(sigma), np.max(sigma), np.abs(ts).max(),
                            want_prime)
         logn = np.log(np.arange(1, N, dtype=np.float64))
-        terms = np.exp(np.multiply.outer(-(sigma + 1j * np.abs(ts)), logn))
+        spf = _smallest_prime_factors(N)
+        neg_s = -(sigma + 1j * np.abs(ts))
+        terms = np.empty((len(ts), N - 1), dtype=np.complex128)
+        terms[:, 0] = 1.0
+        for n in range(2, N):
+            if spf[n] == n:
+                terms[:, n - 1] = np.exp(neg_s * logn[n - 1])
+        for n in range(4, N):
+            if spf[n] != n:
+                terms[:, n - 1] = (terms[:, spf[n] - 1]
+                                   * terms[:, n // spf[n] - 1])
         _, calls = _main_sum_calls(monkeypatch, sigma, ts, 1e-6, 0.0,
                                    want_prime)
         [(K, B, main, main_p)] = calls
@@ -794,6 +879,90 @@ def test_direct_path_inputs_keep_their_bits(monkeypatch, sigma, ts):
             assert main_p.tobytes() == (-(terms * logn).sum(axis=1)).tobytes()
         else:
             assert main_p is None
+
+
+def _smallest_prime_factors(N):
+    """spf[n], the least prime factor of each n in [2, N), by trial
+    division."""
+    spf = list(range(N))
+    for n in range(4, N):
+        spf[n] = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0),
+                      n)
+    return spf
+
+
+def test_per_point_batch_bits_do_not_depend_on_the_order():
+    # 40 points in 5 groups of _ROW_GROUP: permuted, every point lands in
+    # another group or row, and keeps its bits on both tracks
+    rng = np.random.default_rng(14)
+    sigma = rng.uniform(0.95, 1.13, 40)
+    ts = rng.uniform(11000.0, 11520.0, 40)
+    assert len(ts) > 4 * zeta_engine._ROW_GROUP
+    ref = zeta_points(sigma, ts, abs_tol=1e-6, with_prime=True)
+    perm = rng.permutation(len(ts))
+    got = zeta_points(sigma[perm], ts[perm], abs_tol=1e-6, with_prime=True)
+    assert got[4] == ref[4]
+    for g, r in zip(got[:4], ref[:4]):
+        assert g.tobytes() == r[perm].tobytes()
+
+
+def test_empty_batch_gives_empty_arrays():
+    for sigma in (0.98, []):
+        values, bounds, primes, bounds_p, _ = zeta_points(sigma, [],
+                                                          with_prime=True)
+        assert [len(a) for a in (values, bounds, primes, bounds_p)] == [0] * 4
+    assert len(inv_abs_zeta_many(0.98, [])) == 0
+
+
+def test_factor_plan_matches_trial_division_at_any_size(monkeypatch):
+    # the plan's primes and levels follow from N alone, whether it was
+    # built for this N or sliced from a larger one, and stay read-only
+    N = 3609
+    spf = _smallest_prime_factors(N)
+    monkeypatch.setattr(zeta_engine, "_plan", None)
+    fresh = zeta_engine._factor_plan(N)
+    zeta_engine._factor_plan(20000)
+    sliced = zeta_engine._factor_plan(N)
+    for primes, levels in (fresh, sliced):
+        assert (primes + 1).tolist() == [n for n in range(2, N) if spf[n] == n]
+        for j, (c, a, b) in enumerate(levels, start=2):
+            n = c + 1
+            assert np.all((n >= 1 << j) & (n < min(N, 1 << (j + 1))))
+            assert (a + 1).tolist() == [spf[m] for m in n.tolist()]
+            assert np.all((a + 1) * (b + 1) == n) and np.all(b + 1 < 1 << j)
+        assert sum(len(c) for c, _, _ in levels) == N - 2 - len(primes)
+    assert not any(index.flags.writeable for index in zeta_engine._plan[1:])
+
+
+def test_main_sums_hold_one_row_group(monkeypatch):
+    # a 64-point batch of blocks of one point builds its terms
+    # _ROW_GROUP points at a time, and holds no more than three groups of
+    # rows (by term, by row, and one level's gathers), not 64 rows
+    tracemalloc = pytest.importorskip("tracemalloc")
+    sigma = np.linspace(0.95, 1.13, 64)
+    ts = np.linspace(11000.0, 11520.0, 64)
+    N = main_sum_terms(0.95, 1.13, 11520.0, True)
+    logn = np.log(np.arange(1, N, dtype=np.float64))
+    groups = []
+    plain = zeta_engine._power_columns
+
+    def spy(cols, neg_s, *args):
+        groups.append(cols.shape)
+        plain(cols, neg_s, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(zeta_engine, "_power_columns", spy)
+        spied = zeta_engine._main_sums(sigma, ts, 1, logn, True)
+    assert groups == [(N - 1, zeta_engine._ROW_GROUP)] * 8
+    tracemalloc.start()
+    try:
+        sums = zeta_engine._main_sums(sigma, ts, 1, logn, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * zeta_engine._ROW_GROUP * 16 * (N - 1)
+    for a, b in zip(spied, sums):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("fn", [zeta_points, inv_abs_zeta_many])
