@@ -59,7 +59,7 @@ COMMANDS = (
     "integrate inv-zeta",
     "integrate inv-zeta --from 11020 --to 11520",
     # N = 9118, the largest of the list: levels of up to 10 panels x 128
-    # nodes in blocks of 16
+    # nodes in blocks of 16, their 80 heads in blocks of 9
     "integrate inv-zeta --from 29900 --to 30000",
     "verify",
     "verify --samples 2000",

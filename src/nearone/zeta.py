@@ -100,35 +100,44 @@ ConvergenceError("tolerance unreachable ...") rather than returning a
 bound it cannot honor.
 
 Main sum in blocks.  The main sum is formed one block of B consecutive
-points at a time (_main_sums).  For B > 1 at most 2B + 1 rows are held at
-once whatever the batch's size; B is at most 16, so that is at most 33 rows
-of N terms (1.9 MB at N = 3609, t = 11520), for a Romberg level of one panel
-or of a run of 64 panels alike.  With t_h the head of a block and
+points at a time (_main_sums).  With t_h the head of a block and
 d_j = t_{h+j} - t_h, the exact identity
 
     n^(-(sigma + i t_{h+j})) = n^(-(sigma + i t_h)) * n^(-i d_j)
 
 gives every row of the block as the head's row times the shared row of
-offset d_j, so a batch of K points costs ceil(K / B) + B exp rows instead
-of K.  Each row is then summed by the same pairwise row sum.  One rule
-on the batch (_block_size) takes B = min(ceil(sqrt K), 16) when sigma is
-shared, K >= 8, the heights ascend, every block has the offsets of the
-first, and each offset t_{h+j} - t_h is an exact float difference, which
-an error-free TwoSum of t_{h+j} and -t_h checks point by point.  A Romberg
-level's new nodes a_k + h (1, 3, 5, ...) over a run of adjacent panels of
-equal width (nearone.quadrature) pass it when the edges and h are short in
-binary, a run that starts at t = 0 included.  Every other batch takes
-B = 1: per-point sigma, fewer than 8 points, a single point, or a
-progression whose step is not binary-exact.  With B > 1 each term passes
-through two exps and a complex product: 5 units of eps/2 for the head's
-exp, 5 for the offset's, and 3 for the product, whose normwise error is
-at most sqrt(5) units.  That is 8 units more than the single exp's 5, so
-such batches charge extra = 4: 32 instead of 28, and 42 instead of 38 for
-the derivative.  The phase charge is unchanged: the rounded phases
--t_h log n and -d_j log n are each off by at most 2 eps times their size,
-and since t_h and d_j are >= 0 their errors add to at most
-2 eps (t_h + d_j) log n = 2 eps t log n.  This is why the heights must
-ascend; they are folded to |t| first, so every head is >= 0.
+offset d_j.  One rule on the batch (_block_size) takes
+B = min(ceil(sqrt K), 16) when sigma is shared, K >= 8, the heights
+ascend, every block has the offsets of the first, and each offset
+t_{h+j} - t_h is an exact float difference, which an error-free TwoSum of
+t_{h+j} and -t_h checks point by point.  A Romberg level's new nodes
+a_k + h (1, 3, 5, ...) over a run of adjacent panels of equal width
+(nearone.quadrature) pass it when the edges and h are short in binary, a
+run that starts at t = 0 included.  Every other batch takes B = 1:
+per-point sigma, fewer than 8 points, a single point, or a progression
+whose step is not binary-exact.  The heads t_h are themselves an
+ascending progression, and the same rule on them gives B2 (1 if they do
+not pass it, as fewer than 8 heads never do): with t_H the head of a
+block of B2 heads and e_k = t_{H+k} - t_H, each head's row is the
+super-head's row n^(-(sigma + i t_H)) times the shared row of offset e_k,
+formed when its block is reached.  A batch of K points therefore costs
+ceil(K / (B B2)) + B2 + B exp rows instead of K: 46 at K = 3584 (B = 16,
+B2 = 15) where one level took 224 + 16.  At most 2B + B2 + 2 rows of N
+terms are held at once whatever the batch's size (fine and coarse
+offsets, one block, the super-head's row and the head's); B and B2 are at
+most 16, so that is at most 50 rows (2.9 MB at N = 3609, t = 11520), for a
+Romberg level of one panel or of a run of 64 panels alike.  Each row is
+then summed by the same pairwise row sum.  Each factored level adds one
+exp and one complex product to a term's path: 5 units of eps/2 for the
+exp and 3 for the product, whose normwise error is at most sqrt(5)
+units.  Such batches therefore charge extra = 4 per factored level: with
+B2 = 1, two exps and a product, 32 instead of 28 and 42 instead of 38 for
+the derivative; with B2 > 1, three exps and two products, extra = 8.
+The phase charge is unchanged: the rounded phases -t_H log n, -e_k log n
+and -d_j log n are each off by at most 2 eps times their size, and since
+t_H, e_k and d_j are >= 0 and sum exactly to t, their errors add to at
+most 2 eps t log n.  This is why the heights must ascend; they are folded
+to |t| first, so every head is >= 0.
 
 Multiplicative main sum.  With B = 1 the rows use that n^(-s) is
 completely multiplicative, so only the primes take exps, about
@@ -222,9 +231,9 @@ _EPS = math.ulp(1.0)          # 2^-52
 _PHASE_ROUNDING = 2.0
 _SUM_SLACK = 28.0
 _SUM_SLACK_PRIME = 38.0
-_FACTORED_SLACK = 4.0         # added to both when blocks have B > 1
+_FACTORED_SLACK = 4.0         # added to both per factored level
 _MIN_FACTORED = 8             # fewest points of a batch with B > 1
-_MAX_BLOCK = 16               # largest B: at most 33 rows of N terms held
+_MAX_BLOCK = 16               # largest B and B2: at most 50 rows held
 _ROW_GROUP = 8                # rows built at once where B = 1
 _PLAN_TERMS = 18              # correction terms N is chosen for: two to spare
 _PLAN_SHARE = 0.001           # their remainder's share of the rounding floor
@@ -452,14 +461,17 @@ def _power_columns(cols: np.ndarray, neg_s: np.ndarray, logn: np.ndarray,
         items[c] = product.view(items.dtype)
 
 
-def _main_sums(sigma, ts: np.ndarray, B: int, logn: np.ndarray,
+def _main_sums(sigma, ts: np.ndarray, B: int, B2: int, logn: np.ndarray,
                want_prime: bool):
     """The main sums of _evaluate, sum n^(-s) and -sum log n n^(-s) over
     the terms logn (module docstring).  For B > 1, one block of B
-    consecutive points at a time: the head row n^(-s_h) takes one exp, and
-    the row of point h + j is the head row times the shared row n^(-i d_j).
-    For B = 1, _ROW_GROUP points at a time: _power_columns builds their
-    terms by term, and they are copied to rows for the row sums.
+    consecutive points at a time: the row of point h + j is the head row
+    n^(-s_h) times the shared row n^(-i d_j).  The head rows of B2
+    consecutive blocks are a super-head row n^(-s_H), which takes one exp,
+    times the shared rows n^(-i e_k) of the heads' offsets; B2 = 1 gives
+    every head its own exp.  For B = 1, _ROW_GROUP points at a time:
+    _power_columns builds their terms by term, and they are copied to rows
+    for the row sums.
     """
     K = len(ts)
     main = np.empty(K, dtype=np.complex128)
@@ -471,14 +483,24 @@ def _main_sums(sigma, ts: np.ndarray, B: int, logn: np.ndarray,
             terms *= logn
             main_p[lo:lo + len(terms)] = -terms.sum(axis=1)
 
+    def offset_rows(offsets):
+        rows = np.multiply.outer(-1j * offsets, logn)
+        return np.exp(rows, out=rows)           # n^(-i d) per offset d
+
     if B > 1:
-        offset_rows = np.multiply.outer(-1j * (ts[:B] - ts[0]), logn)
-        np.exp(offset_rows, out=offset_rows)    # n^(-i d_j)
-        block = np.empty_like(offset_rows)
-        for lo in range(0, K, B):
-            head = -(sigma + 1j * ts[lo]) * logn
-            np.exp(head, out=head)              # n^(-s_h)
-            add_sums(lo, np.multiply(offset_rows[:K - lo], head,
+        heads = ts[::B]
+        fine = offset_rows(ts[:B] - ts[0])
+        coarse = offset_rows(heads[:B2] - heads[0])
+        top = np.empty(len(logn), dtype=np.complex128)
+        head = np.empty_like(top)
+        block = np.empty_like(fine)
+        for i, lo in enumerate(range(0, K, B)):
+            k = i % B2
+            if k == 0:
+                np.multiply(logn, -(sigma + 1j * ts[lo]), out=top)
+                np.exp(top, out=top)                    # n^(-s_H)
+            np.multiply(top, coarse[k], out=head)       # n^(-s_h)
+            add_sums(lo, np.multiply(fine[:K - lo], head,
                                      out=block[:K - lo]))
     else:
         plan = _factor_plan(len(logn) + 1)
@@ -504,14 +526,15 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
     main_sum_terms of the batch's sigma range and max |t|, so callers
     should pass heights of comparable magnitude.  Negative heights are
     evaluated at |t| and conjugated.  The main sum goes in blocks of
-    _block_size points, or in multiplicative rows if it returns 0
-    (_main_sums); the rest is vectorized over the batch.  Returns
-    (values, bounds, primes, bounds_prime, N) with primes/bounds_prime
-    None unless want_prime.  Raises ConvergenceError, with the failing
-    point's position as its index, if some point's tolerance sits below
-    the rounding model, or if the remainder still misses its budget after
-    the last correction term (budget's message if that remainder has
-    settled at or below the floor).
+    _block_size points, their heads in blocks of _block_size heads, or in
+    multiplicative rows if it returns 0 (_main_sums); the rest is
+    vectorized over the batch.  Returns (values, bounds, primes,
+    bounds_prime, N) with primes/bounds_prime None unless want_prime.
+    Raises ConvergenceError, with the failing point's position as its
+    index, if some point's tolerance sits below the rounding model, or if
+    the remainder still misses its budget after the last correction term
+    (budget's message if that remainder has settled at or below the
+    floor).
     """
     neg = ts < 0.0
     ts = np.abs(ts)
@@ -548,10 +571,14 @@ def _evaluate(sigma, ts: np.ndarray, abs_tol: float, rel_tol: float,
         return floor, fits
 
     B = _block_size(sigma, ts) or 1
-    main, main_p = _main_sums(sigma, ts, B, logn, want_prime)
-    # per term, one exp and product per factor past the first: one for
-    # B > 1, Omega(n) - 1 <= floor(log2(N - 1)) - 1 for B = 1
-    extra = _FACTORED_SLACK * (1 if B > 1 else (N - 1).bit_length() - 2)
+    # the heads ts[::B] in blocks of B2 by the same rule
+    B2 = (_block_size(sigma, ts[::B]) or 1) if B > 1 else 1
+    main, main_p = _main_sums(sigma, ts, B, B2, logn, want_prime)
+    # per term, one exp and product per factor past the first: one per
+    # factored level for B > 1, and Omega(n) - 1 <= floor(log2(N - 1)) - 1
+    # for B = 1
+    factors = 1 + (B2 > 1) if B > 1 else (N - 1).bit_length() - 2
+    extra = _FACTORED_SLACK * factors
 
     s = sigma + 1j * ts
     S1 = _power_sum_bound(N, sigma)
@@ -675,12 +702,13 @@ def zeta_points(sigma: Union[float, Sequence[float]], ts: Sequence[float],
     the sigma range and max |t| (main_sum_terms), so heights should be of
     similar size.  K ascending heights in blocks with equal exact
     offsets, such as one Romberg level a + h (1, 3, 5, ...) at a shared
-    sigma, take the factored main sum of the module docstring: K/B + B
-    rows of exps instead of K, with B = ceil(sqrt K) up to K = 256 and
-    B = 16 above.  Other batches take the multiplicative main sum, with
-    exps at the primes only.  A sequence of equal sigmas counts as that
-    shared sigma.  Each point must lie in the supported domain, with the
-    derivative's edge margin if with_prime.  Returns (values, bounds,
+    sigma, take the factored main sum of the module docstring: blocks of
+    B = ceil(sqrt K) points up to K = 256 and B = 16 above, whose heads
+    factor by the same rule in blocks of B2, so about K/(B B2) + B2 + B
+    rows of exps instead of K (46 at K = 3584).  Other batches take the
+    multiplicative main sum, with exps at the primes only.  A sequence of
+    equal sigmas counts as that shared sigma.  Each point must lie in the
+    supported domain, with the derivative's edge margin if with_prime.  Returns (values, bounds,
     primes, bounds_prime, terms_used) with primes/bounds_prime None unless
     with_prime.  A DomainError or ConvergenceError about one point carries
     its position as `index`.
@@ -705,10 +733,11 @@ def inv_abs_zeta_many(sigma0: float, ts: Sequence[float]) -> np.ndarray:
     sigma0 must lie in [0.9, 1.0); t of either sign is accepted since
     |zeta| is even in t.  One engine pass with one truncation point serves
     the batch, so heights should be clustered, as the nodes of one
-    quadrature panel are; a Romberg level takes the factored main sum (see
-    zeta_points).  Raises DomainError if some |zeta| falls below the 1e-3
-    guard (cannot happen for sigma0 in this range at moderate t, but
-    checked unconditionally) and propagates engine errors.
+    quadrature panel are; a Romberg level takes the factored main sum,
+    about K/(B B2) + B2 + B rows of exps for K nodes (see zeta_points).
+    Raises DomainError if some |zeta| falls below the 1e-3 guard (cannot
+    happen for sigma0 in this range at moderate t, but checked
+    unconditionally) and propagates engine errors.
     """
     if not (0.9 <= sigma0 < 1.0):
         raise DomainError(f"sigma0={sigma0!r} outside [0.9, 1.0)")

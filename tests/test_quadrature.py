@@ -224,9 +224,9 @@ def test_one_factored_engine_call_per_run_and_level(monkeypatch, tmp_path,
     calls = []
     plain = zeta_engine._main_sums
 
-    def spy(sigma, ts, B, logn, want_prime):
+    def spy(sigma, ts, B, B2, logn, want_prime):
         calls.append((len(ts), B))
-        return plain(sigma, ts, B, logn, want_prime)
+        return plain(sigma, ts, B, B2, logn, want_prime)
 
     monkeypatch.setattr(zeta_engine, "_main_sums", spy)
     path = tmp_path / "panels.csv"

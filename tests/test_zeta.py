@@ -361,33 +361,60 @@ def test_rounding_model_matches_numpy_row_sum():
             assert mean <= math.log2(N) + 4
 
 
-def test_factored_terms_within_the_per_term_charge():
-    # the zeta docstring charges a factored term n^(-s_h) n^(-i d_j) a
-    # single exp's 5 units of eps/2 plus 2 _FACTORED_SLACK for two exps
-    # and a complex product, 3 sigma log n for the rounded real exponent,
-    # and the phase 2 eps t log n, all relative to n^(-sigma); a
-    # one-element logn makes each main sum of _main_sums one term
+def _assert_factored_terms_within_charge(levels, two_level, seed):
+    """Each term of the factored main sum of each batch ts of levels,
+    blocks of B points and heads in blocks of B2 (two_level) or one exp
+    per head, against mpmath: within the zeta docstring's charge of a
+    single exp's 5 units of eps/2 plus 2 _FACTORED_SLACK per factored
+    level (one exp and one complex product each), 3 sigma log n for the
+    rounded real exponent, and the phase 2 eps t log n, all relative to
+    n^(-sigma).  A one-element logn makes each main sum one term; at most
+    64 points of a batch are checked, its first and last among them."""
     mp = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     eps = math.ulp(1.0)
-    units = 5 + 2 * zeta_engine._FACTORED_SLACK
-    levels = [_romberg_nodes(t - 10.0, 10.0, 128) for t in (100.0, 1e4, 3e4)]
-    levels.append(15000.0 + 100.0 * np.arange(64))     # offsets up to 6300
+    units = 5 + 2 * zeta_engine._FACTORED_SLACK * (2 if two_level else 1)
     with mp.workdps(30):
         for ts in levels:
             B = zeta_engine._block_size(0.98, ts)
-            assert B
+            B2 = zeta_engine._block_size(0.98, ts[::B])
+            assert B and bool(B2) == two_level
+            picks = np.unique(np.concatenate((
+                [0, len(ts) - 1], rng.integers(0, len(ts), 62)))).tolist()
             for n in rng.integers(2, 15021, 12).tolist():
                 sigma = float(rng.uniform(0.4, 3.0))
                 logn = math.log(n)
                 terms, _ = zeta_engine._main_sums(
-                    sigma, ts, B, np.array([logn]), False)
-                for t, term in zip(ts.tolist(), terms.tolist()):
+                    sigma, ts, B, B2 or 1, np.array([logn]), False)
+                for i in picks:
+                    t = float(ts[i])
                     exact = mp.power(n, -mp.mpc(sigma, t))
                     charge = n ** -sigma * (
                         eps / 2 * (units + 3 * sigma * logn)
                         + 2 * eps * t * logn)
-                    assert abs(mp.mpc(term) - exact) <= charge, (n, sigma, t)
+                    assert (abs(mp.mpc(complex(terms[i])) - exact)
+                            <= charge), (n, sigma, t)
+
+
+def test_factored_terms_within_the_per_term_charge():
+    # one factored level: each head takes its own exp, so a term is two
+    # exps and a complex product; batches of at most 56 points have fewer
+    # than 8 heads, which do not factor
+    levels = [_romberg_nodes(t - 10.0, 10.0, 32) for t in (100.0, 1e4, 3e4)]
+    levels.append(15000.0 + 1000.0 * np.arange(49))    # offsets up to 6000
+    _assert_factored_terms_within_charge(levels, False, 11)
+
+
+def test_two_level_terms_within_the_per_term_charge():
+    # two factored levels: a term is the super-head's exp times a coarse
+    # offset's and a fine offset's, three exps and two complex products,
+    # charged 5 + 2 * 2 _FACTORED_SLACK units; Romberg levels of 128
+    # nodes (heads in blocks of 4) and a level of a run of 50 panels
+    # (6400 nodes, heads in blocks of 16)
+    levels = [_romberg_nodes(t - 10.0, 10.0, 128) for t in (100.0, 1e4, 3e4)]
+    levels.append(_level_of_a_run())
+    levels.append(15000.0 + 100.0 * np.arange(64))     # heads in blocks of 3
+    _assert_factored_terms_within_charge(levels, True, 13)
 
 
 def _omega(n):
@@ -488,21 +515,26 @@ def test_settled_remainder_over_budget_blames_the_rounding_floor(
     ([20.0], 1),                                    # multiplicative rows
     ([20.0, 20.5, 21.0], 1),
     (20.0 + 0.125 * np.arange(8), 3),               # factored blocks
+    (20.0 + 0.125 * np.arange(64), 8),              # and factored heads
 ])
 def test_unreachable_tolerance_names_the_charged_floor(ts, B):
     # at the first correction term the floor is the module docstring's
     # eps ((log2 N + 28 + extra) M + 2 t log N S1): extra is 4 (Omega_N - 1)
-    # with B = 1, 4 with B > 1; at sigma = 0.4, t = 20 its part of the
-    # floor is 8% (2.7% with B > 1), far above the message's four digits
+    # with B = 1, 4 per factored level with B > 1; at sigma = 0.4, t = 20
+    # its part of the floor is 8% (2.7% with one factored level, 5.2% with
+    # two), far above the message's four digits
     sigma = 0.4
-    assert zeta_engine._block_size(sigma, np.asarray(ts)) == (B if B > 1 else 0)
+    ts = np.asarray(ts)
+    assert zeta_engine._block_size(sigma, ts) == (B if B > 1 else 0)
+    B2 = zeta_engine._block_size(sigma, ts[::B])    # the 8 heads of 64 points
+    assert B2 == (3 if B == 8 else 0)
     N = main_sum_terms(sigma, sigma, float(np.max(ts)), False)
     with pytest.raises(ConvergenceError) as info:
         zeta_points(sigma, ts, abs_tol=1e-13)
     assert info.value.index == 0
     floor = float(re.findall(r"\d\.\d{3}e[-+]\d+", str(info.value))[0])
     t = float(ts[0])
-    extra = 4 * ((N - 1).bit_length() - 2) if B == 1 else 4
+    extra = 4 * ((N - 1).bit_length() - 2) if B == 1 else 4 * (1 + (B2 > 1))
     S1 = zeta_engine._power_sum_bound(N, sigma)
     M = S1 + N ** (1 - sigma) / abs(complex(sigma - 1, t)) + 0.5 * N ** -sigma
     eps = math.ulp(1.0)
@@ -735,13 +767,13 @@ def _direct_path(monkeypatch, *args):
 
 def _main_sum_calls(monkeypatch, *args):
     """_evaluate(*args) and, per call of _main_sums, the points, the block
-    size B and the two main sums it returned."""
+    sizes B and B2 and the two main sums it returned."""
     calls = []
     plain = zeta_engine._main_sums
 
-    def spy(sigma, ts, B, logn, want_prime):
-        main, main_p = plain(sigma, ts, B, logn, want_prime)
-        calls.append((len(ts), B, main, main_p))
+    def spy(sigma, ts, B, B2, logn, want_prime):
+        main, main_p = plain(sigma, ts, B, B2, logn, want_prime)
+        calls.append((len(ts), B, B2, main, main_p))
         return main, main_p
 
     with monkeypatch.context() as m:
@@ -752,12 +784,12 @@ def _main_sum_calls(monkeypatch, *args):
 def _assert_factored_matches(monkeypatch, sigma, ts, want_prime, blocks,
                              mp_points):
     """(sigma, ts) goes through the main sum in one call with blocks of
-    the given size, and agrees with blocks of one point within both
-    bounds, and with mpmath at mp_points."""
+    the given sizes (B, B2), and agrees with blocks of one point within
+    both bounds, and with mpmath at mp_points."""
     mp = pytest.importorskip("mpmath")
     args = (sigma, ts, 1e-6, 0.0, want_prime)
     got, calls = _main_sum_calls(monkeypatch, *args)
-    assert [call[:2] for call in calls] == [(len(ts), blocks)]
+    assert [call[:3] for call in calls] == [(len(ts), *blocks)]
     ref = _direct_path(monkeypatch, *args)
     tracks = [(0, 1), (2, 3)][:2 if want_prime else 1]
     for v, b in tracks:
@@ -774,39 +806,47 @@ def _assert_factored_matches(monkeypatch, sigma, ts, want_prime, blocks,
 
 @pytest.mark.parametrize("t", [100.0, 1e4, 3e4])
 def test_factored_batch_matches_direct_path_and_mpmath(monkeypatch, t):
-    # 128 nodes in blocks of 12: ten full blocks and a last one of 8
+    # 128 nodes in blocks of 12: ten full blocks and a last one of 8;
+    # their 11 heads in blocks of 4, the last one of 3
     ts = _romberg_nodes(t - 10.0, 10.0, 128)
     assert zeta_engine._block_size(0.98, ts) == 12
-    _assert_factored_matches(monkeypatch, 0.98, ts, False, 12,
-                             [0, 11, 12, 119, 120, 127])
+    assert zeta_engine._block_size(0.98, ts[::12]) == 4
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, (12, 4),
+                             [0, 11, 12, 47, 48, 119, 120, 127])
 
 
 def test_factored_batch_of_full_blocks(monkeypatch):
     ts = _romberg_nodes(9990.0, 10.0, 64)
     assert zeta_engine._block_size(1.2, ts) == 8
-    _assert_factored_matches(monkeypatch, 1.2, ts, False, 8, [7, 63])
+    _assert_factored_matches(monkeypatch, 1.2, ts, False, (8, 3), [7, 63])
 
 
 def test_factored_level_of_256_nodes(monkeypatch):
     # N = 9118 at t = 3e4, below its bracket's top of 15020; the whole
-    # level is one batch in 16 blocks of 16
+    # level is one batch in 16 blocks of 16, their heads in blocks of 4
     ts = _romberg_nodes(29990.0, 10.0, 256)
     assert (main_sum_terms(0.98, 0.98, ts[-1], False) == 9118
             < 20 + math.ceil(ts[-1] / 2) == 15020)
-    _assert_factored_matches(monkeypatch, 0.98, ts, False, 16,
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, (16, 4),
                              [0, 15, 16, 255])
 
 
-def test_level_of_a_run_of_panels_takes_blocks_of_16(monkeypatch):
-    # one Romberg level over 50 adjacent panels of width 10: 50 x 128
-    # nodes, one progression of step 10/128; B stops at 16, so the main
-    # sum holds 33 rows whatever K is
+def _level_of_a_run():
+    """The 50 x 128 new nodes of one Romberg level over 50 adjacent panels
+    of width 10 from 11020: one progression of step 10/128."""
     a = 11020.0 + 10.0 * np.arange(50)
-    ts = (a[:, None] + 10.0 / 256 * np.arange(1, 256, 2.0)).ravel()
+    return (a[:, None] + 10.0 / 256 * np.arange(1, 256, 2.0)).ravel()
+
+
+def test_level_of_a_run_of_panels_takes_blocks_of_16(monkeypatch):
+    # B stops at 16, and so does B2 for the 400 heads, so the main sum
+    # holds at most 50 rows whatever K is
+    ts = _level_of_a_run()
     assert np.all(np.diff(ts) == 10.0 / 128)
     assert zeta_engine._block_size(0.98, ts) == 16
-    _assert_factored_matches(monkeypatch, 0.98, ts, False, 16,
-                             [0, 15, 16, 6383, 6384, 6399])
+    assert zeta_engine._block_size(0.98, ts[::16]) == 16
+    _assert_factored_matches(monkeypatch, 0.98, ts, False, (16, 16),
+                             [0, 15, 16, 255, 256, 6383, 6384, 6399])
 
 
 def test_block_size_is_capped_above_256_points():
@@ -818,8 +858,20 @@ def test_block_size_is_capped_above_256_points():
 
 
 def test_factored_derivative_track(monkeypatch):
+    # two factored levels, as for test_factored_batch_matches_direct_path
     ts = _romberg_nodes(9990.0, 10.0, 128)
-    _assert_factored_matches(monkeypatch, 0.98, ts, True, 12, [0, 127])
+    _assert_factored_matches(monkeypatch, 0.98, ts, True, (12, 4),
+                             [0, 47, 48, 127])
+
+
+@pytest.mark.parametrize("want_prime", [False, True])
+def test_single_level_factored_batch(monkeypatch, want_prime):
+    # 48 nodes in blocks of 7 have 7 heads, too few to factor: each head
+    # takes its own exp
+    ts = _romberg_nodes(9990.0, 12.0, 48)
+    assert zeta_engine._block_size(0.98, ts[::7]) == 0
+    _assert_factored_matches(monkeypatch, 0.98, ts, want_prime, (7, 1),
+                             [0, 6, 7, 47])
 
 
 NODES = _romberg_nodes(11020.0, 10.0, 128)
@@ -872,8 +924,8 @@ def test_direct_path_inputs_keep_their_bits(monkeypatch, sigma, ts):
                                    * terms[:, n // spf[n] - 1])
         _, calls = _main_sum_calls(monkeypatch, sigma, ts, 1e-6, 0.0,
                                    want_prime)
-        [(K, B, main, main_p)] = calls
-        assert (K, B) == (len(ts), 1)
+        [(K, B, B2, main, main_p)] = calls
+        assert (K, B, B2) == (len(ts), 1, 1)
         assert main.tobytes() == terms.sum(axis=1).tobytes()
         if want_prime:
             assert main_p.tobytes() == (-(terms * logn).sum(axis=1)).tobytes()
@@ -952,17 +1004,36 @@ def test_main_sums_hold_one_row_group(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(zeta_engine, "_power_columns", spy)
-        spied = zeta_engine._main_sums(sigma, ts, 1, logn, True)
+        spied = zeta_engine._main_sums(sigma, ts, 1, 1, logn, True)
     assert groups == [(N - 1, zeta_engine._ROW_GROUP)] * 8
     tracemalloc.start()
     try:
-        sums = zeta_engine._main_sums(sigma, ts, 1, logn, True)
+        sums = zeta_engine._main_sums(sigma, ts, 1, 1, logn, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3 * zeta_engine._ROW_GROUP * 16 * (N - 1)
     for a, b in zip(spied, sums):
         assert a.tobytes() == b.tobytes()
+
+
+def test_factored_main_sums_hold_at_most_50_rows():
+    # blocks of 16 and heads in blocks of 16: the fine and coarse offset
+    # rows, one block, the super-head's row and the head's, 2 B + B2 + 2 =
+    # 50 rows of N terms, for 6400 points as for 256, besides the sums;
+    # NumPy's buffer for logn cast to complex is one more row, and the
+    # small arrays and Python objects stay below a further one
+    tracemalloc = pytest.importorskip("tracemalloc")
+    ts = _level_of_a_run()
+    N = main_sum_terms(0.98, 0.98, float(ts[-1]), True)
+    logn = np.log(np.arange(1, N, dtype=np.float64))
+    tracemalloc.start()
+    try:
+        zeta_engine._main_sums(0.98, ts, 16, 16, logn, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 52 * 16 * (N - 1) + 2 * 16 * len(ts)
 
 
 @pytest.mark.parametrize("fn", [zeta_points, inv_abs_zeta_many])
