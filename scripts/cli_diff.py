@@ -97,6 +97,9 @@ COMMANDS = (
     "mertens sieve-verify --limit 50",
     # an interval far shorter than a panel still takes one panel
     "integrate inv-zeta --from 5 --to 5.000000000001",
+    # C2 = 0.5 > 2 C1 fails the C2-range of the a1 statement under epsilon0:
+    # exit 1 with no stdout
+    "mertens bound --C1 0.1 --C2 0.5",
 )
 IGNORED_KEYS = frozenset({"runtime_seconds"})
 

@@ -25,6 +25,11 @@ and the exponential rate
 
     R(C2, C3, T1) = (2 C2 + 1/(2 C3)) / (1 - 1/(4 C3 loglog T1)) .
 
+One body, ``compute_constants``, computes both targets: it takes b1 and R
+at T1 - ROOM[target]["shift"], which is T1 for the log bound and T1 - 1
+for the derivative bound, since that is assembled from log-bounds on a
+unit strip below T1.  ``compute_a1`` and ``compute_a2`` name its targets.
+
 Every hypothesis of the underlying statements is validated by name before
 anything is computed; ``hypothesis_report`` exposes the full pass/fail list
 for machine-readable reports.  All arithmetic is IEEE float64.  The display
@@ -263,10 +268,11 @@ _HYPOTHESIS_NAMES = frozenset(name for name, _ in HYPOTHESES)
 # drops out: the floor of a statement with no sigma-region.
 NO_EDGE = 0.0
 
-# the hypotheses of the a2 statement; a1 has all but C4-range
-STATEMENT_HYPOTHESES = ("C1-range", "C2-range", "C3-floor", "C4-range",
-                        "T1-floor", "T1-gap", "t0-floor", "T2-window",
-                        "T2-floor")
+# the hypotheses of each statement; a2 adds C4-range to those of a1
+_A1_HYPOTHESES = ("C1-range", "C2-range", "C3-floor", "T1-floor", "T1-gap",
+                  "t0-floor", "T2-window", "T2-floor")
+STATEMENT_HYPOTHESES = {TARGET_LOG: _A1_HYPOTHESES,
+                        TARGET_LOGDER: _A1_HYPOTHESES + ("C4-range",)}
 
 
 def check_hypotheses(names, **quantities) -> list[HypothesisCheck]:
@@ -299,15 +305,10 @@ def hypothesis_report(profile: LFunctionProfile, params: BoundParams,
     """
     if target not in ROOM:
         raise DomainError(f"unknown target {target!r}")
-    p = params
-    if target == TARGET_LOGDER:
-        names = STATEMENT_HYPOTHESES
-        edge = region_edge(p.C2, 0.0 if p.C4 is None else p.C4)
-    else:
-        names = [name for name in STATEMENT_HYPOTHESES if name != "C4-range"]
-        edge = region_edge(p.C2)
-    return statement_hypotheses(names, profile, target, edge=edge,
-                                **asdict(p))
+    c4 = params.C4 if target == TARGET_LOGDER else None  # a1 has no C4
+    return statement_hypotheses(STATEMENT_HYPOTHESES[target], profile, target,
+                                edge=region_edge(params.C2, c4),
+                                **asdict(params))
 
 
 def _require(checks: list[HypothesisCheck]) -> None:
@@ -348,8 +349,9 @@ def compute_b1(profile: LFunctionProfile, C1: float, C3: float,
                T1: float, T2: float) -> float:
     """The b-constant (K(..., T2)/m) * F1(C3, T1) * F2(C3, T1), always >= d/(4m).
 
-    T1 is the height b runs at (compute_a2 passes T1 - 1), so its
-    hypotheses take the room of the log statement there.
+    T1 is the height b runs at (compute_constants passes T1 less the
+    target's ROOM shift), so its hypotheses take the room of the log
+    statement there.
     """
     _require(statement_hypotheses(
         ("C1-range", "C3-floor", "T1-floor", "T1-gap", "T2-floor"), profile,
@@ -381,34 +383,35 @@ def _a2_value(m, C2, C4, b2, R2, ll_t1, ll_t1m1, exp=math.exp):
         + (1 + logplus(b2) / ll_t1m1) * R2)
 
 
-def compute_a1(profile: LFunctionProfile, params: BoundParams) -> BoundConstants:
-    """Constants of the |log L| bound; region (C2, C2) around the 1-line.
+def compute_constants(profile: LFunctionProfile, params: BoundParams,
+                      target: str) -> BoundConstants:
+    """Constants of the target's bound, with the region they are valid on.
 
-    Validates the full hypothesis list of the log target and raises
-    HypothesisError naming the first violated condition.
+    Validates the full hypothesis list of the target and raises
+    HypothesisError naming the first violated condition.  The b-constant
+    and the rate are evaluated at T1 - ROOM[target]["shift"].
     """
-    _require(hypothesis_report(profile, params, TARGET_LOG))
-    p = params
-    b = compute_b1(profile, p.C1, p.C3, p.T1, p.T2)
-    a = _a1_value(profile.euler_order, p.C2, b,
-                  compute_R(p.C2, p.C3, p.T1), loglog(p.T1))
-    return BoundConstants(a=a, b=b, sigma_region=(p.C2, p.C2), target=TARGET_LOG)
+    _require(hypothesis_report(profile, params, target))
+    p, m = params, profile.euler_order
+    b_T1 = p.T1 - ROOM[target]["shift"]
+    b = compute_b1(profile, p.C1, p.C3, b_T1, p.T2)
+    R = compute_R(p.C2, p.C3, b_T1)
+    if target == TARGET_LOG:
+        a = _a1_value(m, p.C2, b, R, loglog(p.T1))
+        return BoundConstants(a=a, b=b, sigma_region=(p.C2, p.C2), target=target)
+    a = _a2_value(m, p.C2, p.C4, b, R, loglog(p.T1), loglog(b_T1))
+    region = (region_edge(p.C2, p.C4), p.C4)
+    return BoundConstants(a=a, b=b, sigma_region=region, target=target)
+
+
+def compute_a1(profile: LFunctionProfile, params: BoundParams) -> BoundConstants:
+    """Constants of the |log L| bound; region (C2, C2) around the 1-line."""
+    return compute_constants(profile, params, TARGET_LOG)
 
 
 def compute_a2(profile: LFunctionProfile, params: BoundParams) -> BoundConstants:
-    """Constants of the |L'/L| bound; region (1.00006 C2 + C4, C4).
-
-    The b-constant and the rate are evaluated at T1 - 1: the derivative
-    bound is assembled from log-bounds on a unit strip below T1.
-    """
-    _require(hypothesis_report(profile, params, TARGET_LOGDER))
-    p = params
-    b2 = compute_b1(profile, p.C1, p.C3, p.T1 - 1, p.T2)
-    a = _a2_value(profile.euler_order, p.C2, p.C4, b2,
-                  compute_R(p.C2, p.C3, p.T1 - 1),
-                  loglog(p.T1), loglog(p.T1 - 1))
-    region = (region_edge(p.C2, p.C4), p.C4)
-    return BoundConstants(a=a, b=b2, sigma_region=region, target=TARGET_LOGDER)
+    """Constants of the |L'/L| bound; region (1.00006 C2 + C4, C4)."""
+    return compute_constants(profile, params, TARGET_LOGDER)
 
 
 def dedekind_split(C1: float, C3: float, T1: float, T2: float) -> tuple[float, float]:
@@ -475,7 +478,6 @@ def constants_report(profile: LFunctionProfile, params: BoundParams,
         "hypotheses_ok": all(ch.ok for ch in checks),
     }
     if report["hypotheses_ok"]:
-        fn = compute_a1 if target == TARGET_LOG else compute_a2
-        bc = fn(profile, params)
+        bc = compute_constants(profile, params, target)
         report["constants"] = {**bc.as_dict(), **bc.display()}
     return report

@@ -88,14 +88,13 @@ import numpy as np
 from .constants import (
     ROOM,
     TARGET_LOG,
+    BoundParams,
     HypothesisCheck,
-    _a1_value,
     _require,
     ceil_decimals,
     ceil_sigfigs,
     check_hypotheses,
-    compute_b1,
-    compute_R,
+    compute_a1,
     loglog,
     statement_hypotheses,
     window_edge,
@@ -209,18 +208,18 @@ class MobiusTable:
 
 
 def epsilon0_hypotheses(sigma0: float, C2: float, C3: float,
-                        T1: float, T2: float) -> list[HypothesisCheck]:
-    """Hypothesis block for the reciprocal-zeta Mertens bound, every condition named.
+                        T1: float) -> list[HypothesisCheck]:
+    """The conditions the reciprocal-zeta exponent adds to the a1 statement.
 
-    These are the sigma0 conditions plus the log statement's for zeta at
-    t0 = T1.  The T1-floor also needs T1 >= exp(e^(1/(2 sigma0 - 1))),
-    which is its edge term at edge 1/(2 (2 sigma0 - 1)).
+    compute_epsilon0 checks the whole a1 statement for zeta at t0 = T1
+    through compute_a1.  epsilon0 adds the sigma0 conditions and a second
+    T1-floor, at edge 1/(2 (2 sigma0 - 1)) beside a1's at edge C2: it also
+    needs T1 >= exp(e^(1/(2 sigma0 - 1))).
     """
-    edge = max(C2, 0.5 / (2.0 * sigma0 - 1.0)) if sigma0 > 0.5 else math.inf
+    edge = 0.5 / (2.0 * sigma0 - 1.0) if sigma0 > 0.5 else math.inf
     return statement_hypotheses(
-        ("sigma0-range", "sigma0-floor", "T1-floor", "T1-gap", "T2-window",
-         "T2-floor"), profile_zeta(), TARGET_LOG,
-        sigma0=sigma0, C2=C2, C3=C3, T1=T1, T2=T2, t0=T1, edge=edge)
+        ("sigma0-range", "sigma0-floor", "T1-floor"), profile_zeta(),
+        TARGET_LOG, sigma0=sigma0, C2=C2, C3=C3, T1=T1, edge=edge)
 
 
 def compute_epsilon0(sigma0: float, C1: float, C2: float, C3: float,
@@ -230,12 +229,10 @@ def compute_epsilon0(sigma0: float, C1: float, C2: float, C3: float,
     Raises HypothesisError naming the violated condition, including
     "epsilon0-applicability" when the computed exponent reaches 1.
     """
-    _require(epsilon0_hypotheses(sigma0, C2, C3, T1, T2))
-    b = compute_b1(profile_zeta(), C1, C3, T1, T2)
-    ll = loglog(T1)
-    eps0 = (_a1_value(1, C2, b, compute_R(C2, C3, T1), ll)
-            * b ** (2.0 * (1.0 - sigma0))
-            * ll / math.log(T1) ** (2.0 * sigma0 - 1.0))
+    _require(epsilon0_hypotheses(sigma0, C2, C3, T1))
+    bc = compute_a1(profile_zeta(), BoundParams(C1, C2, C3, T1, T2, t0=T1))
+    eps0 = (bc.a * bc.b ** (2.0 * (1.0 - sigma0))
+            * loglog(T1) / math.log(T1) ** (2.0 * sigma0 - 1.0))
     _require(check_hypotheses(("epsilon0-applicability",), epsilon0=eps0))
     return eps0
 

@@ -13,7 +13,7 @@ objective is flat in C1, and the smallest admissible C1 is reported.
 Optional halving refinement re-scans a +-2-step box around the incumbent
 at half the step, while the step stays >= MIN_STEP; candidate coordinates
 are always exact decimals, so reported optima print as round grid values.
-The reported optimum is re-validated through compute_a1 / compute_a2, so it
+The reported optimum is re-validated through compute_constants, so it
 satisfies the full hypothesis list by construction.
 
 A scan is NumPy work in one block per C1.  The T1-floor feasibility of a
@@ -59,9 +59,8 @@ from .constants import (
     _a1_value,
     _a2_value,
     c4_of,
-    compute_a1,
-    compute_a2,
     compute_b1,
+    compute_constants,
     edge_floor,
     loglog,
     rate,
@@ -97,10 +96,10 @@ class SearchSpec:
 
     def __post_init__(self):
         if self.target not in (TARGET_LOG, TARGET_LOGDER):
-            raise HypothesisError("target", f"unknown target {self.target!r}")
+            raise DomainError(f"unknown target {self.target!r}")
         if not 0 < self.grid_step <= 0.1:
-            raise HypothesisError(
-                "grid-step", f"need 0 < grid_step <= 0.1, got {self.grid_step}")
+            raise DomainError(
+                f"need 0 < grid_step <= 0.1, got {self.grid_step}")
         # n C1 values, 2k C2 values at C1 = k step, n rho values for a2
         n = 1.0 / self.grid_step
         visits = n * (n + 1) * (n if self.target == TARGET_LOGDER else 1.0)
@@ -110,8 +109,8 @@ class SearchSpec:
                 f"candidates per scan; grid_step {self.grid_step!r} visits "
                 f"about {visits:.3g}")
         if self.refine_rounds < 0:
-            raise HypothesisError(
-                "refine-rounds", f"need refine_rounds >= 0, got {self.refine_rounds}")
+            raise DomainError(
+                f"need refine_rounds >= 0, got {self.refine_rounds}")
         finest = math.ldexp(self.grid_step, -self.refine_rounds)
         if not finest >= MIN_STEP:
             raise DomainError(
@@ -186,10 +185,10 @@ def minimize(spec: SearchSpec,
                                   f"{check.name}: {check.detail}")
 
     m = prof.euler_order
-    b_T1 = spec.T1 - 1 if deriv else spec.T1  # height the b-constant runs at
+    shift = ROOM[spec.target]["shift"]
+    b_T1 = spec.T1 - shift  # height the b-constant runs at
     ll_t1 = loglog(spec.T1)
     ll_b = loglog(b_T1)
-    shift = ROOM[spec.target]["shift"]
 
     trace = _Trace(trace_path)
 
@@ -283,5 +282,4 @@ def minimize(spec: SearchSpec,
     params = BoundParams(C1=c1, C2=c2, C3=spec.C3, T1=spec.T1, T2=spec.T2,
                          t0=spec.t0,
                          C4=c4_of(c2, rho) if deriv else None)
-    constants = compute_a2(prof, params) if deriv else compute_a1(prof, params)
-    return params, constants
+    return params, compute_constants(prof, params, spec.target)

@@ -4,8 +4,10 @@ Everything runs in-process through main(argv) so exit codes and emitted
 JSON are asserted directly.
 """
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,26 @@ def test_flag_the_action_does_not_read_is_refused(capsys, argv):
     assert argv[2] in err
 
 
+def test_cli_diff_commands_parse(capsys):
+    """Every command of scripts/cli_diff.py parses, except its commented
+    usage errors: a renamed flag would make both trees exit 64 alike, and
+    the script would call them identical."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_diff.py"
+    spec = importlib.util.spec_from_file_location("cli_diff", path)
+    cli_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_diff)
+    refused = set()
+    for command in cli_diff.COMMANDS:
+        try:
+            build_parser().parse_args(command.split())
+        except SystemExit as exc:
+            assert exc.code == 64, command
+            refused.add(command)
+    capsys.readouterr()
+    assert refused == {"integrate envelope --panel-width 3",
+                       "constants a1 --C4 0.2", "mertens bound --A 3"}
+
+
 def test_action_help_lists_only_its_own_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mertens", "bound", "--help"])
@@ -260,6 +282,15 @@ def test_mertens_inapplicable_epsilon0_exits_one(capsys):
     code = main(["mertens", "bound", "--sigma0", "0.68"])
     assert code == 1
     assert "epsilon0-applicability" in capsys.readouterr().err
+
+
+def test_mertens_bound_checks_the_whole_a1_statement(capsys):
+    # C2 = 0.5 > 2 C1 = 0.2: the a1 statement that epsilon0 applies fails
+    code = main(["mertens", "bound", "--C1", "0.1", "--C2", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "C2-range" in err
+    assert out == ""
 
 
 def test_mertens_crossover_null_is_success(capsys):

@@ -94,10 +94,8 @@ def test_epsilon0_is_a1_bound_over_log_T1():
 
 def test_epsilon0_hypothesis_names_and_rejections():
     T2 = default_T2(2.6e7, 1.0e3)
-    ok = epsilon0_hypotheses(0.98, 0.5, 1.0e3, 2.6e7, T2)
-    assert [c.name for c in ok] == [
-        "sigma0-range", "sigma0-floor", "T1-floor", "T1-gap",
-        "T2-window", "T2-floor"]
+    ok = epsilon0_hypotheses(0.98, 0.5, 1.0e3, 2.6e7)
+    assert [c.name for c in ok] == ["sigma0-range", "sigma0-floor", "T1-floor"]
     assert all(c.ok for c in ok)
     cases = [
         (dict(sigma0=0.5), "sigma0-range"),
@@ -106,6 +104,7 @@ def test_epsilon0_hypothesis_names_and_rejections():
         (dict(T1=2000.0, T2=1619.0), "T1-gap"),
         (dict(T2=2.6e7), "T2-window"),
         (dict(T2=100.0), "T2-floor"),
+        (dict(C1=0.1), "C2-range"),
     ]
     base = dict(sigma0=0.98, C1=0.5, C2=0.5, C3=1.0e3, T1=2.6e7, T2=T2)
     for override, name in cases:

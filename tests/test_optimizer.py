@@ -132,12 +132,12 @@ def test_candidate_free_failure_mirrors_hypothesis_report(target, field, value):
 
 
 def test_spec_validation():
-    with pytest.raises(HypothesisError):
+    with pytest.raises(DomainError):
         SearchSpec(profile=profile_zeta(), target="nope", C3=1000.0,
                    T1=1e4, T2=7778.0, t0=1e4)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(DomainError):
         zeta_spec(TARGET_LOG, grid_step=0.5)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(DomainError):
         zeta_spec(TARGET_LOG, refine_rounds=-1)
 
 
