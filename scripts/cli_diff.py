@@ -30,6 +30,9 @@ COMMANDS = (
     "constants a2 --family dirichlet",
     "constants a1 --family dedekind --abs-disc 5",
     "constants a2 --family dedekind --abs-disc 5",
+    # the statement's T2-floor at profile t0 = 7000 needs T2 >= 7001; the
+    # b split's profiles carry min_height 7778, which b never reads
+    "constants a1 --family dedekind --profile-t0 7000 --T2 7500",
     "optimize a1",
     "optimize a2",
     "optimize a1 --grid-step 0.005",

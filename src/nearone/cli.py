@@ -55,6 +55,7 @@ from .constants import (
     BoundParams,
     TARGET_LOG,
     TARGET_LOGDER,
+    b_height,
     constants_report,
     dedekind_split,
 )
@@ -195,7 +196,8 @@ def _cmd_constants(args) -> tuple[dict, int]:
     report["subcommand"] = "constants"
     report["family"] = family_params
     if args.family == "dedekind" and report["hypotheses_ok"]:
-        k1, k2 = dedekind_split(params.C1, params.C3, params.T1, params.T2)
+        k1, k2 = dedekind_split(params.C1, params.C3,
+                                b_height(params.T1, target), params.T2)
         report["b_split"] = {"base": k1, "per_inverse_degree": k2}
     if not report["hypotheses_ok"]:
         failed = next(ch for ch in report["hypotheses"] if not ch["ok"])

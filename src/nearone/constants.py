@@ -26,15 +26,18 @@ and the exponential rate
     R(C2, C3, T1) = (2 C2 + 1/(2 C3)) / (1 - 1/(4 C3 loglog T1)) .
 
 One body, ``compute_constants``, computes both targets: it takes b1 and R
-at T1 - ROOM[target]["shift"], which is T1 for the log bound and T1 - 1
-for the derivative bound, since that is assembled from log-bounds on a
-unit strip below T1.  ``compute_a1`` and ``compute_a2`` name its targets.
+at ``b_height(T1, target)``, which is T1 for the log bound and T1 - 1 for
+the derivative bound, since that is assembled from log-bounds on a unit
+strip below T1.  ``compute_a1`` and ``compute_a2`` name its targets.
 
-Every hypothesis of the underlying statements is validated by name before
-anything is computed; ``hypothesis_report`` exposes the full pass/fail list
-for machine-readable reports.  All arithmetic is IEEE float64.  The display
-helpers round up, which keeps a bound valid only where its exponent
-2(1 - sigma) is nonnegative (see BoundConstants.display).
+Each statement is checked once, by name, through ``hypothesis_report``,
+which also gives the full pass/fail list for machine-readable reports;
+``compute_constants`` and ``constants_report`` check it before anything is
+computed.  The formulas below the check (``compute_K``, ``compute_b1``,
+``rate``, ``dedekind_split``) take checked inputs and check nothing.  All
+arithmetic is IEEE float64.  The display helpers round up, which keeps a
+bound valid only where its exponent 2(1 - sigma) is nonnegative (see
+BoundConstants.display).
 """
 
 from __future__ import annotations
@@ -69,6 +72,11 @@ TARGET_LOGDER = "logder"
 # 1/2 to 3/2.
 ROOM = {TARGET_LOG: {"shift": 0, "gap": 0.0, "margin": 0.5},
         TARGET_LOGDER: {"shift": 1, "gap": 1.0, "margin": 1.5}}
+
+
+def b_height(T1: float, target: str) -> float:
+    """T1 - ROOM[target]["shift"], the height b and the rate run at."""
+    return T1 - ROOM[target]["shift"]
 
 
 def loglog(x: float) -> float:
@@ -320,12 +328,10 @@ def _require(checks: list[HypothesisCheck]) -> None:
 def compute_K(profile: LFunctionProfile, C1: float, t0_prime: float) -> float:
     """The kernel K(d, m, l, C, C1, t0') of the b-constant.
 
-    Requires 0 < C1 <= 1 and t0' >= max(T+1, exp(e^2)), the C1-range and
-    T2-floor hypotheses at T2 = t0'; under these the result is guaranteed
-    >= d/4 since every addend is nonnegative.
+    Its inputs pass the C1-range and T2-floor (t0' = T2) of the statement
+    check, hypothesis_report; there every addend is nonnegative, so the
+    result is >= d/4.
     """
-    _require(statement_hypotheses(("C1-range", "T2-floor"), profile,
-                                  TARGET_LOG, C1=C1, T2=t0_prime))
     d, m = profile.degree, profile.euler_order
     L = math.log(t0_prime)
     ll = loglog(t0_prime)
@@ -349,28 +355,13 @@ def compute_b1(profile: LFunctionProfile, C1: float, C3: float,
                T1: float, T2: float) -> float:
     """The b-constant (K(..., T2)/m) * F1(C3, T1) * F2(C3, T1), always >= d/(4m).
 
-    T1 is the height b runs at (compute_constants passes T1 less the
-    target's ROOM shift), so its hypotheses take the room of the log
-    statement there.
+    T1 is the height b runs at, b_height of the statement's T1.  The inputs
+    come from the statement check, hypothesis_report, through
+    compute_constants, or from the optimizer's grid after its
+    CANDIDATE_FREE check.
     """
-    _require(statement_hypotheses(
-        ("C1-range", "C3-floor", "T1-floor", "T1-gap", "T2-floor"), profile,
-        TARGET_LOG, C1=C1, C3=C3, T1=T1, T2=T2, edge=NO_EDGE))
     f1, f2 = _window_factors(C3, T1)
     return (compute_K(profile, C1, T2) / profile.euler_order) * f1 * f2
-
-
-def compute_R(C2: float, C3: float, T1: float) -> float:
-    """Exponential rate (2 C2 + 1/(2 C3)) / (1 - 1/(4 C3 loglog T1)).
-
-    The rate needs only C2 > 0, so C2-range is checked with C1 unbounded;
-    it has no sigma-region and no profile, so its T1-floor is
-    max(C3, ITERLOG_FLOOR).
-    """
-    _require(check_hypotheses(("C2-range", "C3-floor", "T1-floor"),
-                              C1=math.inf, C2=C2, C3=C3, T1=T1,
-                              edge=NO_EDGE, m_over_d=0.0, shift=0))
-    return rate(C2, C3, loglog(T1))
 
 
 def _a1_value(m, C2, b, R, ll_t1, exp=math.exp):
@@ -383,25 +374,31 @@ def _a2_value(m, C2, C4, b2, R2, ll_t1, ll_t1m1, exp=math.exp):
         + (1 + logplus(b2) / ll_t1m1) * R2)
 
 
-def compute_constants(profile: LFunctionProfile, params: BoundParams,
-                      target: str) -> BoundConstants:
-    """Constants of the target's bound, with the region they are valid on.
-
-    Validates the full hypothesis list of the target and raises
-    HypothesisError naming the first violated condition.  The b-constant
-    and the rate are evaluated at T1 - ROOM[target]["shift"].
-    """
-    _require(hypothesis_report(profile, params, target))
+def _evaluate(profile: LFunctionProfile, params: BoundParams,
+              target: str) -> BoundConstants:
+    """The target's constants from parameters that passed its statement."""
     p, m = params, profile.euler_order
-    b_T1 = p.T1 - ROOM[target]["shift"]
+    b_T1 = b_height(p.T1, target)
     b = compute_b1(profile, p.C1, p.C3, b_T1, p.T2)
-    R = compute_R(p.C2, p.C3, b_T1)
+    R = rate(p.C2, p.C3, loglog(b_T1))
     if target == TARGET_LOG:
         a = _a1_value(m, p.C2, b, R, loglog(p.T1))
         return BoundConstants(a=a, b=b, sigma_region=(p.C2, p.C2), target=target)
     a = _a2_value(m, p.C2, p.C4, b, R, loglog(p.T1), loglog(b_T1))
     region = (region_edge(p.C2, p.C4), p.C4)
     return BoundConstants(a=a, b=b, sigma_region=region, target=target)
+
+
+def compute_constants(profile: LFunctionProfile, params: BoundParams,
+                      target: str) -> BoundConstants:
+    """Constants of the target's bound, with the region they are valid on.
+
+    Validates the full hypothesis list of the target and raises
+    HypothesisError naming the first violated condition.  The b-constant
+    and the rate are evaluated at b_height(T1, target).
+    """
+    _require(hypothesis_report(profile, params, target))
+    return _evaluate(profile, params, target)
 
 
 def compute_a1(profile: LFunctionProfile, params: BoundParams) -> BoundConstants:
@@ -421,7 +418,9 @@ def dedekind_split(C1: float, C3: float, T1: float, T2: float) -> tuple[float, f
     the shape of the degree-1 case except for the amplitude term
     log(1.9)/log T2, whose weight decays like 1/n_K.  K1 is b1 of the
     degree-1 profile with amplitude 1, and K2 what amplitude 1.9 adds to
-    it; both profiles carry the default height floor (min_height 7778).
+    it.  T1 is b's height, b_height of the statement's T1, and the inputs
+    come from the Dedekind statement's check, hypothesis_report; b reads
+    no min_height, so the default one the profiles carry is never checked.
     """
     def b1(amplitude: float) -> float:
         profile = LFunctionProfile(degree=1, euler_order=1, log_power=1,
@@ -477,7 +476,7 @@ def constants_report(profile: LFunctionProfile, params: BoundParams,
         "hypotheses": [asdict(ch) for ch in checks],
         "hypotheses_ok": all(ch.ok for ch in checks),
     }
-    if report["hypotheses_ok"]:
-        bc = compute_constants(profile, params, target)
+    if report["hypotheses_ok"]:  # checked above: evaluate, do not recheck
+        bc = _evaluate(profile, params, target)
         report["constants"] = {**bc.as_dict(), **bc.display()}
     return report

@@ -5,8 +5,10 @@ The admissible box is scanned on a decimal grid (default step 0.01) over
     C1 in (0, 1],   C2 in (0, 2 C1],   and for the derivative target
     C4 = rho * C2 / 2.0001 with rho in (0, 1],
 
-with every remaining hypothesis of the owning computation enforced per
-candidate.  The winner is the lexicographically smallest tuple
+so C1-range, C2-range and C4-range hold by construction.  The hypotheses
+no candidate can change (CANDIDATE_FREE) are checked once up front, and
+the edge term of the T1-floor once per (C2, rho) cell; compute_b1 then
+takes checked inputs.  The winner is the lexicographically smallest tuple
 (a, C1, C2, rho), which makes ties deterministic: when b1 <= 1 the
 objective is flat in C1, and the smallest admissible C1 is reported.
 
@@ -58,6 +60,7 @@ from .constants import (
     BoundParams,
     _a1_value,
     _a2_value,
+    b_height,
     c4_of,
     compute_b1,
     compute_constants,
@@ -186,7 +189,7 @@ def minimize(spec: SearchSpec,
 
     m = prof.euler_order
     shift = ROOM[spec.target]["shift"]
-    b_T1 = spec.T1 - shift  # height the b-constant runs at
+    b_T1 = b_height(spec.T1, spec.target)
     ll_t1 = loglog(spec.T1)
     ll_b = loglog(b_T1)
 

@@ -44,17 +44,36 @@ def test_constants_a2_bare_reproduces_published(capsys):
     assert rep["parameters"]["C4"] == 0.67 / 2.0001
 
 
-def test_constants_dedekind_reports_split(capsys):
-    code, rep = run_cli(capsys, ["constants", "a1", "--family", "dedekind",
+@pytest.mark.parametrize("which,base,per_inverse_degree,places,display", [
+    ("a1", 0.9498338898804869, 0.0913957270968276, 2, 5.44),
+    ("a2", 0.9649993023088180, 0.0961476128477758, 3, 33.711),
+], ids=["a1", "a2"])
+def test_constants_dedekind_reports_split(capsys, which, base,
+                                          per_inverse_degree, places, display):
+    # the split runs at b's height, T1 - 1 for a2, so it reconstructs b
+    code, rep = run_cli(capsys, ["constants", which, "--family", "dedekind",
                                  "--abs-disc", "5"])
     assert code == 0
     degree = rep["profile"]["degree"]
     assert degree == 2.0
-    assert math.ceil(100 * rep["constants"]["a"] / degree) / 100 == 5.44
+    scale = 10 ** places
+    assert math.ceil(scale * rep["constants"]["a"] / degree) / scale == display
     split = rep["b_split"]
-    assert split["base"] == pytest.approx(0.9498338898804869, rel=1e-12)
+    assert split["base"] == pytest.approx(base, rel=1e-12)
     assert split["per_inverse_degree"] == pytest.approx(
-        0.0913957270968276, rel=1e-12)
+        per_inverse_degree, rel=1e-12)
+    assert rep["constants"]["b"] == pytest.approx(
+        split["base"] + split["per_inverse_degree"] / degree, rel=1e-12)
+
+
+def test_constants_dedekind_split_below_default_height(capsys):
+    # the statement's T2-floor at profile t0 = 7000 needs T2 >= 7001; the
+    # split's degree-1 profiles carry min_height 7778, which b never reads
+    code, rep = run_cli(capsys, ["constants", "a1", "--family", "dedekind",
+                                 "--profile-t0", "7000", "--T2", "7500"])
+    assert code == 0
+    assert rep["hypotheses_ok"]
+    split, degree = rep["b_split"], rep["profile"]["degree"]
     assert rep["constants"]["b"] == pytest.approx(
         split["base"] + split["per_inverse_degree"] / degree, rel=1e-12)
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
+from nearone import constants
 from nearone.constants import (
+    STATEMENT_HYPOTHESES,
     BoundParams,
     TARGET_LOG,
     TARGET_LOGDER,
@@ -14,7 +17,6 @@ from nearone.constants import (
     compute_a2,
     compute_b1,
     compute_K,
-    compute_R,
     constants_report,
     dedekind_split,
     edge_floor,
@@ -181,18 +183,6 @@ def test_a2_strictly_decreasing_in_T2():
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
-def test_R_value_and_guards():
-    r = compute_R(0.5, 1000.0, 1e4)
-    expected = (2 * 0.5 + 1 / 2000) / (1 - 1 / (4000 * loglog(1e4)))
-    assert math.isclose(r, expected, rel_tol=1e-15)
-    with pytest.raises(HypothesisError):
-        compute_R(0.0, 1000.0, 1e4)
-    with pytest.raises(HypothesisError):
-        compute_R(0.5, 0.5, 1e4)
-    with pytest.raises(HypothesisError):
-        compute_R(0.5, 1000.0, 1000.0)
-
-
 def test_hypothesis_report_is_complete():
     rep_log = hypothesis_report(profile_zeta(), zeta_log_params(), TARGET_LOG)
     rep_der = hypothesis_report(profile_zeta(), zeta_logder_params(), TARGET_LOGDER)
@@ -209,6 +199,7 @@ def test_hypothesis_report_is_complete():
 @pytest.mark.parametrize("field,value,condition", [
     ("C1", 0.0, "C1-range"),
     ("C1", 1.01, "C1-range"),
+    ("C2", 0.0, "C2-range"),
     ("C2", 0.51, "C2-range"),  # C2 > 2*C1 once C1 drops to 0.25
     ("C3", 0.99, "C3-floor"),
     ("T1", 1617.0, "T1-floor"),
@@ -245,11 +236,37 @@ def test_T1_gap_rejected_by_name():
     assert err.value.condition == "T1-gap"
 
 
-def test_compute_K_guards():
-    with pytest.raises(HypothesisError):
-        compute_K(profile_zeta(), 0.0, 7778.0)
-    with pytest.raises(HypothesisError):
-        compute_K(profile_zeta(), 0.25, 1500.0)
+def test_each_hypothesis_evaluated_once(monkeypatch):
+    # the statement check is the only check: the formulas below it take
+    # checked inputs and evaluate no predicate
+    counts = Counter()
+
+    def counted(name, predicate):
+        def evaluate(**quantities):
+            counts[name] += 1
+            return predicate(**quantities)
+        return evaluate
+
+    monkeypatch.setattr(constants, "HYPOTHESES", tuple(
+        (name, counted(name, predicate))
+        for name, predicate in constants.HYPOTHESES))
+
+    def evaluations(call, *args):
+        counts.clear()
+        call(*args)
+        return dict(counts)
+
+    once = {target: dict.fromkeys(names, 1)
+            for target, names in STATEMENT_HYPOTHESES.items()}
+    zeta = profile_zeta()
+    for target, params in ((TARGET_LOG, zeta_log_params()),
+                           (TARGET_LOGDER, zeta_logder_params())):
+        assert evaluations(constants_report, zeta, params, target) == once[target]
+    assert evaluations(compute_a1, zeta, zeta_log_params()) == once[TARGET_LOG]
+    assert evaluations(compute_a2, zeta, zeta_logder_params()) == once[TARGET_LOGDER]
+    assert evaluations(compute_b1, zeta, 0.25, 1000.0, 1e4, 7778.0) == {}
+    assert evaluations(compute_K, zeta, 0.25, 7778.0) == {}
+    assert evaluations(dedekind_split, 0.25, 1000.0, 10188.0, 7794.0) == {}
 
 
 def test_elementary_bounds_formula():
