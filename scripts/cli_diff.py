@@ -10,9 +10,10 @@ two reports are walked leaf by leaf, skipping `runtime_seconds`.  Per
 command the script prints `identical`, or the number of float leaves that
 differ and the largest relative difference with its path.  Stdout that is
 not JSON, such as the empty stdout of a rejected command, is compared as
-text.  It exits 1 if a key, string, integer or boolean leaf differs, or an
-exit code or non-JSON stdout does; float differences alone are reported for
-the reader to judge.
+text, and so is the last stderr line of a command that exits non-zero,
+which names its error.  It exits 1 if a key, string, integer or boolean
+leaf differs, or an exit code, non-JSON stdout or error line does; float
+differences alone are reported for the reader to judge.
 """
 
 from __future__ import annotations
@@ -103,15 +104,29 @@ COMMANDS = (
     # C2 = 0.5 > 2 C1 fails the C2-range of the a1 statement under epsilon0:
     # exit 1 with no stdout
     "mertens bound --C1 0.1 --C2 0.5",
+    # values beyond the float range: exit 1 naming the value, no Infinity
+    # in a report and no traceback
+    "mertens derive-m --A 1e308 --a 0.999999999999",
+    "mertens bound --integral 1e308",
+    "mertens bound --lambda 1e-320",
+    "constants a2 --C2 1e-310 --C4 1e-320",
+    # the Romberg level cap and the verifier's engine tolerance are
+    # constants: setting either is a usage error (exit 64)
+    "integrate inv-zeta --max-levels 16",
+    "integrate envelope --max-levels 16",
+    "verify --abs-tol 1e-6",
 )
 IGNORED_KEYS = frozenset({"runtime_seconds"})
 
 
-def run(src: str, command: str) -> tuple[int, str]:
+def run(src: str, command: str) -> tuple[int, str, str]:
+    """Exit code, stdout, and the last stderr line of a non-zero exit."""
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "nearone.cli", *command.split()],
                           env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    lines = proc.stderr.splitlines()
+    error = lines[-1] if proc.returncode and lines else ""
+    return proc.returncode, proc.stdout, error
 
 
 def rel_diff(a: float, b: float) -> float:
@@ -145,12 +160,14 @@ def walk(old, new, path: str, floats: list, hard: list) -> None:
 
 def compare(old_src: str, new_src: str, command: str) -> bool:
     """Print the verdict for one command; return True if only floats differ."""
-    (old_code, old_out), (new_code, new_out) = (run(old_src, command),
-                                                run(new_src, command))
+    (old_code, old_out, old_err), (new_code, new_out, new_err) = (
+        run(old_src, command), run(new_src, command))
     floats: list = []
     hard: list = []
     if old_code != new_code:
         hard.append(f"exit code {old_code} -> {new_code}")
+    if old_err != new_err:
+        hard.append(f"error {old_err!r} -> {new_err!r}")
     try:
         walk(json.loads(old_out), json.loads(new_out), "", floats, hard)
     except json.JSONDecodeError:

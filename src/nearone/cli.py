@@ -17,9 +17,11 @@ action is never read as a longer flag of another.
 
 Reports are JSON (sorted keys, two-space indent) on stdout or --output;
 every report embeds the fully resolved parameter set, defaults included,
-so a run can be replayed from its own output.  Floats serialize through
-repr and therefore carry 17 significant digits; where a published constant
-is reproduced the report adds its rounded-up display form.  CSV is used
+so a run can be replayed from its own output.  The fixed caps a run used,
+integrate's max_levels and verify's abs_tol, are reported with it but
+are module constants, not flags.  Floats serialize through repr and
+therefore carry 17 significant digits; where a published constant is
+reproduced the report adds its rounded-up display form.  CSV is used
 only for the per-panel and per-grid-point traces of --trace; verify's
 per-sample records are in its report.
 
@@ -78,8 +80,8 @@ from .profiles import (
     rademacher_prefactor_dedekind,
     rademacher_prefactor_dirichlet,
 )
-from .quadrature import integrate_envelope, integrate_inv_abs_zeta
-from .verifier import default_verification
+from .quadrature import MAX_LEVELS, integrate_envelope, integrate_inv_abs_zeta
+from .verifier import VERIFY_ABS_TOL, default_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -234,21 +236,20 @@ def _cmd_integrate(args) -> tuple[dict, int]:
     if args.which == "inv-zeta":
         result = integrate_inv_abs_zeta(
             args.sigma0, args.lo, args.hi, panel_width=args.panel_width,
-            rel_tol=args.rel_tol, max_levels=args.max_levels,
-            workers=args.threads, trace_path=args.trace)
+            rel_tol=args.rel_tol, workers=args.threads, trace_path=args.trace)
         own = {"panel_width": args.panel_width}
     else:
         result = integrate_envelope(
             args.sigma0, args.a1, args.lo, args.hi, rel_tol=args.rel_tol,
-            max_levels=args.max_levels, panel_width_v=args.panel_width_v,
-            workers=args.threads, trace_path=args.trace)
+            panel_width_v=args.panel_width_v, workers=args.threads,
+            trace_path=args.trace)
         own = {"a1": args.a1, "panel_width_v": args.panel_width_v}
     report = {
         "subcommand": "integrate",
         "integrand": args.which,
         "parameters": {
             "sigma0": args.sigma0, "from": args.lo, "to": args.hi,
-            "rel_tol": args.rel_tol, "max_levels": args.max_levels,
+            "rel_tol": args.rel_tol, "max_levels": MAX_LEVELS,
             "workers": args.threads, **own,
         },
         "result": {
@@ -291,11 +292,10 @@ def _cmd_mertens(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    result = default_verification(samples=args.samples, abs_tol=args.abs_tol,
-                                  workers=args.threads)
+    result = default_verification(samples=args.samples, workers=args.threads)
     report = {
         "subcommand": "verify",
-        "parameters": {"samples": args.samples, "abs_tol": args.abs_tol,
+        "parameters": {"samples": args.samples, "abs_tol": VERIFY_ABS_TOL,
                        "workers": args.threads},
         **result,
     }
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_floats(p, {"sigma0": defaults.SIGMA0, "rel-tol": rel_tol})
         p.add_argument("--from", dest="lo", type=_finite_float, default=lo)
         p.add_argument("--to", dest="hi", type=_finite_float, default=hi)
-        p.add_argument("--max-levels", type=int, default=defaults.MAX_LEVELS)
         p.add_argument("--threads", type=_workers, default=1)
         p.add_argument("--trace", default=None,
                        help="CSV trace of per-panel results")
@@ -413,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="empirical bound spot checks")
     p.add_argument("--samples", type=int, default=defaults.VERIFY_SAMPLES)
-    p.add_argument("--abs-tol", type=_finite_float,
-                   default=defaults.VERIFY_ABS_TOL)
     p.add_argument("--threads", type=_workers, default=1)
     p.set_defaults(handler=_cmd_verify)
 

@@ -384,6 +384,8 @@ def _evaluate(profile: LFunctionProfile, params: BoundParams,
     if target == TARGET_LOG:
         a = _a1_value(m, p.C2, b, R, loglog(p.T1))
         return BoundConstants(a=a, b=b, sigma_region=(p.C2, p.C2), target=target)
+    if p.C2 * p.C4 == 0.0:  # the divisor of _a2_value's prefactor
+        raise DomainError(f"C2 * C4 underflows to 0: C2={p.C2!r}, C4={p.C4!r}")
     a = _a2_value(m, p.C2, p.C4, b, R, loglog(p.T1), loglog(b_T1))
     region = (region_edge(p.C2, p.C4), p.C4)
     return BoundConstants(a=a, b=b, sigma_region=region, target=target)

@@ -58,11 +58,10 @@ DISPLAY_COEF_SIGMA0 = 1.94e14
 # Range [1, limit] over which `mertens sieve-verify` checks the bound.
 SIEVE_VERIFY_LIMIT = 1_000_000
 
-# Quadrature: panel widths in t and in v = log u, Romberg levels, and the
-# relative tolerances of the two integrals.
+# Quadrature: panel widths in t and in v = log u, and the relative
+# tolerances of the two integrals.
 PANEL_WIDTH = 10.0
 V_PANEL_WIDTH = 0.5
-MAX_LEVELS = 16
 INV_ZETA_REL_TOL = 1e-6
 ENVELOPE_REL_TOL = 1e-9
 
@@ -79,6 +78,5 @@ INTEGRALS = {
 # and |t| <= 3e4; the highest, 5.1e-7, is zeta' at sigma = 0.401, t = 3e4.
 ZETA_ABS_TOL = 1.0e-6
 
-# Empirical verifier: sample budget and engine tolerance.
+# Empirical verifier: sample budget.
 VERIFY_SAMPLES = 400
-VERIFY_ABS_TOL = ZETA_ABS_TOL

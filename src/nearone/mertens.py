@@ -155,8 +155,10 @@ class MertensBoundSpec:
             raise DomainError(f"epsilon0={self.epsilon0!r} outside (0, 1)")
         if not (self.sigma0 < self.kappa < 1.0):
             raise DomainError(f"kappa={self.kappa!r} outside (sigma0, 1)")
-        if not (self.coef_sigma0 > 0.0 and self.coef_kappa > 0.0):
-            raise DomainError("coefficients must be positive")
+        for name in ("coef_sigma0", "coef_kappa"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name}={value!r} must be positive and finite")
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -314,12 +316,16 @@ def derive_m_bound(A: float, a_exp: float, B: float, b_exp: float
     Returns (A (1 + 1/(1-a)), B (1 + 1/(1-b))).  The products are carried
     in decimal arithmetic so that decimally-exact inputs give the exact
     published products (e.g. 555.71 * 101 = 56126.71 with no binary
-    rounding residue).
+    rounding residue).  Raises DomainError naming a product that exceeds
+    the largest float.
     """
     _check_two_term(A, a_exp, B, b_exp)
     one = Decimal(1)
     A_m = float(Decimal(repr(A)) * (one + one / (one - Decimal(repr(a_exp)))))
     B_m = float(Decimal(repr(B)) * (one + one / (one - Decimal(repr(b_exp)))))
+    for name, value in (("A_m", A_m), ("B_m", B_m)):
+        if math.isinf(value):
+            raise DomainError(f"{name} exceeds the largest float")
     return A_m, B_m
 
 

@@ -36,10 +36,10 @@ run once it converges, so an integrand that maps each abscissa on its own,
 such as the envelope's, gives the lone panels' results bit for bit.  The
 zeta engine's values depend on the batch, through its truncation point
 and block heads, but only within its error bound.  A panel still open
-after max_levels raises ConvergenceError naming its interval, once the
-whole group has run its levels.  The driver checks rel_tol > 0 and
-MIN_LEVELS <= max_levels <= MAX_LEVELS_CAP, whatever the entry point.
-romberg() is the one-panel call of the same driver.
+after MAX_LEVELS = 16 levels raises ConvergenceError naming its interval,
+once the whole group has run its levels.  The driver checks rel_tol > 0,
+whatever the entry point.  romberg() is the one-panel call of the same
+driver.
 
 The groups, not the panels, are the work units farmed out to worker
 processes.  They are fixed by the panel index alone, so every integrand
@@ -84,12 +84,13 @@ __all__ = [
     "envelope_integrand_log_space",
 ]
 
-MIN_LEVELS = 3
-MAX_LEVELS_CAP = 24
 T_CEILING = 3.0e4
 LO_FLOOR_ENVELOPE = math.exp(2.0)
 # Most panels one integral may split into; the defaults use 1152 and 16.
 PANEL_LIMIT = 100_000
+# Romberg levels a panel may take; the default integrals need 10 (inv-zeta)
+# and 4 (envelope).
+MAX_LEVELS = 16
 # Consecutive panels integrated together, a level at a time, per task.
 GROUP_PANELS = 64
 # Most abscissae per integrand call; a power of two, so that a level's
@@ -114,17 +115,17 @@ class QuadratureResult:
 
 
 def romberg(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-            rel_tol: float, max_levels: int = defaults.MAX_LEVELS) -> QuadratureResult:
+            rel_tol: float) -> QuadratureResult:
     """Integrate a vectorized evaluator over [a, b] by Romberg extrapolation.
 
     Converged when successive diagonal entries differ by at most
     rel_tol * |value|; the last diagonal difference is the error estimate.
-    Raises ConvergenceError("non-convergent ...") if max_levels is reached
+    Raises ConvergenceError("non-convergent ...") if MAX_LEVELS is reached
     first.  This is the one-panel call of _romberg_panels.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"need finite a < b; got [{a!r}, {b!r}]")
-    return _romberg_panels(f, [a, b], rel_tol, max_levels)[0]
+    return _romberg_panels(f, [a, b], rel_tol)[0]
 
 
 def _values(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
@@ -141,19 +142,15 @@ def _values(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray
 
 
 def _romberg_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
-                    rel_tol: float, max_levels: int) -> list[QuadratureResult]:
+                    rel_tol: float) -> list[QuadratureResult]:
     """Romberg on each panel [edges[k], edges[k+1]], all panels a level at
     a time (module docstring); one result per panel.
 
     Raises ConvergenceError naming the first panel still open after
-    max_levels levels.
+    MAX_LEVELS levels.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive; got {rel_tol!r}")
-    if not (MIN_LEVELS <= max_levels <= MAX_LEVELS_CAP):
-        raise DomainError(
-            f"max_levels must lie in [{MIN_LEVELS}, {MAX_LEVELS_CAP}]; "
-            f"got {max_levels!r}")
     xs = np.asarray(edges, dtype=np.float64)
     ends = _values(f, xs)
     widths = [b - a for a, b in zip(edges, edges[1:])]
@@ -164,7 +161,7 @@ def _romberg_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
     results: list[Optional[QuadratureResult]] = [None] * len(widths)
     open_panels = list(range(len(widths)))
 
-    for i in range(1, max_levels + 1):
+    for i in range(1, MAX_LEVELS + 1):
         m = 2 ** (i - 1)                        # new nodes per panel
         runs = [[open_panels[0]]]
         for k in open_panels[1:]:
@@ -195,7 +192,7 @@ def _romberg_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
     k = open_panels[0]
     raise ConvergenceError(
         f"non-convergent on [{edges[k]!r}, {edges[k + 1]!r}] after "
-        f"{max_levels} levels; last diagonal difference {diffs[k]:.3e}")
+        f"{MAX_LEVELS} levels; last diagonal difference {diffs[k]:.3e}")
 
 
 def _envelope_log_space(expo: float, a1: float, vs: np.ndarray) -> np.ndarray:
@@ -229,11 +226,11 @@ def _eval_group(task) -> list[QuadratureResult]:
 
 
 def _run_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
-                rel_tol: float, max_levels: int, workers: int,
+                rel_tol: float, workers: int,
                 trace_path: Optional[str]) -> QuadratureResult:
     """Romberg on each panel [edges[k], edges[k+1]], GROUP_PANELS panels
     to a task; f must pickle."""
-    tasks = [(f, edges[g:g + GROUP_PANELS + 1], rel_tol, max_levels)
+    tasks = [(f, edges[g:g + GROUP_PANELS + 1], rel_tol)
              for g in range(0, len(edges) - 1, GROUP_PANELS)]
     results = [r for group in parallel_map(_eval_group, tasks, workers)
                for r in group]
@@ -253,7 +250,6 @@ def _run_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float],
 def integrate_inv_abs_zeta(sigma0: float, lo: float, hi: float,
                            panel_width: float = defaults.PANEL_WIDTH,
                            rel_tol: float = defaults.INV_ZETA_REL_TOL,
-                           max_levels: int = defaults.MAX_LEVELS,
                            workers: int = 1,
                            trace_path: Optional[str] = None) -> QuadratureResult:
     """Integrate 1/|zeta(sigma0 + iu)| over [lo, hi] on consecutive panels.
@@ -272,13 +268,12 @@ def integrate_inv_abs_zeta(sigma0: float, lo: float, hi: float,
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0, 0)
     return _run_panels(functools.partial(inv_abs_zeta_many, sigma0),
-                       _panel_edges(lo, hi, panel_width), rel_tol, max_levels,
-                       workers, trace_path)
+                       _panel_edges(lo, hi, panel_width), rel_tol, workers,
+                       trace_path)
 
 
 def integrate_envelope(sigma0: float, a1: float, lo: float, hi: float,
                        rel_tol: float = defaults.ENVELOPE_REL_TOL,
-                       max_levels: int = defaults.MAX_LEVELS,
                        panel_width_v: float = defaults.V_PANEL_WIDTH,
                        workers: int = 1,
                        trace_path: Optional[str] = None) -> QuadratureResult:
@@ -299,4 +294,4 @@ def integrate_envelope(sigma0: float, a1: float, lo: float, hi: float,
         raise DomainError(f"panel_width_v must be positive; got {panel_width_v!r}")
     return _run_panels(envelope_integrand_log_space(sigma0, a1),
                        _panel_edges(math.log(lo), math.log(hi), panel_width_v),
-                       rel_tol, max_levels, workers, trace_path)
+                       rel_tol, workers, trace_path)

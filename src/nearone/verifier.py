@@ -34,7 +34,8 @@ which must dominate the observations there.
 A sample counts as a violation only when the observed quantity exceeds the
 bound by more than the propagated engine error (the evaluations carry
 certified absolute error bounds), so a red result cannot be an artifact of
-the evaluator's own tolerance.
+the evaluator's own tolerance.  Every sample is evaluated at the one engine
+tolerance VERIFY_ABS_TOL = 1e-6, which each check report states.
 
 Evaluation is batched.  The samples of all checks are sorted by (kind, |t|)
 and each kind is cut into consecutive chunks of CHUNK_SAMPLES; each chunk
@@ -63,8 +64,8 @@ from .defaults import (
     DISPLAY_B2,
     LOG_REGION,
     LOGDER_REGION,
-    VERIFY_ABS_TOL,
     VERIFY_SAMPLES,
+    ZETA_ABS_TOL,
 )
 from .errors import ConvergenceError, DomainError
 from .parallel import parallel_map
@@ -75,6 +76,9 @@ from .zeta import zeta, zeta_with_prime  # noqa: F401
 
 T_FLOOR = 1.0e4
 T_CEILING = 3.0e4
+# Engine tolerance of every sample: the engine's default, which sits above
+# its rounding floor all over the sampled window.
+VERIFY_ABS_TOL = ZETA_ABS_TOL
 
 _EDGE_TOL = 1.0e-12
 # Samples per engine call and pool task.  The engine builds these batches'
@@ -202,16 +206,17 @@ def _eval_chunk(chunk: list) -> list[dict]:
     """Evaluate a chunk of samples in one engine call; top-level so worker
     pools can pickle it.
 
-    Each task is (kind, sigma, t, a, b, A, B, c, abs_tol) with kind "log"
-    or "logder"; the tasks of one chunk share kind and abs_tol.  Returns
-    the per-sample records in chunk order.  An engine failure, or a |zeta|
-    indistinguishable from zero, raises naming the sample it concerns.
+    Each task is (kind, sigma, t, a, b, A, B, c) with kind "log" or
+    "logder"; the tasks of one chunk share kind.  Every sample is
+    evaluated at abs_tol = VERIFY_ABS_TOL.  Returns the per-sample records
+    in chunk order.  An engine failure, or a |zeta| indistinguishable from
+    zero, raises naming the sample it concerns.
     """
-    kind, abs_tol = chunk[0][0], chunk[0][8]
+    kind = chunk[0][0]
     try:
         values, bounds, primes, bounds_p, _ = zeta_points(
             [task[1] for task in chunk], [task[2] for task in chunk],
-            abs_tol=abs_tol, with_prime=kind == "logder")
+            abs_tol=VERIFY_ABS_TOL, with_prime=kind == "logder")
     except (ConvergenceError, DomainError) as exc:
         if exc.index is None:  # about the whole batch, such as its abs_tol
             raise
@@ -221,7 +226,7 @@ def _eval_chunk(chunk: list) -> list[dict]:
         primes, bounds_p = primes.tolist(), bounds_p.tolist()
     records = []
     for i, task in enumerate(chunk):
-        _, sigma, t, a, b, _, B, c, _ = task
+        _, sigma, t, a, b, _, B, c = task
         value, err = values[i], bounds[i]
         abs_v = abs(value)
         if abs_v <= err:
@@ -269,7 +274,7 @@ def _chunks(tasks: list) -> list[list[int]]:
 
 
 def _check_report(kind: str, grid: SampleGrid, a: float, b: float,
-                  abs_tol: float, records: list[dict]) -> dict:
+                  records: list[dict]) -> dict:
     """Roll the per-sample records of one check up into its report."""
     A, B, c = grid.region
     violations = [r for r in records if not r["ok"]]
@@ -283,7 +288,7 @@ def _check_report(kind: str, grid: SampleGrid, a: float, b: float,
         "region": {"A": A, "B": B, "c": c},
         "sigma_mode": grid.sigma_mode.value,
         "seed": grid.seed,
-        "abs_tol": abs_tol,
+        "abs_tol": VERIFY_ABS_TOL,
         "samples": len(records),
         "violations": len(violations),
         "first_violation": violations[0] if violations else None,
@@ -295,22 +300,20 @@ def _check_report(kind: str, grid: SampleGrid, a: float, b: float,
     }
 
 
-def _run_checks(specs: list[tuple], abs_tol: float, workers: int) -> list[dict]:
+def _run_checks(specs: list[tuple], workers: int) -> list[dict]:
     """One report per (kind, grid, a, b) spec, every sample on one pool.
 
     Pooling the samples of all checks pays the workers' start-up once.
     The samples travel in chunks (_chunks), one engine call each, and
     their records are put back in sample order.
     """
-    if not (abs_tol > 0.0):
-        raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
     tasks = []
     for kind, grid, a, b in specs:
         if not (a > 0.0 and b > 0.0):
             raise DomainError(
                 f"bound constants must be positive; got a={a!r}, b={b!r}")
         A, B, c = grid.region
-        tasks += [(kind, sigma, t, a, b, A, B, c, abs_tol)
+        tasks += [(kind, sigma, t, a, b, A, B, c)
                   for sigma, t in grid.samples()]
     runs = _chunks(tasks)
     results = parallel_map(_eval_chunk, [[tasks[i] for i in run] for run in runs],
@@ -320,35 +323,34 @@ def _run_checks(specs: list[tuple], abs_tol: float, workers: int) -> list[dict]:
         for i, record in zip(run, run_records):
             ordered[i] = record
     records = iter(ordered)
-    return [_check_report(kind, grid, a, b, abs_tol,
+    return [_check_report(kind, grid, a, b,
                           list(itertools.islice(records, len(grid))))
             for kind, grid, a, b in specs]
 
 
 def check_log_bound(grid: SampleGrid, a1: float, b1: float,
-                    abs_tol: float = VERIFY_ABS_TOL, workers: int = 1) -> dict:
+                    workers: int = 1) -> dict:
     """Test |log|zeta(sigma+it)|| <= a1 (b1 log ct)^(2(1-sigma)) loglog ct.
 
     Returns a report with per-sample records, the violation count and
     margin statistics (min and median of bound/observed).  Engine failures
     propagate annotated with the offending sample.
     """
-    return _run_checks([("log", grid, a1, b1)], abs_tol, workers)[0]
+    return _run_checks([("log", grid, a1, b1)], workers)[0]
 
 
 def check_logder_bound(grid: SampleGrid, a2: float, b2: float,
-                       abs_tol: float = VERIFY_ABS_TOL, workers: int = 1) -> dict:
+                       workers: int = 1) -> dict:
     """Test |zeta'/zeta(sigma+it)| <= a2 (b2 log ct)^(2(1-sigma)) (loglog ct)^2.
 
     Right-edge samples are additionally required to sit under the
     unconditional Euler-product bound (1/B) loglog(ct); see the module
     docstring.  Report shape matches check_log_bound.
     """
-    return _run_checks([("logder", grid, a2, b2)], abs_tol, workers)[0]
+    return _run_checks([("logder", grid, a2, b2)], workers)[0]
 
 
 def default_verification(samples: int = VERIFY_SAMPLES,
-                         abs_tol: float = VERIFY_ABS_TOL,
                          workers: int = 1) -> dict:
     """The standard suite: both inequalities at their published constants.
 
@@ -374,7 +376,7 @@ def default_verification(samples: int = VERIFY_SAMPLES,
                               seed=2000), DISPLAY_A2, DISPLAY_B2),
         ("logder", build_grid(per[3], LOGDER_REGION, SigmaMode.REGION_EDGES,
                               seed=3000), DISPLAY_A2, DISPLAY_B2),
-    ], abs_tol, workers)
+    ], workers)
     total_violations = sum(c["violations"] for c in checks)
     elementary_violations = sum(c["elementary_violations"] for c in checks)
     return {

@@ -167,6 +167,11 @@ def test_family_flag_the_family_does_not_read_is_refused(capsys, argv, flag,
     ["integrate", "inv-zeta", "--rel-t", "1e-7"],
     # per-sample records are in the report only
     ["verify", "--csv", "records.csv"],
+    # the Romberg level cap and the verifier's engine tolerance are
+    # constants, reported but not set
+    ["integrate", "inv-zeta", "--max-levels", "16"],
+    ["integrate", "envelope", "--max-levels", "16"],
+    ["verify", "--abs-tol", "1e-6"],
 ])
 def test_flag_the_action_does_not_read_is_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -194,7 +199,10 @@ def test_cli_diff_commands_parse(capsys):
             refused.add(command)
     capsys.readouterr()
     assert refused == {"integrate envelope --panel-width 3",
-                       "constants a1 --C4 0.2", "mertens bound --A 3"}
+                       "constants a1 --C4 0.2", "mertens bound --A 3",
+                       "integrate inv-zeta --max-levels 16",
+                       "integrate envelope --max-levels 16",
+                       "verify --abs-tol 1e-6"}
 
 
 def test_action_help_lists_only_its_own_flags(capsys):
@@ -243,20 +251,16 @@ def test_integrate_short_range_matches_oracle(capsys):
     assert abs(res["value"] - INV_INTEGRAL_0_10) <= res["error_estimate"]
     assert res["certified_upper"] == res["value"] + res["error_estimate"]
     assert res["panels"] == 1
+    assert rep["parameters"]["max_levels"] == 16  # the cap the run used
 
 
-def test_integrate_nonconvergence_exits_two(capsys):
+def test_integrate_nonconvergence_exits_two(capsys, monkeypatch):
+    # [0, 10] converges at rel_tol 1e-14 by level 15; three levels fall short
+    monkeypatch.setattr("nearone.quadrature.MAX_LEVELS", 3)
     code = main(["integrate", "inv-zeta", "--from", "0", "--to", "10",
-                 "--rel-tol", "1e-14", "--max-levels", "3"])
+                 "--rel-tol", "1e-14"])
     assert code == 2
-    assert "non-convergence" in capsys.readouterr().err
-
-
-def test_integrate_bad_max_levels_exits_one(capsys):
-    code = main(["integrate", "inv-zeta", "--from", "0", "--to", "10",
-                 "--max-levels", "2"])
-    assert code == 1
-    assert "max_levels" in capsys.readouterr().err
+    assert "after 3 levels" in capsys.readouterr().err
 
 
 def test_mertens_bound_bare_reproduces_published(capsys):
@@ -327,6 +331,21 @@ def test_mertens_derive_m(capsys):
     assert rep["B_m"] == 9.894e15
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["mertens", "derive-m", "--A", "1e308", "--a", "0.999999999999"], "A_m"),
+    (["mertens", "bound", "--integral", "1e308"], "B_m"),
+    (["mertens", "bound", "--lambda", "1e-320"], "coef_kappa"),
+    (["constants", "a2", "--C2", "1e-310", "--C4", "1e-320"], "C2 * C4"),
+])
+def test_overflowing_value_exits_one_naming_it(capsys, argv, named):
+    # no report carries Infinity, and no evaluation ends in a traceback
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {named}")
+
+
 def test_mertens_sieve_verify_small(capsys):
     code, rep = run_cli(capsys, ["mertens", "sieve-verify",
                                  "--limit", "10000"])
@@ -386,6 +405,9 @@ def test_threads_resolution(capsys):
                                  "--threads", "3"])
     assert code == 0
     assert rep["parameters"]["workers"] == 3
+    # the engine tolerance the run used, stated once per check too
+    assert rep["parameters"]["abs_tol"] == 1e-6
+    assert {check["abs_tol"] for check in rep["checks"]} == {1e-6}
     code, rep = run_cli(capsys, ["verify", "--samples", "4",
                                  "--threads", "auto"])
     assert rep["parameters"]["workers"] >= 1

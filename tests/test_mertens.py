@@ -250,6 +250,8 @@ def test_derive_m_bound_rejections():
         derive_m_bound(1.0, 0.5, 1.0, 1.0)
     with pytest.raises(DomainError):
         derive_m_bound(0.0, 0.5, 1.0, 0.5)
+    with pytest.raises(DomainError, match="B_m exceeds"):
+        derive_m_bound(1.0, 0.5, 1e308, 0.5)
 
 
 def test_crossover_matches_oracle():

@@ -20,6 +20,7 @@ from nearone.quadrature import (
     QuadratureResult,
     _panel_edges,
     _romberg_panels,
+    _run_panels,
     envelope_integrand_log_space,
     integrate_envelope,
     integrate_inv_abs_zeta,
@@ -51,15 +52,13 @@ def test_romberg_validation():
         romberg(np.sin, 1.0, 1.0, 1e-8)
     with pytest.raises(DomainError):
         romberg(np.sin, 0.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        romberg(np.sin, 0.0, 1.0, 1e-8, max_levels=2)
-    with pytest.raises(DomainError):
-        romberg(np.sin, 0.0, 1.0, 1e-8, max_levels=25)
 
 
 def test_romberg_non_convergent():
-    with pytest.raises(ConvergenceError, match="non-convergent"):
-        romberg(lambda x: np.sin(40.0 * x), 0.0, 1.0, 1e-12, max_levels=3)
+    # a cusp inside the panel keeps Romberg's error at O(h^1.5)
+    with pytest.raises(ConvergenceError,
+                       match=r"non-convergent on \[0\.0, 1\.0\] after 16 levels"):
+        romberg(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, 1e-12)
 
 
 def test_reciprocal_zeta_panel_against_oracles():
@@ -130,11 +129,12 @@ def test_worker_count_does_not_change_result():
 
 
 def test_worker_failure_names_its_panel():
-    # either panel may be the one reported, depending on which worker fails first
+    # 128 unit panels make two groups, one per spawned worker; the cusp of
+    # sqrt at 0 keeps the first panel open past MAX_LEVELS
+    edges = [float(k) for k in range(2 * GROUP_PANELS + 1)]
     with pytest.raises(ConvergenceError,
-                       match=r"non-convergent on \[(0\.0, 10\.0|10\.0, 20\.0)\]"):
-        integrate_inv_abs_zeta(0.98, 0.0, 20.0, rel_tol=1e-14, max_levels=3,
-                               workers=2)
+                       match=r"non-convergent on \[0\.0, 1\.0\] after 16 levels"):
+        _run_panels(np.sqrt, edges, 1e-12, workers=2, trace_path=None)
 
 
 def test_panel_trace_csv(tmp_path):
@@ -266,31 +266,31 @@ def test_grouped_panels_equal_lone_panels_bit_for_bit():
     g = envelope_integrand_log_space(0.98, 5.44)
     f = lambda vs: g(vs) * (1.0 + np.cos(vs ** 2))
     edges = [2.5 + 0.25 * k for k in range(23)] + [8.4]
-    grouped = _romberg_panels(f, edges, 1e-10, 16)
+    grouped = _romberg_panels(f, edges, 1e-10)
     lone = [romberg(f, a, b, 1e-10) for a, b in zip(edges, edges[1:])]
     assert grouped == lone
     assert [r.evaluations for r in lone][7:12] == [33, 65, 65, 33, 65]
 
 
-def test_non_convergent_panel_inside_a_group_is_named():
+def test_non_convergent_panel_inside_a_group_is_named(monkeypatch):
     # panel [3.0, 4.0] oscillates; its neighbours are linear and converge
-    # at level 1, so the failing panel runs on alone to max_levels
+    # at level 1, so the failing panel runs on alone to MAX_LEVELS
     def f(x):
         return np.where((x > 3.0) & (x < 4.0), np.sin(40.0 * x), x)
 
+    monkeypatch.setattr("nearone.quadrature.MAX_LEVELS", 3)
     with pytest.raises(ConvergenceError,
                        match=r"non-convergent on \[3\.0, 4\.0\] after 3 levels"):
-        _romberg_panels(f, [float(k) for k in range(9)], 1e-12, 3)
+        _romberg_panels(f, [float(k) for k in range(9)], 1e-12)
 
 
-def test_integrals_check_rel_tol_and_max_levels():
-    # the checks sit in the one driver, so the integrals run them too
-    for kwargs in ({"max_levels": 25}, {"max_levels": 2}, {"max_levels": 0},
-                   {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": math.nan}):
+def test_integrals_check_rel_tol():
+    # the check sits in the one driver, so the integrals run it too
+    for rel_tol in (-1.0, 0.0, math.nan):
         with pytest.raises(DomainError):
-            integrate_inv_abs_zeta(0.98, 0.0, 10.0, **kwargs)
+            integrate_inv_abs_zeta(0.98, 0.0, 10.0, rel_tol=rel_tol)
         with pytest.raises(DomainError):
-            integrate_envelope(0.98, 5.44, 11520.0, 2.6e7, **kwargs)
+            integrate_envelope(0.98, 5.44, 11520.0, 2.6e7, rel_tol=rel_tol)
 
 
 def test_integrand_calls_are_capped_at_call_nodes(monkeypatch):
@@ -305,13 +305,13 @@ def test_integrand_calls_are_capped_at_call_nodes(monkeypatch):
     edges = [float(k) for k in range(GROUP_PANELS + 1)]
     with pytest.raises(ConvergenceError,
                        match=r"non-convergent on \[0\.0, 1\.0\] after 16 levels"):
-        _romberg_panels(f, edges, 1e-12, 16)
+        _romberg_panels(f, edges, 1e-12)
     assert max(sizes) == CALL_NODES
     assert sum(sizes) == GROUP_PANELS * 2 ** 16 + 1
 
     # the cap only splits the calls: a pointwise integrand keeps its bits
     g = envelope_integrand_log_space(0.98, 5.44)
     edges = [2.5 + 0.25 * k for k in range(23)] + [8.4]
-    capped = _romberg_panels(g, edges, 1e-13, 16)
+    capped = _romberg_panels(g, edges, 1e-13)
     monkeypatch.setattr("nearone.quadrature.CALL_NODES", 4)
-    assert _romberg_panels(g, edges, 1e-13, 16) == capped
+    assert _romberg_panels(g, edges, 1e-13) == capped

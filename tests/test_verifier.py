@@ -124,10 +124,8 @@ def test_right_edge_dominated_by_elementary_bound():
 
 
 def test_conjugate_sample_gives_identical_observed():
-    task_pos = ("logder", 1.0, 12345.0, DISPLAY_A2, DISPLAY_B2,
-                LOGDER_REGION[0], LOGDER_REGION[1], LOGDER_REGION[2], 1e-6)
-    task_neg = ("logder", 1.0, -12345.0, DISPLAY_A2, DISPLAY_B2,
-                LOGDER_REGION[0], LOGDER_REGION[1], LOGDER_REGION[2], 1e-6)
+    task_pos = ("logder", 1.0, 12345.0, DISPLAY_A2, DISPLAY_B2, *LOGDER_REGION)
+    task_neg = ("logder", 1.0, -12345.0, DISPLAY_A2, DISPLAY_B2, *LOGDER_REGION)
     rec_pos = _eval_chunk([task_pos])[0]
     rec_neg = _eval_chunk([task_neg])[0]
     assert rec_neg["observed"] == rec_pos["observed"]
@@ -157,11 +155,12 @@ def test_untrue_constant_is_flagged():
     assert not rep["first_violation"]["ok"]
 
 
-def test_engine_failure_names_the_sample():
+def test_engine_failure_names_the_sample(monkeypatch):
     grid = SampleGrid(t_values=(2.0e4,), sigma_values=(0.8,),
                       sigma_mode=SigmaMode.INTERIOR_GRID, region=LOG_REGION)
+    monkeypatch.setattr("nearone.verifier.VERIFY_ABS_TOL", 1e-13)
     with pytest.raises(ConvergenceError, match="sample \\(sigma=0.8"):
-        check_log_bound(grid, DISPLAY_A1, DISPLAY_B1, abs_tol=1e-13)
+        check_log_bound(grid, DISPLAY_A1, DISPLAY_B1)
 
 
 def test_invalid_check_arguments():
@@ -170,8 +169,6 @@ def test_invalid_check_arguments():
         check_log_bound(grid, -1.0, DISPLAY_B1)
     with pytest.raises(DomainError):
         check_log_bound(grid, DISPLAY_A1, DISPLAY_B1, workers=0)
-    with pytest.raises(DomainError):
-        check_log_bound(grid, DISPLAY_A1, DISPLAY_B1, abs_tol=0.0)
 
 
 def test_default_verification_rollup():
@@ -198,15 +195,15 @@ def test_sample_budget_not_divisible_by_four_is_spent_in_full():
         assert check["records"][0] == check4["records"][0]
 
 
-def test_batch_wide_engine_error_names_no_sample():
+def test_batch_wide_engine_error_names_no_sample(monkeypatch):
+    monkeypatch.setattr("nearone.verifier.VERIFY_ABS_TOL", 1e-14)
     with pytest.raises(DomainError) as exc:
-        default_verification(samples=4, abs_tol=1e-14)
+        default_verification(samples=4)
     assert str(exc.value).startswith("abs_tol must be >= ")
 
 
 def _default_tasks(samples):
     """The tasks default_verification hands to the chunker."""
-    from nearone.verifier import VERIFY_ABS_TOL
     tasks = []
     for kind, region, seed, mode in (
             ("log", LOG_REGION, 0, SigmaMode.INTERIOR_GRID),
@@ -214,7 +211,7 @@ def _default_tasks(samples):
             ("logder", LOGDER_REGION, 2000, SigmaMode.INTERIOR_GRID),
             ("logder", LOGDER_REGION, 3000, SigmaMode.REGION_EDGES)):
         grid = build_grid(samples // 4, region, mode, seed=seed)
-        tasks += [(kind, sigma, t, 1.0, 1.0, *region, VERIFY_ABS_TOL)
+        tasks += [(kind, sigma, t, 1.0, 1.0, *region)
                   for sigma, t in grid.samples()]
     return tasks
 
@@ -252,8 +249,7 @@ def test_every_sample_agrees_with_its_own_engine_call():
     for check in report["checks"]:
         kind, region, a, b = regions[check["check"]]
         for rec in check["records"]:
-            own, = _eval_chunk([(kind, rec["sigma"], rec["t"], a, b, *region,
-                                 check["abs_tol"])])
+            own, = _eval_chunk([(kind, rec["sigma"], rec["t"], a, b, *region)])
             assert (abs(own["observed"] - rec["observed"])
                     <= own["engine_slack"] + rec["engine_slack"]), rec
             assert own["ok"] == rec["ok"]
@@ -268,15 +264,17 @@ def test_worker_count_does_not_change_a_report_of_many_chunks():
     assert rep1["all_ok"]
 
 
-def test_failing_point_inside_a_chunk_is_named():
+def test_failing_point_inside_a_chunk_is_named(monkeypatch):
     grid = SampleGrid(t_values=(1.0e4, 1.0001e4, 1.2e4),
                       sigma_values=(0.8, 0.8, 0.8),
                       sigma_mode=SigmaMode.INTERIOR_GRID, region=LOG_REGION)
     # one chunk; only the highest point's rounding floor exceeds abs_tol
-    with pytest.raises(ConvergenceError,
-                       match="sample \\(sigma=0.8, t=12000.0\\)"):
-        check_log_bound(grid, DISPLAY_A1, DISPLAY_B1, abs_tol=9.0e-10)
-    tasks = [("log", sigma, t, DISPLAY_A1, DISPLAY_B1, *LOG_REGION, 1e-6)
+    with monkeypatch.context() as patch:
+        patch.setattr("nearone.verifier.VERIFY_ABS_TOL", 9.0e-10)
+        with pytest.raises(ConvergenceError,
+                           match="sample \\(sigma=0.8, t=12000.0\\)"):
+            check_log_bound(grid, DISPLAY_A1, DISPLAY_B1)
+    tasks = [("log", sigma, t, DISPLAY_A1, DISPLAY_B1, *LOG_REGION)
              for sigma, t in ((0.8, 1.0e4), (0.3, 1.0001e4), (0.8, 1.2e4))]
     from nearone.verifier import _eval_chunk
     with pytest.raises(DomainError, match="sample \\(sigma=0.3, t=10001.0\\)"):
